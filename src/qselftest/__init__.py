@@ -7,8 +7,6 @@ adversarial, and noisy), evaluates the verification statistics, and extracts
 explicit local unitaries certifying equivalence to the ideal computation.
 """
 
-from ._backend import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

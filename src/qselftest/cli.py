@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,25 +24,10 @@ from . import devices as dv
 from . import extraction as ex
 from . import hilbert as hb
 from . import protocol as pr
+from . import stats as stx
 from .errors import ConfigError, QSelfTestError
 
 _MAX_TABLE_ROWS = 400
-
-_ANGLE_NAMES = (
-    (0.0, "0"),
-    (math.pi / 8, "pi/8"),
-    (math.pi / 4, "pi/4"),
-    (math.pi / 2, "pi/2"),
-    (5 * math.pi / 8, "5pi/8"),
-    (3 * math.pi / 4, "3pi/4"),
-)
-
-
-def _angle_name(a: float) -> str:
-    for val, name in _ANGLE_NAMES:
-        if abs(a - val) < 1e-9:
-            return name
-    return f"{a:.4f}"
 
 
 @dataclass(frozen=True)
@@ -166,9 +150,7 @@ def _print_table(rows: list[tuple[str, str, float, float, float, bool]]) -> None
 
 def _setting_text(setting) -> str:
     return " ".join(
-        f"{side}{wire}@{_angle_name(setting.branch_angle(entry))}"
-        for entry in setting.measured
-        for side, wire, _, _ in [entry]
+        f"{side}{wire}@{dv.angle_name(a)}" for side, wire, a in setting.branches
     )
 
 
@@ -292,10 +274,8 @@ def _run_tomo(cfg: RunConfig) -> int:
     stats = {}
     for a in ex.TOMO_ANGLES:
         for b in ex.TOMO_ANGLES:
-            st = hb.apply_operator(
-                device.frame_operator("A", cfg.wire, a), device.source
-            )
-            st = hb.apply_operator(device.frame_operator("B", cfg.wire, b), st)
+            branches = (("A", cfg.wire, a), ("B", cfg.wire, b))
+            st = stx.collapse(device, device.source, branches)
             stats[(a, b)] = float(hb.norm(st) ** 2)
     rho = ex.tomo_reconstruct(stats, 2)
     ideal = np.zeros((4, 4), dtype=np.complex128)

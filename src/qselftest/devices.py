@@ -25,7 +25,9 @@ BASE_ANGLES = (0.0, math.pi / 8, math.pi / 4)
 TEST_ANGLES = BASE_ANGLES + tuple(a + math.pi / 2 for a in BASE_ANGLES)
 COMP_ANGLES = (0.0, math.pi / 2)
 
-ANGLE_KEYS = {"0": 0.0, "pi/8": math.pi / 8, "pi/4": math.pi / 4}
+# display name of every tested angle; device files key frames by the base names
+ANGLE_NAMES = dict(zip(TEST_ANGLES, ("0", "pi/8", "pi/4", "pi/2", "5pi/8", "3pi/4")))
+ANGLE_KEYS = {name: a for a, name in ANGLE_NAMES.items() if a in BASE_ANGLES}
 
 SEPARABILITY_TOL = 1e-8
 GATE_TOL = 1e-10
@@ -35,6 +37,7 @@ _ANGLE_MATCH_TOL = 1e-9
 
 __all__ = [
     "ANGLE_KEYS",
+    "ANGLE_NAMES",
     "BASE_ANGLES",
     "COMP_ANGLES",
     "TEST_ANGLES",
@@ -44,6 +47,7 @@ __all__ = [
     "IdealCircuit",
     "MeasurementFrame",
     "RegisterLayout",
+    "angle_name",
     "builtin_gallery",
     "builtin_gate",
     "honest_device",
@@ -86,9 +90,12 @@ def builtin_gate(name: str) -> np.ndarray:
     raise CircuitValidationError(f"unknown builtin gate {name!r}")
 
 
-def _reduce_angle(a: float) -> float:
-    b = math.fmod(float(a), math.pi)
-    return b + math.pi if b < 0.0 else b
+def angle_name(a: float) -> str:
+    """Display name of a tested angle; any other angle prints as a decimal."""
+    for x, name in ANGLE_NAMES.items():
+        if abs(a - x) < _ANGLE_MATCH_TOL:
+            return name
+    return f"{a:.6f}"
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,7 @@ class MeasurementFrame:
 
     def projector(self, angle: float) -> np.ndarray:
         """Projector matrix for any angle in the base set or its complements."""
-        r = _reduce_angle(angle)
+        r = hb.reduce_angle(angle)
         for a, m in self.base.items():
             if abs(r - a) < _ANGLE_MATCH_TOL:
                 return m
@@ -410,7 +417,12 @@ class DeviceModel:
 
     def frame_operator(self, side: str, wire: int, angle: float) -> LocalOperator:
         """Full-layout branch projector for a measurement angle."""
-        f = self.frames[(side, wire)]
+        try:
+            f = self.frames[(side, wire)]
+        except KeyError:
+            raise DeviceValidationError(
+                f"device has no frame on side {side} wire {wire}"
+            ) from None
         return LocalOperator.projector(
             (self.layout.side_index(side, wire),), f.projector(angle)
         )
@@ -815,15 +827,14 @@ def resolve_device(spec: str, circuit: IdealCircuit | None = None) -> DeviceMode
                 params[k] = float(v)
             except ValueError:
                 raise ConfigError(f"bad device parameter {item!r} in {spec!r}") from None
-    try:
-        if name == "honest":
-            return honest_device(circuit)
-        if name == "vandam":
-            return van_dam_device()
-        if name == "rotated":
-            return rotated_device(circuit, theta=params.get("theta", 0.0))
-        if name == "depolarized":
-            return noisy_source_device(circuit, p=params.get("p", 0.0))
-    except DeviceValidationError:
-        raise
+            if not math.isfinite(params[k]):
+                raise ConfigError(f"device parameter {item!r} in {spec!r} is not finite")
+    if name == "honest":
+        return honest_device(circuit)
+    if name == "vandam":
+        return van_dam_device()
+    if name == "rotated":
+        return rotated_device(circuit, theta=params.get("theta", 0.0))
+    if name == "depolarized":
+        return noisy_source_device(circuit, p=params.get("p", 0.0))
     raise ConfigError(f"unknown builtin device {name!r} (see the gallery)")

@@ -19,11 +19,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import hilbert as hb
+from . import stats as stx
 from .devices import (
     BASE_ANGLES,
     TEST_ANGLES,
     DeviceModel,
     IdealCircuit,
+    angle_name,
     matrix_to_json,
 )
 from .errors import ValidationError
@@ -61,21 +63,6 @@ __all__ = [
 ]
 
 
-def _angle_key(a: float) -> str:
-    names = {
-        0.0: "0",
-        math.pi / 8: "pi/8",
-        math.pi / 4: "pi/4",
-        math.pi / 2: "pi/2",
-        5 * math.pi / 8: "5pi/8",
-        3 * math.pi / 4: "3pi/4",
-    }
-    for x, name in names.items():
-        if abs(a - x) < 1e-9:
-            return name
-    return f"{a:.6f}"
-
-
 def polar_unitary(m: np.ndarray) -> np.ndarray:
     """Closest unitary in Frobenius norm; singular directions completed by SVD."""
     u, _, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
@@ -88,24 +75,6 @@ class LogicalExtension:
 
     base: SubsystemDims
     k: int = 1
-
-    @property
-    def extended(self) -> SubsystemDims:
-        return SubsystemDims((2,) * self.k) + self.base
-
-    @property
-    def logical_dim(self) -> int:
-        return 1 << self.k
-
-    def inject(self, x: np.ndarray) -> np.ndarray:
-        """|0...0> on the logical slot, x on the base."""
-        out = np.zeros(self.logical_dim * self.base.total, dtype=np.complex128)
-        out[: self.base.total] = x
-        return out
-
-    def project_state(self, v: np.ndarray) -> np.ndarray:
-        """Component of v with the logical slot in |0...0>."""
-        return np.array(v[: self.base.total])
 
     def project_operator(self, m: np.ndarray) -> np.ndarray:
         """<0...0| m |0...0> block on the base subsystem."""
@@ -201,22 +170,18 @@ def _span_generators(
 
     Per wire and side the angle set reduces to {0, pi/8, pi/4, Id}: the three
     upper-half projectors are Id minus a base one, so the spanned subspace is
-    unchanged while the generator count drops from 36^k to 16^k.
+    unchanged while the generator count drops from 36^k to 16^k. Generators
+    come in itertools.product order over the (wire, side) slots, and each
+    shared prefix of projectors is applied once.
     """
-    per_slot = []
+    gens = [source]
     for w in wires:
         for side in ("A", "B"):
-            ops = [None] + [
-                device.frame_operator(side, w, a) for a in BASE_ANGLES
+            gens = [
+                g if a is None else stx.collapse(device, g, ((side, w, a),))
+                for g in gens
+                for a in (None,) + BASE_ANGLES
             ]
-            per_slot.append(ops)
-    gens = []
-    for combo in itertools.product(*per_slot):
-        st = source
-        for op in combo:
-            if op is not None:
-                st = hb.apply_operator(op, st)
-        gens.append(st)
     return gens
 
 
@@ -319,7 +284,7 @@ def certify_state_equivalence(
                     LocalOperator(target, frame.projector(a), "projector"),
                     LocalOperator(target, m, "general"),
                 )
-                key = f"{side}{w}:{_angle_key(a)}"
+                key = f"{side}{w}:{angle_name(a)}"
                 proj_residuals[key] = float(res)
 
     return EquivalenceReport(
@@ -542,11 +507,11 @@ def check_collapse_symmetry(device: DeviceModel, wire: int = 0) -> dict:
     per_angle = {}
     worst = 0.0
     for a in TEST_ANGLES:
-        pa = hb.apply_operator(device.frame_operator("A", wire, a), device.source)
-        pb = hb.apply_operator(device.frame_operator("B", wire, a), device.source)
-        joint = hb.apply_operator(device.frame_operator("B", wire, a), pa)
+        pa = stx.collapse(device, device.source, (("A", wire, a),))
+        pb = stx.collapse(device, device.source, (("B", wire, a),))
+        joint = stx.collapse(device, pa, (("B", wire, a),))
         side = hb.dist(pa, pb)
-        per_angle[_angle_key(a)] = {
+        per_angle[angle_name(a)] = {
             "side_diff": float(side),
             "joint_diff": float(hb.dist(pa, joint)),
         }
@@ -576,9 +541,8 @@ def _collapse_family(
     out = []
     for a in (alpha, alpha + math.pi / 2):
         for b in (beta, beta + math.pi / 2):
-            st = hb.apply_operator(device.frame_operator("A", wire, a), device.source)
-            st = hb.apply_operator(device.frame_operator("B", wire, b), st)
-            out.append(st)
+            branches = (("A", wire, a), ("B", wire, b))
+            out.append(stx.collapse(device, device.source, branches))
     return out
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._backend import BACKEND, apply_local
 from .errors import DimensionError, ValidationError
 
 DIM_CAP = 1 << 20
@@ -22,7 +21,6 @@ STRUCTURAL_TOL = 1e-10
 RANK_TOL = 1e-9
 
 __all__ = [
-    "BACKEND",
     "DIM_CAP",
     "RANK_TOL",
     "STRUCTURAL_TOL",
@@ -32,12 +30,10 @@ __all__ = [
     "SubsystemDims",
     "angle_state",
     "apply_operator",
-    "apply_sequence",
     "basis_state",
     "bell_state",
     "dist",
     "embed",
-    "identity_operator",
     "inner",
     "norm",
     "normalized",
@@ -47,6 +43,7 @@ __all__ = [
     "permute_subsystems",
     "project_onto",
     "projector_angle",
+    "reduce_angle",
     "tensor",
 ]
 
@@ -163,10 +160,6 @@ StateMap = Callable[[PhysState], PhysState]
 OperatorLike = Union[LocalOperator, StateMap, None]
 
 
-def identity_operator(dim: int, target: int = 0) -> LocalOperator:
-    return LocalOperator.projector((target,), np.eye(dim))
-
-
 def tensor(*parts):
     """Tensor product of states (layouts concatenate) or of local operators.
 
@@ -217,21 +210,29 @@ def embed(op: LocalOperator, layout: SubsystemDims) -> LocalOperator:
 
 
 def apply_operator(op: LocalOperator, state: PhysState) -> PhysState:
-    """Apply a local operator to a state by index arithmetic."""
+    """Apply a local operator to a state by index arithmetic.
+
+    The matrix acts on the targets in their listed order; the other
+    subsystems are untouched and the full-space matrix is never formed.
+    """
     _check_embed(op, state.layout)
-    out = apply_local(state.vec, state.layout.dims, op.targets, op.matrix)
-    return PhysState._wrap(state.layout, out)
-
-
-def apply_sequence(ops: Iterable[LocalOperator], state: PhysState) -> PhysState:
-    for op in ops:
-        state = apply_operator(op, state)
-    return state
+    k = len(op.targets)
+    t = np.moveaxis(state.vec.reshape(state.layout.dims), op.targets, range(k))
+    shape = t.shape
+    out = op.matrix @ t.reshape(op.dim, -1)
+    out = np.moveaxis(out.reshape(shape), range(k), op.targets)
+    return PhysState._wrap(state.layout, out.reshape(-1))
 
 
 def angle_state(a: float) -> PhysState:
     """cos(a)|0> + sin(a)|1> on a single qubit."""
     return PhysState(SubsystemDims((2,)), np.array([math.cos(a), math.sin(a)]))
+
+
+def reduce_angle(a: float) -> float:
+    """The projector angle a modulo pi, in [0, pi)."""
+    b = math.fmod(float(a), math.pi)
+    return b + math.pi if b < 0.0 else b
 
 
 def projector_angle(a: float) -> LocalOperator:
@@ -240,9 +241,7 @@ def projector_angle(a: float) -> LocalOperator:
     Complements are exact by construction: angles in the upper half mod pi
     are built as Id - P(base), so P(a) + P(a + pi/2) = Id.
     """
-    b = math.fmod(float(a), math.pi)
-    if b < 0.0:
-        b += math.pi
+    b = reduce_angle(a)
     if b < math.pi / 2:
         c, s = math.cos(b), math.sin(b)
         m = np.array([[c * c, c * s], [c * s, s * s]])

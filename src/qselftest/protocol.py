@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hilbert as hb
 from . import stats as stx
-from .devices import BASE_ANGLES, TEST_ANGLES, DeviceModel, IdealCircuit
+from .devices import BASE_ANGLES, COMP_ANGLES, TEST_ANGLES, DeviceModel, IdealCircuit
 from .errors import DeviceValidationError, ValidationError
 from .hilbert import LocalOperator, PhysState
 from .stats import Setting, StatRecord
@@ -257,21 +257,6 @@ def build_schedule(
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _prep_state(device: DeviceModel, prep: tuple[tuple[str, str], ...]) -> PhysState:
-    st = device.source
-    for side, label in prep:
-        st = hb.apply_operator(device.gate_operator(side, label), st)
-    return st
-
-
-def _branch_prob(device: DeviceModel, state: PhysState, s: Setting) -> float:
-    for entry in s.measured:
-        side, wire, _, _ = entry
-        op = device.frame_operator(side, wire, s.branch_angle(entry))
-        state = hb.apply_operator(op, state)
-    return float(hb.norm(state) ** 2)
-
-
 def evaluate_schedule(
     device: DeviceModel,
     schedule: ExperimentSchedule,
@@ -297,11 +282,11 @@ def evaluate_schedule(
     idx = 0
     for exp in schedule.experiments:
         prep = exp.settings[0].prep if exp.settings else ()
-        dev_state = _prep_state(device, prep)
-        ref_state = _prep_state(reference, prep)
+        dev_state = stx.prepare(device, prep)
+        ref_state = stx.prepare(reference, prep)
         for s in exp.settings:
-            ideal = _branch_prob(reference, ref_state, s)
-            p = _branch_prob(device, dev_state, s)
+            ideal = stx.branch_prob(reference, ref_state, s)
+            p = stx.branch_prob(device, dev_state, s)
             if mode == "sampled":
                 rng = stx.record_rng(seed, 2 + idx)
                 est = float(rng.binomial(n_samples, min(max(p, 0.0), 1.0))) / n_samples
@@ -315,12 +300,9 @@ def evaluate_schedule(
 # ---------------------------------------------------------------------------
 # Full protocol
 
-def _comp_branch_ops(device: DeviceModel, side: str, bits: str) -> list[LocalOperator]:
-    ops = []
-    for w, bit in enumerate(bits):
-        angle = 0.0 if bit == "0" else math.pi / 2
-        ops.append(device.frame_operator(side, w, angle))
-    return ops
+def _readout(side: str, bits: str) -> list[tuple[str, int, float]]:
+    """Computational-basis branches reading bits off one side, wire by wire."""
+    return [(side, w, COMP_ANGLES[int(bit)]) for w, bit in enumerate(bits)]
 
 
 def _measure_side_distribution(
@@ -329,9 +311,7 @@ def _measure_side_distribution(
     out = {}
     for code in range(1 << n):
         bits = format(code, f"0{n}b")
-        st = state
-        for op in _comp_branch_ops(device, side, bits):
-            st = hb.apply_operator(op, st)
+        st = stx.collapse(device, state, _readout(side, bits))
         out[bits] = float(hb.norm(st) ** 2)
     return out
 
@@ -348,8 +328,9 @@ def _ideal_computation_distribution(
 
 
 def _tv_distance(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    # fsum is exactly rounded, so the result cannot depend on key order
+    keys = p.keys() | q.keys()
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def circuit_test(
@@ -395,10 +376,7 @@ def circuit_test(
     schedule = build_schedule(circuit, x, y, eps, gamma)
 
     # steps 3-5: collapse on y, run the compensated gates on side A, read out
-    st = device.source
-    for op in _comp_branch_ops(device, "B", y):
-        st = hb.apply_operator(op, st)
-    st = hb.normalized(st)
+    st = hb.normalized(stx.collapse(device, device.source, _readout("B", y)))
     for step in schedule.steps:
         st = hb.apply_operator(device.gate_operator("A", step.label), st)
     hist = _measure_side_distribution(device, st, "A", n)
@@ -458,9 +436,7 @@ def input_prep_check(device: DeviceModel, circuit: IdealCircuit, eps: float = 1e
     skipped = []
     for code in range(1 << n):
         bits = format(code, f"0{n}b")
-        st = device.source
-        for op in _comp_branch_ops(device, "B", bits):
-            st = hb.apply_operator(op, st)
+        st = stx.collapse(device, device.source, _readout("B", bits))
         p = hb.norm(st) ** 2
         if p <= 1e-14:
             skipped.append(bits)
@@ -469,7 +445,7 @@ def input_prep_check(device: DeviceModel, circuit: IdealCircuit, eps: float = 1e
         for w in range(n):
             for a in TEST_ANGLES:
                 s = Setting(measured=(("A", w, a, 0),))
-                est = _branch_prob(device, st, s)
+                est = stx.branch_prob(device, st, s)
                 ideal = math.cos(a) ** 2 if bits[w] == "0" else math.sin(a) ** 2
                 records.append(StatRecord(s, ideal, est, 0))
     return _make_verdict(records, eps, skipped=tuple(skipped))

@@ -3,7 +3,9 @@
 A Setting names what the device is asked to do (ordered one-sided gate
 applications, then one projector branch per measured wire); this module turns
 settings into probabilities, either exactly or through reproducible
-Monte-Carlo estimates sized by a Hoeffding bound.
+Monte-Carlo estimates sized by a Hoeffding bound. `prepare` and `collapse`
+are the package's one path from a device to a collapsed state and its
+branch probability.
 """
 
 from __future__ import annotations
@@ -24,22 +26,21 @@ _ANGLE_TOL = 1e-9
 __all__ = [
     "Setting",
     "StatRecord",
+    "branch_prob",
     "branch_probabilities",
-    "collapse_asymmetry",
+    "collapse",
     "exact_prob",
     "ideal_prob",
+    "prepare",
     "record_rng",
     "reference_device",
-    "report",
     "sample_prob",
     "sample_size",
 ]
 
 
 def _canonical_angle(a: float) -> float:
-    r = math.fmod(float(a), math.pi)
-    if r < 0.0:
-        r += math.pi
+    r = hb.reduce_angle(a)
     for x in TEST_ANGLES:
         if abs(r - x) < _ANGLE_TOL:
             return x
@@ -76,6 +77,11 @@ class Setting:
     def branch_angle(self, entry: tuple[str, int, float, int]) -> float:
         side, wire, angle, flip = entry
         return angle + flip * math.pi / 2
+
+    @property
+    def branches(self) -> tuple[tuple[str, int, float], ...]:
+        """(side, wire, branch angle) per measured wire, in measurement order."""
+        return tuple((e[0], e[1], self.branch_angle(e)) for e in self.measured)
 
     def with_flips(self, flips: Sequence[int]) -> "Setting":
         """Same setting with the outcome branches replaced wire by wire."""
@@ -124,16 +130,37 @@ class StatRecord:
         }
 
 
+def prepare(device: DeviceModel, prep: Iterable[tuple[str, str]]) -> hb.PhysState:
+    """The device's source after its one-sided gates (side, label), in order."""
+    st = device.source
+    for side, label in prep:
+        st = hb.apply_operator(device.gate_operator(side, label), st)
+    return st
+
+
+def collapse(
+    device: DeviceModel,
+    state: hb.PhysState,
+    branches: Iterable[tuple[str, int, float]],
+) -> hb.PhysState:
+    """Unnormalized state after the device's branch projectors, in order.
+
+    Each branch is (side, wire, angle); its squared norm is the probability
+    that every listed branch occurs.
+    """
+    for side, wire, angle in branches:
+        state = hb.apply_operator(device.frame_operator(side, wire, angle), state)
+    return state
+
+
+def branch_prob(device: DeviceModel, state: hb.PhysState, s: Setting) -> float:
+    """Probability of the setting's outcome branch on an already prepared state."""
+    return float(hb.norm(collapse(device, state, s.branches)) ** 2)
+
+
 def exact_prob(device: DeviceModel, s: Setting) -> float:
     """Probability of the setting's outcome branch, evaluated on the device."""
-    st = device.source
-    for side, label in s.prep:
-        st = hb.apply_operator(device.gate_operator(side, label), st)
-    for entry in s.measured:
-        side, wire, _, _ = entry
-        op = device.frame_operator(side, wire, s.branch_angle(entry))
-        st = hb.apply_operator(op, st)
-    return float(hb.norm(st) ** 2)
+    return branch_prob(device, prepare(device, s.prep), s)
 
 
 _REFERENCES: "weakref.WeakKeyDictionary[IdealCircuit, DeviceModel]" = (
@@ -180,20 +207,15 @@ def sample_prob(
     return float(rng.binomial(n, p)) / n
 
 
-def sample_size(eps: float, gamma: float, m: int, linear: bool = False) -> int:
-    """Two-sided Hoeffding count with a union bound over m statistics.
-
-    linear=True swaps the 1/eps^2 rate for an optimistic 1/eps count;
-    nothing in the harness uses it, it exists for cost comparisons.
-    """
+def sample_size(eps: float, gamma: float, m: int) -> int:
+    """Two-sided Hoeffding count with a union bound over m statistics."""
     if not 0 < eps < 1:
         raise ValidationError(f"eps={eps} outside (0, 1)")
     if not 0 < gamma < 1:
         raise ValidationError(f"gamma={gamma} outside (0, 1)")
     if m < 1:
         raise ValidationError(f"m={m} must be >= 1")
-    denom = 2 * eps if linear else 2 * eps * eps
-    return math.ceil(math.log(2 * m / gamma) / denom)
+    return math.ceil(math.log(2 * m / gamma) / (2 * eps * eps))
 
 
 def branch_probabilities(device: DeviceModel, s: Setting) -> dict[tuple[int, ...], float]:
@@ -204,35 +226,3 @@ def branch_probabilities(device: DeviceModel, s: Setting) -> dict[tuple[int, ...
         flips = tuple((code >> i) & 1 for i in range(k))
         out[flips] = exact_prob(device, s.with_flips(flips))
     return out
-
-
-def collapse_asymmetry(device: DeviceModel, wire: int = 0) -> float:
-    """Worst-case norm gap between the two sides' collapses of the source.
-
-    On an honest source the a-branch projections from either side agree as
-    vectors, not just in probability; a large value flags a source whose
-    halves are not symmetric.
-    """
-    worst = 0.0
-    for a in TEST_ANGLES:
-        pa = hb.apply_operator(device.frame_operator("A", wire, a), device.source)
-        pb = hb.apply_operator(device.frame_operator("B", wire, a), device.source)
-        worst = max(worst, hb.dist(pa, pb))
-    return worst
-
-
-def report(
-    records: Iterable[StatRecord], eps: float, gamma: float, verdict: bool
-) -> dict:
-    """Summary block for serialized runs."""
-    recs = list(records)
-    return {
-        "records": [r.to_json() for r in recs],
-        "summary": {
-            "max_deviation": max((r.deviation for r in recs), default=0.0),
-            "n_total_samples": sum(r.n_samples for r in recs),
-            "eps": eps,
-            "gamma": gamma,
-            "verdict": "accept" if verdict else "reject",
-        },
-    }

@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, reports, determinism, config errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qselftest
 from qselftest import __version__
 from qselftest import cli
 
@@ -126,6 +131,19 @@ class TestConfigErrors:
             cli.main(["epr-test"])  # --device missing
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("wire", ["5", "-1"])
+    @pytest.mark.parametrize("command", ["epr-test", "tomo", "extract"])
+    def test_wire_out_of_range(self, command, wire, capsys):
+        code = cli.main([command, "--device", "builtin:honest", "--wire", wire])
+        assert code == 2
+        assert f"wire {wire}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_device_parameter(self, value, capsys):
+        code = cli.main(["epr-test", "--device", f"builtin:rotated?theta={value}"])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_extract_gate_index_needs_circuit(self, capsys):
         code = cli.main(
             ["extract", "--device", "builtin:honest", "--gate-index", "1"]
@@ -165,6 +183,27 @@ class TestReports:
                 ]
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_sampled_report_independent_of_hash_seed(self, bell_circuit_file, tmp_path):
+        # the computation histogram is a dict of outcome strings; its TV
+        # distance must not depend on the interpreter's string hashing
+        src = str(Path(qselftest.__file__).resolve().parents[1])
+        texts = []
+        for hash_seed in ("0", "1", "2"):
+            out = tmp_path / f"h{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            subprocess.run(
+                [sys.executable, "-m", "qselftest.cli", "circuit-test",
+                 "--circuit", bell_circuit_file, "--x", "01",
+                 "--device", "builtin:depolarized?p=0.05",
+                 "--mode", "sampled", "--seed", "0", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
 
     def test_different_seed_changes_report(self, tmp_path, capsys):
         texts = []

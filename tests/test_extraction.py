@@ -1,5 +1,6 @@
 """Extraction chain: swap unitaries, equivalence residuals, tomography, commutants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +139,30 @@ class TestStateEquivalence:
             for s in "AB"
             for k in ("0", "pi/8", "pi/4", "pi/2", "5pi/8", "3pi/4")
         }
+
+
+class TestSpanGenerators:
+    def test_prefix_sharing_matches_product_of_projectors(self):
+        # reference: every (wire, side) slot's {Id, P(0), P(pi/8), P(pi/4)}
+        # applied to the source in slot order, one product at a time
+        dev = dv.noisy_source_device(bell_circuit(), p=0.1)
+        wires = (1, 0)
+        slots = [
+            [None] + [dev.frame_operator(side, w, a) for a in dv.BASE_ANGLES]
+            for w in wires
+            for side in ("A", "B")
+        ]
+        want = []
+        for combo in itertools.product(*slots):
+            st = dev.source
+            for op in combo:
+                if op is not None:
+                    st = hb.apply_operator(op, st)
+            want.append(st.vec)
+        got = [g.vec for g in ex._span_generators(dev, dev.source, wires)]
+        assert len(got) == len(want) == 16 ** len(wires)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestGateEquivalence:
@@ -345,8 +370,8 @@ class TestCollapseSymmetry:
     def test_product_source_golden(self):
         lay = dv.honest_device().layout
         prod = np.zeros(4, dtype=np.complex128)
-        prod[0] = 1.0
-        dev = dv.replace_source(dv.honest_device(), hb.PhysState._wrap(lay.full, prod))
+        prod[0] = 1.0  # both halves in the local zero state, no pairing
+        dev = dv.replace_source(dv.honest_device(), hb.PhysState(lay.full, prod))
         r = ex.check_collapse_symmetry(dev)
         assert r["max_side_diff"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert r["per_angle"]["pi/8"]["side_diff"] == pytest.approx(0.5, abs=1e-12)

@@ -86,12 +86,17 @@ class TestTensorAndApply:
         assert s.layout.dims == (2, 3)
 
     def test_apply_matches_dense_embed(self):
+        # dim-1 subsystems (device environments) and any number of targets in
+        # any order, up to all of them
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            nsub = int(rng.integers(2, 5))
-            dims = tuple(int(d) for d in rng.integers(2, 4, nsub))
-            k = int(rng.integers(1, min(nsub, 3) + 1))
+        drew_dim_one = drew_all_targets = False
+        for _ in range(60):
+            nsub = int(rng.integers(1, 5))
+            dims = tuple(int(d) for d in rng.integers(1, 4, nsub))
+            k = int(rng.integers(1, nsub + 1))
             targets = tuple(int(t) for t in rng.choice(nsub, size=k, replace=False))
+            drew_dim_one |= 1 in dims
+            drew_all_targets |= k == nsub > 1 and targets != tuple(range(nsub))
             d = int(np.prod([dims[t] for t in targets]))
             total = int(np.prod(dims))
             mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -101,6 +106,7 @@ class TestTensorAndApply:
             got = hb.apply_operator(op, hb.PhysState(layout, vec))
             want = dense_embed(mat, dims, targets) @ vec
             np.testing.assert_allclose(got.vec, want, atol=1e-10)
+        assert drew_dim_one and drew_all_targets
 
     def test_embed_rejects_bad_targets(self):
         op = hb.LocalOperator.general((5,), np.eye(2))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qselftest import devices as dv
 from qselftest import hilbert as hb
 from qselftest import stats
-from qselftest.errors import ValidationError
+from qselftest.errors import DeviceValidationError, ValidationError
 
 HALF_COS8 = 0.5 * math.cos(math.pi / 8) ** 2  # 0.4267766952966369
 
@@ -99,6 +99,32 @@ class TestExactProb:
         assert stats.exact_prob(dev, s) == pytest.approx(base, abs=1e-14)
 
 
+class TestCollapsePath:
+    def test_exact_prob_is_branch_prob_of_prepared_state(self):
+        dev = dv.rotated_device(h_circuit(), theta=0.3)
+        s = stats.Setting(prep=(("A", "g1"),), measured=(("A", 0, math.pi / 8, 1),))
+        st = stats.prepare(dev, s.prep)
+        assert stats.branch_prob(dev, st, s) == stats.exact_prob(dev, s)
+
+    def test_collapse_norm_is_branch_prob(self):
+        dev = dv.honest_device()
+        s = epr_setting(0.0, math.pi / 8, fb=1)
+        st = stats.collapse(dev, dev.source, s.branches)
+        assert hb.norm(st) ** 2 == pytest.approx(stats.exact_prob(dev, s), abs=0)
+        assert s.branches == (("A", 0, 0.0), ("B", 0, math.pi / 8 + math.pi / 2))
+
+    def test_no_branches_leave_state_alone(self):
+        dev = dv.honest_device()
+        assert stats.collapse(dev, dev.source, ()) is dev.source
+        assert stats.prepare(dev, ()) is dev.source
+
+    @pytest.mark.parametrize("side, wire", [("A", 1), ("B", -1), ("C", 0)])
+    def test_unknown_frame_is_a_device_error(self, side, wire):
+        dev = dv.honest_device()
+        with pytest.raises(DeviceValidationError, match="no frame"):
+            stats.collapse(dev, dev.source, ((side, wire, 0.0),))
+
+
 class TestIdealProb:
     def test_conspiracy_single_wire(self):
         p = stats.ideal_prob(None, epr_setting(math.pi / 4, 0.0))
@@ -180,11 +206,6 @@ class TestSampleSize:
         n2 = stats.sample_size(0.05, 0.05, 1)
         assert abs(n2 - 4 * n1) <= 4
 
-    def test_linear_rate_option(self):
-        assert stats.sample_size(0.1, 0.05, 1, linear=True) == math.ceil(
-            math.log(40) / 0.2
-        )
-
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             stats.sample_size(0.0, 0.05, 1)
@@ -231,20 +252,6 @@ class TestBranchSums:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
-class TestDiagnostics:
-    def test_collapse_symmetry_on_honest_source(self):
-        assert stats.collapse_asymmetry(dv.honest_device()) <= 1e-12
-
-    def test_collapse_asymmetry_flags_product_source(self):
-        dev = dv.honest_device()
-        v = np.zeros(4, dtype=np.complex128)
-        v[0] = 1.0  # both halves in the local zero state, no pairing
-        prod = dv.replace_source(dev, hb.PhysState(dev.layout.full, v))
-        assert stats.collapse_asymmetry(prod) == pytest.approx(
-            math.sqrt(0.5), abs=1e-12
-        )
-
-
 class TestRecordsAndReport:
     def test_record_bounds(self):
         s = epr_setting(0.0, 0.0)
@@ -252,16 +259,3 @@ class TestRecordsAndReport:
         assert r.deviation == pytest.approx(0.05)
         with pytest.raises(ValidationError, match="outside"):
             stats.StatRecord(s, 1.2, 0.5)
-
-    def test_report_shape(self):
-        s = epr_setting(0.0, 0.0)
-        recs = [
-            stats.StatRecord(s, 0.5, 0.48, 100),
-            stats.StatRecord(s, 0.25, 0.25, 100),
-        ]
-        rep = stats.report(recs, eps=0.1, gamma=0.05, verdict=True)
-        assert rep["summary"]["max_deviation"] == pytest.approx(0.02)
-        assert rep["summary"]["n_total_samples"] == 200
-        assert rep["summary"]["verdict"] == "accept"
-        assert len(rep["records"]) == 2
-        assert rep["records"][0]["setting"]["measured"][0]["side"] == "A"
