@@ -252,6 +252,30 @@ class TestBranchSums:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
+class TestDiagnostics:
+    """The two sides' single-wire collapses of the source, via stats.collapse."""
+
+    @staticmethod
+    def max_side_diff(dev):
+        return max(
+            hb.dist(
+                stats.collapse(dev, dev.source, (("A", 0, a),)),
+                stats.collapse(dev, dev.source, (("B", 0, a),)),
+            )
+            for a in dv.TEST_ANGLES
+        )
+
+    def test_collapse_symmetry_on_honest_source(self):
+        assert self.max_side_diff(dv.honest_device()) <= 1e-12
+
+    def test_collapse_asymmetry_flags_product_source(self):
+        dev = dv.honest_device()
+        v = np.zeros(4, dtype=np.complex128)
+        v[0] = 1.0  # both halves in the local zero state, no pairing
+        prod = dv.replace_source(dev, hb.PhysState(dev.layout.full, v))
+        assert self.max_side_diff(prod) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+
 class TestRecordsAndReport:
     def test_record_bounds(self):
         s = epr_setting(0.0, 0.0)
