@@ -154,9 +154,9 @@ def _setting_text(setting) -> str:
     )
 
 
-def _verdict_rows(labels: list[str], verdict: pr.Verdict):
+def _verdict_rows(verdict: pr.Verdict):
     rows = []
-    for label, rec in zip(labels, verdict.records):
+    for label, rec in zip(verdict.labels, verdict.records):
         rows.append(
             (
                 label,
@@ -194,7 +194,7 @@ def _run_epr_test(cfg: RunConfig) -> int:
     verdict = pr.epr_test(
         device, cfg.wire, cfg.eps, cfg.mode, gamma=cfg.gamma, seed=_seed(cfg)
     )
-    _print_table(_verdict_rows(["epr"] * len(verdict.records), verdict))
+    _print_table(_verdict_rows(verdict))
     print(
         f"verdict: {'accept' if verdict.accepted else 'reject'}  "
         f"max_deviation={verdict.max_deviation:.6f}  eps={verdict.eps}"
@@ -218,11 +218,7 @@ def _run_circuit_test(cfg: RunConfig) -> int:
         mode=cfg.mode,
         force_y=cfg.force_y,
     )
-    schedule = pr.build_schedule(circuit, cfg.x, verdict.y, cfg.eps, cfg.gamma)
-    labels = [
-        f"{e.kind}@{e.j}" for e in schedule.experiments for _ in e.settings
-    ]
-    _print_table(_verdict_rows(labels, verdict))
+    _print_table(_verdict_rows(verdict))
     hist = dict(sorted(verdict.computation_outcome_histogram.items()))
     print(
         f"verdict: {'accept' if verdict.accepted else 'reject'}  "
@@ -328,10 +324,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _RUNNERS[cfg.command](cfg)
-    except QSelfTestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (QSelfTestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,6 +47,7 @@ __all__ = [
     "IdealCircuit",
     "MeasurementFrame",
     "RegisterLayout",
+    "angle_index",
     "angle_name",
     "builtin_gallery",
     "builtin_gate",
@@ -90,12 +91,27 @@ def builtin_gate(name: str) -> np.ndarray:
     raise CircuitValidationError(f"unknown builtin gate {name!r}")
 
 
+def angle_index(a: float) -> int | None:
+    """Position in TEST_ANGLES of the tested angle equal to a modulo pi, or None.
+
+    This is the one place an angle is matched to the tested set, within
+    1e-9; an angle just below a multiple of pi wraps around to 0.
+    """
+    if not math.isfinite(a):
+        return None
+    r = hb.reduce_angle(a)
+    if math.pi - r < _ANGLE_MATCH_TOL:
+        return 0
+    for i, x in enumerate(TEST_ANGLES):
+        if abs(r - x) < _ANGLE_MATCH_TOL:
+            return i
+    return None
+
+
 def angle_name(a: float) -> str:
     """Display name of a tested angle; any other angle prints as a decimal."""
-    for x, name in ANGLE_NAMES.items():
-        if abs(a - x) < _ANGLE_MATCH_TOL:
-            return name
-    return f"{a:.6f}"
+    i = angle_index(a)
+    return f"{a:.6f}" if i is None else ANGLE_NAMES[TEST_ANGLES[i]]
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,8 @@ class MeasurementFrame:
     """Projector family for one (side, wire): base angles 0, pi/8, pi/4.
 
     Complements are derived as Id - P(base), so each angle's two branches sum
-    to the identity exactly.
+    to the identity exactly. Base keys are stored as the BASE_ANGLES they
+    name; every projector is checked here, once.
     """
 
     side: str
@@ -172,33 +189,35 @@ class MeasurementFrame:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise DeviceValidationError(f"frame: unknown side {self.side!r}")
+        where = f"frame ({self.side}, wire {self.wire})"
         fixed = {}
         dim = None
-        for want in BASE_ANGLES:
-            if want not in self.base:
-                raise DeviceValidationError(
-                    f"frame ({self.side}, wire {self.wire}): missing base angle {want}"
-                )
         for a, m in self.base.items():
+            i = angle_index(a)
+            if i is None or i >= len(BASE_ANGLES) or BASE_ANGLES[i] in fixed:
+                raise DeviceValidationError(
+                    f"{where}: base angle {a} is not one of {BASE_ANGLES}, or repeats one"
+                )
             m = np.array(m, dtype=np.complex128)
             if dim is None:
                 dim = m.shape[0]
             if m.shape != (dim, dim):
+                raise DeviceValidationError(f"{where}: inconsistent dims")
+            d = hb.max_diff(m, m.conj().T)
+            if d > GATE_TOL:
                 raise DeviceValidationError(
-                    f"frame ({self.side}, wire {self.wire}): inconsistent dims"
+                    f"{where}: angle {a} projector is not Hermitian ({hb.diff_text(d)})"
                 )
-            if np.abs(m - m.conj().T).max() > GATE_TOL:
+            d = hb.max_diff(m @ m, m)
+            if d > GATE_TOL:
                 raise DeviceValidationError(
-                    f"frame ({self.side}, wire {self.wire}): angle {a} projector "
-                    "is not Hermitian"
-                )
-            if np.abs(m @ m - m).max() > GATE_TOL:
-                raise DeviceValidationError(
-                    f"frame ({self.side}, wire {self.wire}): angle {a} projector "
-                    "is not idempotent"
+                    f"{where}: angle {a} projector is not idempotent ({hb.diff_text(d)})"
                 )
             m.setflags(write=False)
-            fixed[float(a)] = m
+            fixed[BASE_ANGLES[i]] = m
+        for want in BASE_ANGLES:
+            if want not in fixed:
+                raise DeviceValidationError(f"{where}: missing base angle {want}")
         object.__setattr__(self, "base", MappingProxyType(fixed))
 
     @property
@@ -207,17 +226,15 @@ class MeasurementFrame:
 
     def projector(self, angle: float) -> np.ndarray:
         """Projector matrix for any angle in the base set or its complements."""
-        r = hb.reduce_angle(angle)
-        for a, m in self.base.items():
-            if abs(r - a) < _ANGLE_MATCH_TOL:
-                return m
-        for a, m in self.base.items():
-            if abs(r - (a + math.pi / 2)) < _ANGLE_MATCH_TOL:
-                return np.eye(self.dim) - m
-        raise DeviceValidationError(
-            f"frame ({self.side}, wire {self.wire}): angle {angle} is not in the "
-            "tested set"
-        )
+        i = angle_index(angle)
+        if i is None:
+            raise DeviceValidationError(
+                f"frame ({self.side}, wire {self.wire}): angle {angle} is not in the "
+                "tested set"
+            )
+        complement, k = divmod(i, len(BASE_ANGLES))
+        m = self.base[BASE_ANGLES[k]]
+        return np.eye(self.dim) - m if complement else m
 
 
 @dataclass(frozen=True)
@@ -234,9 +251,12 @@ class DeviceGate:
             raise DeviceValidationError(f"gate wires must be distinct, got {wires}")
         object.__setattr__(self, "wires", wires)
         m = np.array(self.matrix, dtype=np.complex128)
-        if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > GATE_TOL:
+        with np.errstate(invalid="ignore", over="ignore"):  # max_diff flags non-finite
+            d = hb.max_diff(m @ m.conj().T, np.eye(m.shape[0]))
+        if d > GATE_TOL:
             raise DeviceValidationError(
-                f"gate on side {self.side} wires {wires}: matrix is not unitary"
+                f"gate on side {self.side} wires {wires}: matrix is not unitary "
+                f"({hb.diff_text(d)})"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -258,21 +278,23 @@ class CircuitGate:
             )
         object.__setattr__(self, "wires", wires)
         m = np.array(self.matrix, dtype=np.complex128)
-        if np.abs(m.imag).max() > CIRCUIT_TOL:
-            raise CircuitValidationError(
-                f"gate {self.label}: ideal matrix must be real "
-                f"(max imaginary entry {np.abs(m.imag).max():.2e})"
-            )
-        m = np.array(m.real, dtype=float)
         d = 1 << len(wires)
         if m.shape != (d, d):
             raise CircuitValidationError(
                 f"gate {self.label}: matrix shape {m.shape} does not match "
                 f"{len(wires)} wires"
             )
-        if np.abs(m.T @ m - np.eye(d)).max() > CIRCUIT_TOL:
+        dev = hb.max_diff(m.imag, 0.0)
+        if dev > CIRCUIT_TOL:
             raise CircuitValidationError(
-                f"gate {self.label}: ideal matrix must be orthogonal"
+                f"gate {self.label}: ideal matrix must be real ({hb.diff_text(dev)})"
+            )
+        m = np.array(m.real, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):  # max_diff flags non-finite
+            dev = hb.max_diff(m.T @ m, np.eye(d))
+        if dev > CIRCUIT_TOL:
+            raise CircuitValidationError(
+                f"gate {self.label}: ideal matrix must be orthogonal ({hb.diff_text(dev)})"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -319,9 +341,11 @@ def _check_source(layout: RegisterLayout, source: PhysState) -> None:
             f"source: layout {source.layout.dims} does not match device "
             f"{layout.full.dims}"
         )
-    n = hb.norm(source)
-    if abs(n - 1.0) > 1e-12:
-        raise DeviceValidationError(f"source: norm {n} is not 1 within 1e-12")
+    d = hb.max_diff(hb.norm(source), 1.0)
+    if d > 1e-12:
+        raise DeviceValidationError(
+            f"source: norm is not 1 within 1e-12 ({hb.diff_text(d)})"
+        )
     # per-wire independence: each (A_i, B_i, E_i) cut must have Schmidt rank 1
     if layout.n_wires > 1:
         dims = layout.full.dims
@@ -395,9 +419,11 @@ class DeviceModel:
             if len(self.zero_states) != lay.n_wires:
                 raise DeviceValidationError("zero_states: need one vector per wire")
             for w, z in enumerate(self.zero_states):
-                if z.shape != (lay.a_dims[w],) or abs(np.linalg.norm(z) - 1) > 1e-10:
+                d = hb.max_diff(np.linalg.norm(z), 1.0)
+                if z.shape != (lay.a_dims[w],) or d > 1e-10:
                     raise DeviceValidationError(
-                        f"zero_states: wire {w} vector is not a unit local state"
+                        f"zero_states: wire {w} vector is not a unit local state "
+                        f"of shape ({lay.a_dims[w]},) ({hb.diff_text(d)})"
                     )
 
     @property
@@ -627,14 +653,7 @@ def noisy_source_device(
     layout = RegisterLayout(nw, (2,) * nw, (2,) * nw, (4,) * nw)
     wire = _depolarized_wire(p)
     source = _assemble_source(layout, [wire.copy() for _ in range(nw)])
-    frames = {
-        (side, w): MeasurementFrame(side, w, dict(f.base))
-        for (side, w), f in base.frames.items()
-    }
-    gates = {
-        k: DeviceGate(g.side, g.wires, g.matrix) for k, g in base.gates.items()
-    }
-    return DeviceModel(layout, source, gates, frames)
+    return DeviceModel(layout, source, base.gates, base.frames)
 
 
 def replace_source(device: DeviceModel, source: PhysState) -> DeviceModel:
@@ -666,19 +685,29 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def _vector_from_json(entries, what: str) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
+    try:
+        arr = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        raise DeviceValidationError(f"{what}: vector entries must be [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DeviceValidationError(f"{what}: vector entries must be [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _read_json(path_or_data, error: type[Exception]):
+    """Parsed contents of a JSON file, or path_or_data itself if already parsed."""
+    if not isinstance(path_or_data, (str, bytes)):
+        return path_or_data
+    try:
+        with open(path_or_data) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # also covers bytes that are not text
+        raise error(f"{path_or_data}: not valid JSON ({exc})") from None
+
+
 def load_device(path_or_data) -> DeviceModel:
     """Build a DeviceModel from a JSON file path or an already-parsed dict."""
-    if isinstance(path_or_data, (str, bytes)):
-        with open(path_or_data) as fh:
-            data = json.load(fh)
-    else:
-        data = path_or_data
+    data = _read_json(path_or_data, DeviceValidationError)
     try:
         lay_d = data["layout"]
         n = int(lay_d["n_wires"])
@@ -724,13 +753,13 @@ def load_device(path_or_data) -> DeviceModel:
     gates = {}
     for g in data.get("gates", ()):
         try:
-            side, label = g["side"], g["label"]
+            side, label, rows = g["side"], g["label"], g["matrix"]
             wires = tuple(int(w) for w in g["wires"])
         except (KeyError, TypeError, ValueError):
             raise DeviceValidationError(
                 "gate: each entry needs side, label, wires, matrix"
             ) from None
-        m = _matrix_from_json(g["matrix"], f"gate ({side}, {label})")
+        m = _matrix_from_json(rows, f"gate ({side}, {label})")
         gates[(side, label)] = DeviceGate(side, wires, m)
 
     frames: dict[tuple[str, int], dict[float, np.ndarray]] = {}
@@ -765,11 +794,7 @@ def load_device(path_or_data) -> DeviceModel:
 
 def load_circuit(path_or_data) -> IdealCircuit:
     """Build an IdealCircuit from a JSON file path or an already-parsed dict."""
-    if isinstance(path_or_data, (str, bytes)):
-        with open(path_or_data) as fh:
-            data = json.load(fh)
-    else:
-        data = path_or_data
+    data = _read_json(path_or_data, CircuitValidationError)
     try:
         n = int(data["n"])
         raw_gates = data.get("gates", [])
@@ -778,23 +803,24 @@ def load_circuit(path_or_data) -> IdealCircuit:
         raise CircuitValidationError(f"circuit: malformed file ({exc})") from None
     gates = []
     for i, g in enumerate(raw_gates):
+        if not isinstance(g, dict):
+            raise CircuitValidationError(f"gate {i + 1}: must be an object, got {g!r}")
         label = g.get("label", f"g{i + 1}")
         try:
             wires = tuple(int(w) for w in g["wires"])
         except (KeyError, TypeError, ValueError):
             raise CircuitValidationError(f"gate {label}: missing wires") from None
         if "builtin" in g:
-            m = builtin_gate(g["builtin"])
+            m = builtin_gate(str(g["builtin"]))
         elif "matrix" in g:
-            arr = np.array(g["matrix"], dtype=float)
-            if arr.ndim == 3:  # [re, im] pairs: must be real
-                if np.abs(arr[..., 1]).max() > CIRCUIT_TOL:
-                    raise CircuitValidationError(
-                        f"gate {label}: ideal matrix must be real"
-                    )
-                m = arr[..., 0]
-            else:
-                m = arr
+            try:
+                m = np.array(g["matrix"], dtype=float)
+            except (TypeError, ValueError):
+                raise CircuitValidationError(
+                    f"gate {label}: matrix must be rows of numbers or [re, im] pairs"
+                ) from None
+            if m.ndim == 3 and m.shape[2] == 2:  # [re, im] pairs; CircuitGate checks im
+                m = np.ascontiguousarray(m).view(np.complex128)[..., 0]
         else:
             raise CircuitValidationError(f"gate {label}: needs builtin or matrix")
         gates.append(CircuitGate(label, wires, m))

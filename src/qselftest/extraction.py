@@ -25,6 +25,7 @@ from .devices import (
     TEST_ANGLES,
     DeviceModel,
     IdealCircuit,
+    angle_index,
     angle_name,
     matrix_to_json,
 )
@@ -47,7 +48,6 @@ _PAULI_WEIGHTS = {
 
 __all__ = [
     "EquivalenceReport",
-    "LogicalExtension",
     "TOMO_ANGLES",
     "build_not",
     "build_swap_extraction",
@@ -67,19 +67,6 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     """Closest unitary in Frobenius norm; singular directions completed by SVD."""
     u, _, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
     return u @ vh
-
-
-@dataclass(frozen=True)
-class LogicalExtension:
-    """A fresh 2^k-dimensional logical slot prepended to one side's subsystem."""
-
-    base: SubsystemDims
-    k: int = 1
-
-    def project_operator(self, m: np.ndarray) -> np.ndarray:
-        """<0...0| m |0...0> block on the base subsystem."""
-        d = self.base.total
-        return np.array(m[:d, :d])
 
 
 def build_not(device: DeviceModel, side: str, wire: int) -> LocalOperator:
@@ -271,14 +258,14 @@ def certify_state_equivalence(
     for i, w in enumerate(wires):
         for side, bare in (("A", bare_a[i]), ("B", bare_b[i])):
             d = lay.side_dim(side, w)
-            ext = LogicalExtension(SubsystemDims((d,)))
             u = bare.matrix
             frame = device.frames[(side, w)]
             target = (lay.side_index(side, w),)
             for a in TEST_ANGLES:
                 av = hb.angle_state(a).vec
                 logical = np.kron(np.outer(av, av.conj()), np.eye(d))
-                m = ext.project_operator(u.conj().T @ logical @ u)
+                # the <0|.|0> block on the logical slot, which comes first
+                m = (u.conj().T @ logical @ u)[:d, :d]
                 res = hb.op_norm_on(
                     s_basis,
                     LocalOperator(target, frame.projector(a), "projector"),
@@ -375,12 +362,10 @@ def _canonical_tomo_key(key: Sequence[float], n: int) -> tuple[float, ...]:
         raise ValidationError(f"angle tuple {key} does not have length {n}")
     out = []
     for a in key:
-        for x in TOMO_ANGLES:
-            if abs(float(a) - x) < 1e-9:
-                out.append(x)
-                break
-        else:
+        i = angle_index(a)
+        if i is None or TEST_ANGLES[i] not in TOMO_ANGLES:
             raise ValidationError(f"angle {a} is not one of the three tomography angles")
+        out.append(TEST_ANGLES[i])
     return tuple(out)
 
 
@@ -483,8 +468,11 @@ def commutant_factor(u: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
             f"need a square matrix with dimension divisible by {h1}, got {u.shape}"
         )
     h2 = u.shape[0] // h1
-    if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > 1e-10:
-        raise ValidationError("commutant factorization needs a unitary input")
+    d = hb.max_diff(u @ u.conj().T, np.eye(u.shape[0]))
+    if d > 1e-10:
+        raise ValidationError(
+            f"commutant factorization needs a unitary input ({hb.diff_text(d)})"
+        )
     blocks = u.reshape(h1, h2, h1, h2)
     w_prime = np.einsum("iaib->ab", blocks)
     sv = np.linalg.svd(w_prime, compute_uv=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,13 +83,14 @@ class ExperimentSchedule:
     def n_records(self) -> int:
         return sum(len(e.settings) for e in self.experiments)
 
-    def all_settings(self) -> tuple[Setting, ...]:
-        return tuple(s for e in self.experiments for s in e.settings)
-
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a test run; accepted iff no record deviates beyond eps."""
+    """Outcome of a test run; accepted iff no record deviates beyond eps.
+
+    labels name each record's experiment for display (e.g. "conspiracy@2");
+    they are not part of the report.
+    """
 
     accepted: bool
     max_deviation: float
@@ -100,6 +101,7 @@ class Verdict:
     tv_distance: float | None = None
     y: str | None = None
     skipped: tuple[str, ...] = ()
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         ok = all(r.deviation <= self.eps for r in self.records)
@@ -166,7 +168,7 @@ def epr_test(
         else:
             est = stx.sample_prob(device, s, n, stx.record_rng(seed, 2 + k))
         records.append(StatRecord(s, ideal, est, n))
-    return _make_verdict(records, eps)
+    return _make_verdict(records, eps, labels=("epr",) * len(records))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +281,13 @@ def evaluate_schedule(
     m = schedule.n_records
     n_samples = stx.sample_size(schedule.eps, schedule.gamma, m) if mode == "sampled" else 0
     records = []
+    labels = []
     idx = 0
     for exp in schedule.experiments:
         prep = exp.settings[0].prep if exp.settings else ()
         dev_state = stx.prepare(device, prep)
         ref_state = stx.prepare(reference, prep)
+        labels += [f"{exp.kind}@{exp.j}"] * len(exp.settings)
         for s in exp.settings:
             ideal = stx.branch_prob(reference, ref_state, s)
             p = stx.branch_prob(device, dev_state, s)
@@ -294,7 +298,7 @@ def evaluate_schedule(
                 est = p
             records.append(StatRecord(s, ideal, est, n_samples))
             idx += 1
-    return _make_verdict(records, schedule.eps)
+    return _make_verdict(records, schedule.eps, labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +398,7 @@ def circuit_test(
 
     # steps 6-7
     verdict = evaluate_schedule(device, schedule, mode, seed)
-    return Verdict(
-        verdict.accepted,
-        verdict.max_deviation,
-        verdict.eps,
-        verdict.failing_records,
-        verdict.records,
-        computation_outcome_histogram=hist,
-        tv_distance=tv,
-        y=y,
-    )
+    return replace(verdict, computation_outcome_histogram=hist, tv_distance=tv, y=y)
 
 
 def check_simulation(

@@ -18,10 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import hilbert as hb
-from .devices import TEST_ANGLES, DeviceModel, IdealCircuit, honest_device
+from .devices import TEST_ANGLES, DeviceModel, IdealCircuit, angle_index, honest_device
 from .errors import ValidationError
-
-_ANGLE_TOL = 1e-9
 
 __all__ = [
     "Setting",
@@ -37,14 +35,6 @@ __all__ = [
     "sample_prob",
     "sample_size",
 ]
-
-
-def _canonical_angle(a: float) -> float:
-    r = hb.reduce_angle(a)
-    for x in TEST_ANGLES:
-        if abs(r - x) < _ANGLE_TOL:
-            return x
-    raise ValidationError(f"angle {a} is not in the tested set")
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,10 @@ class Setting:
             seen.add((side, wire))
             if flip not in (0, 1):
                 raise ValidationError(f"flip must be 0 or 1, got {flip!r}")
-            meas.append((side, int(wire), _canonical_angle(angle), int(flip)))
+            i = angle_index(angle)
+            if i is None:
+                raise ValidationError(f"angle {angle} is not in the tested set")
+            meas.append((side, int(wire), TEST_ANGLES[i], int(flip)))
         object.__setattr__(self, "prep", prep)
         object.__setattr__(self, "measured", tuple(meas))
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reports, determinism, config errors."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,12 @@ from pathlib import Path
 import pytest
 
 import qselftest
+import numpy as np
+
 from qselftest import __version__
 from qselftest import cli
+from qselftest import devices as dv
+from qselftest import hilbert as hb
 
 
 @pytest.fixture()
@@ -40,6 +45,40 @@ def bell_circuit_file(tmp_path):
         )
     )
     return str(path)
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+ONE_WIRE = {"n_wires": 1, "a_dims": [2], "b_dims": [2]}
+
+
+def a_frames(pi4):
+    """Device-file frames of wire 0 on side A: ideal at 0 and pi/8, pi4 at pi/4."""
+    mats = {"0": hb.projector_angle(0.0).matrix,
+            "pi/8": hb.projector_angle(math.pi / 8).matrix, "pi/4": pi4}
+    return [{"side": "A", "wire": 0, "angle": k, "matrix": dv.matrix_to_json(m)}
+            for k, m in mats.items()]
+
+
+def with_nan(m, entry=(1, 1)):
+    m = np.array(m, dtype=complex)
+    m[entry] = math.nan
+    return m
+
+
+NAN_DEVICES = {
+    "gate": {"layout": ONE_WIRE, "gates": [
+        {"side": "A", "label": "g1", "wires": [0],
+         "matrix": dv.matrix_to_json(with_nan(dv.builtin_gate("H")))}]},
+    "frame": {"layout": ONE_WIRE,
+              "frames": a_frames(with_nan(hb.projector_angle(math.pi / 4).matrix))},
+    "source": {"layout": ONE_WIRE, "source": {"kind": "matrix", "params": {
+        "per_wire": [[[0.5 ** 0.5, 0], [0, 0], [0, 0], [math.nan, 0]]]}}},
+}
 
 
 class TestExitCodes:
@@ -150,6 +189,64 @@ class TestConfigErrors:
         )
         assert code == 2
         assert "--circuit" in capsys.readouterr().err
+
+
+    def test_near_tolerance_projector_accepted_by_every_command(self, tmp_path, capsys):
+        # idempotent to 3e-11, inside the frame tolerance; 2P - Id is then
+        # unitary only to 1.2e-10, which no later check may hold against it
+        pi4 = np.full((2, 2), 0.5) + 3e-11 * np.eye(2)
+        dev = write_json(tmp_path, "near.json", {"layout": ONE_WIRE, "frames": a_frames(pi4)})
+        for command in ("epr-test", "extract", "tomo"):
+            assert cli.main([command, "--device", dev]) == 0, command
+
+    @pytest.mark.parametrize("part", sorted(NAN_DEVICES))
+    @pytest.mark.parametrize("command", ["epr-test", "extract", "tomo", "circuit-test"])
+    def test_non_finite_device_file(self, command, part, h_circuit_file, tmp_path, capsys):
+        dev = write_json(tmp_path, "nan.json", NAN_DEVICES[part])
+        argv = [command, "--device", dev]
+        if command == "circuit-test":
+            argv += ["--circuit", h_circuit_file, "--x", "0"]
+        assert cli.main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["circuit-test", "extract"])
+    def test_non_finite_circuit_gate(self, command, tmp_path, capsys):
+        gate = {"label": "g1", "wires": [0], "matrix": [[math.nan, 1.0], [1.0, 0.0]]}
+        circ = write_json(tmp_path, "c.json", {"n": 1, "gates": [gate]})
+        argv = [command, "--device", "builtin:honest", "--circuit", circ]
+        argv += ["--x", "0"] if command == "circuit-test" else ["--gate-index", "1"]
+        assert cli.main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_unreadable_device_path_exits_two(self, tmp_path, capsys):
+        assert cli.main(["epr-test", "--device", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            ("device", "{not json"),
+            ("circuit", "{not json"),
+            ("device", {"layout": ONE_WIRE, "source": {
+                "kind": "matrix", "params": {"per_wire": [[[1, 0], [0]]]}}}),
+            ("device", {"layout": ONE_WIRE,
+                        "gates": [{"side": "A", "label": "g1", "wires": [0]}]}),
+            ("circuit", {"n": 1, "gates": ["H"]}),
+            ("circuit", {"n": 1, "gates": [
+                {"label": "g1", "wires": [0], "matrix": [[1, 0], [0]]}]}),
+        ],
+        ids=["device-json", "circuit-json", "ragged-source", "gate-without-matrix",
+             "non-object-gate", "ragged-circuit-matrix"],
+    )
+    def test_malformed_file_exits_two(self, kind, content, h_circuit_file, tmp_path, capsys):
+        path = write_json(tmp_path, "bad.json", content)
+        if kind == "device":
+            argv = ["epr-test", "--device", path]
+        else:
+            argv = ["circuit-test", "--device", "builtin:honest", "--circuit", path,
+                    "--x", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReports:

@@ -59,6 +59,39 @@ class TestFrames:
         assert np.allclose(f.projector(13 * math.pi / 8), np.eye(2) - f.projector(math.pi / 8))
         assert np.allclose(f.projector(-7 * math.pi / 8), f.projector(math.pi / 8))
 
+    @pytest.mark.parametrize("a", [-1e-17, math.pi - 1e-15, 2 * math.pi - 1e-15])
+    def test_angle_wraps_around_pi(self, a):
+        f = dv.honest_device().frames[("A", 0)]
+        assert f.projector(a) is f.projector(0.0)
+        assert dv.angle_index(a) == 0
+        assert dv.angle_name(a) == "0"
+
+    def test_angle_index_matches_tested_set_only(self):
+        for i, a in enumerate(dv.TEST_ANGLES):
+            assert dv.angle_index(a + 3 * math.pi) == i
+            assert dv.angle_name(a) == dv.ANGLE_NAMES[a]
+        for a in (0.3, math.pi / 16, math.nan, math.inf):
+            assert dv.angle_index(a) is None
+        assert dv.angle_name(0.3) == "0.300000"
+
+    def test_base_key_outside_base_angles_rejected(self):
+        base = {a: hb.projector_angle(a).matrix for a in dv.TEST_ANGLES[:4]}
+        with pytest.raises(DeviceValidationError, match="base angle"):
+            dv.MeasurementFrame("A", 0, base)
+
+    def test_base_keys_stored_as_base_angles(self):
+        base = {a + math.pi: hb.projector_angle(a).matrix for a in dv.BASE_ANGLES}
+        f = dv.MeasurementFrame("A", 0, base)
+        assert tuple(f.base) == dv.BASE_ANGLES
+
+    @pytest.mark.parametrize("slot", ["diag", "offdiag"])
+    def test_non_finite_projector_rejected(self, slot):
+        bad = hb.projector_angle(0.0).matrix.astype(complex)
+        bad[(0, 0) if slot == "diag" else (0, 1)] = math.nan
+        base = {0.0: bad, math.pi / 8: np.eye(2), math.pi / 4: np.eye(2)}
+        with pytest.raises(DeviceValidationError, match="non-finite"):
+            dv.MeasurementFrame("A", 0, base)
+
     def test_unknown_angle_rejected(self):
         f = dv.honest_device().frames[("A", 0)]
         with pytest.raises(DeviceValidationError, match="not in the tested set"):
@@ -89,6 +122,13 @@ class TestCircuit:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(CircuitValidationError, match="orthogonal"):
             dv.CircuitGate("g1", (0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_matrix_rejected(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = entry
+        with pytest.raises(CircuitValidationError, match="non-finite"):
+            dv.CircuitGate("g1", (0,), m)
 
     def test_wire_arity_bounds(self):
         with pytest.raises(CircuitValidationError, match="1..3"):
@@ -182,6 +222,21 @@ class TestValidation:
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(DeviceValidationError, match="unitary"):
             dv.DeviceGate("A", (0,), np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+    def test_non_finite_gate_and_source_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DeviceValidationError, match="non-finite"):
+                dv.DeviceGate("A", (0,), np.array([[1.0, 0.0], [0.0, bad]]))
+        dev = dv.honest_device()
+        v = dev.source.vec.copy()
+        v[1] = math.nan
+        with pytest.raises(DeviceValidationError, match="non-finite"):
+            dv.replace_source(dev, hb.PhysState(dev.layout.full, v))
+        with pytest.raises(DeviceValidationError, match="non-finite"):
+            dv.DeviceModel(
+                dev.layout, dev.source, dict(dev.gates), dict(dev.frames),
+                zero_states=(np.array([math.nan, 0.0]),),
+            )
 
     def test_missing_frame_rejected(self):
         dev = dv.honest_device()

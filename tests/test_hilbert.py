@@ -111,12 +111,12 @@ class TestTensorAndApply:
     def test_embed_rejects_bad_targets(self):
         op = hb.LocalOperator.general((5,), np.eye(2))
         with pytest.raises(DimensionError):
-            hb.embed(op, hb.SubsystemDims((2, 2)))
+            hb.apply_operator(op, hb.basis_state(hb.SubsystemDims((2, 2)), 0))
 
     def test_embed_rejects_dim_mismatch(self):
         op = hb.LocalOperator.general((0,), np.eye(3))
         with pytest.raises(DimensionError):
-            hb.embed(op, hb.SubsystemDims((2, 2)))
+            hb.apply_operator(op, hb.basis_state(hb.SubsystemDims((2, 2)), 0))
 
     def test_disjoint_embeds_commute(self):
         rng = np.random.default_rng(7)
@@ -174,13 +174,22 @@ class TestProjectors:
                 hb.projector_angle(a).matrix, np.outer(v, v.conj()), atol=1e-12
             )
 
-    def test_unitary_tag_validated(self):
-        with pytest.raises(ValidationError):
-            hb.LocalOperator.unitary((0,), np.array([[1, 1], [0, 1]]))
+    def test_operator_checks_shape_only(self):
+        # structure is checked where a matrix enters (devices); the kind is a label
+        op = hb.LocalOperator.unitary((0,), np.array([[1, 1], [0, 1]]))
+        assert op.kind == "unitary"
+        with pytest.raises(DimensionError):
+            hb.LocalOperator.projector((0,), np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="kind"):
+            hb.LocalOperator((0,), np.eye(2), "hermitian")
 
-    def test_projector_tag_validated(self):
-        with pytest.raises(ValidationError):
-            hb.LocalOperator.projector((0,), np.array([[0.5, 0.4], [0.3, 0.5]]))
+    def test_max_diff_treats_non_finite_as_infinite(self):
+        assert hb.max_diff(np.eye(2), np.eye(2)) == 0.0
+        assert hb.max_diff([1.0, 2.5], [1.0, 2.0]) == 0.5
+        for bad in (math.nan, math.inf, -math.inf):
+            assert hb.max_diff(np.array([[bad, 0.0]]), np.zeros((1, 2))) == math.inf
+            assert hb.max_diff(0.0, bad) == math.inf
+        assert "non-finite" in hb.diff_text(hb.max_diff(math.nan, 1.0))
 
 
 class TestMetrics:

@@ -156,6 +156,16 @@ class TestCircuitTest:
         assert hist["11"] == pytest.approx(0.5, abs=1e-12)
         assert v.tv_distance <= 1e-12
 
+    def test_records_labelled_by_experiment(self):
+        circ = bell_circuit()
+        v = pr.circuit_test(dv.honest_device(circ), circ, "00", eps=0.1)
+        sched = pr.build_schedule(circ, "00", v.y)
+        assert v.labels == tuple(
+            f"{e.kind}@{e.j}" for e in sched.experiments for _ in e.settings
+        )
+        assert "labels" not in v.to_json()
+        assert pr.epr_test(dv.honest_device()).labels == ("epr",) * 36
+
     def test_honest_not_gate_deterministic_output(self):
         circ = dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("X")),), "0")
         v = pr.circuit_test(dv.honest_device(circ), circ, "0", eps=0.1)

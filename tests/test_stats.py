@@ -28,6 +28,11 @@ class TestSetting:
         s = epr_setting(9 * math.pi / 8, 0.0)
         assert s.measured[0][2] == pytest.approx(math.pi / 8)
 
+    @pytest.mark.parametrize("a", [-1e-17, math.pi - 1e-15, math.pi, -math.pi])
+    def test_angle_wraps_around_pi(self, a):
+        s = stats.Setting(measured=(("A", 0, a, 0),))
+        assert s.measured[0][2] == 0.0
+
     def test_invalid_angle_rejected(self):
         with pytest.raises(ValidationError, match="tested set"):
             epr_setting(0.3, 0.0)
