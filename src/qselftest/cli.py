@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from . import devices as dv
 from . import extraction as ex
-from . import hilbert as hb
 from . import protocol as pr
 from . import stats as stx
 from .errors import ConfigError, QSelfTestError
@@ -267,13 +266,10 @@ def _run_extract(cfg: RunConfig) -> int:
 
 def _run_tomo(cfg: RunConfig) -> int:
     device = dv.resolve_device(cfg.device)
-    stats = {}
-    for a in ex.TOMO_ANGLES:
-        for b in ex.TOMO_ANGLES:
-            branches = (("A", cfg.wire, a), ("B", cfg.wire, b))
-            st = stx.collapse(device, device.source, branches)
-            stats[(a, b)] = float(hb.norm(st) ** 2)
-    rho = ex.tomo_reconstruct(stats, 2)
+    keys = [(a, b) for a in ex.TOMO_ANGLES for b in ex.TOMO_ANGLES]
+    branches = ((("A", cfg.wire, a), ("B", cfg.wire, b)) for a, b in keys)
+    probs = stx.probabilities(device, device.source, branches)
+    rho = ex.tomo_reconstruct(dict(zip(keys, probs)), 2)
     ideal = np.zeros((4, 4), dtype=np.complex128)
     for i in (0, 3):
         for j in (0, 3):

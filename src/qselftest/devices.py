@@ -133,7 +133,7 @@ class RegisterLayout:
             raise DeviceValidationError("layout: n_wires must be >= 1")
         a = tuple(int(d) for d in self.a_dims)
         b = tuple(int(d) for d in self.b_dims)
-        e = tuple(int(d) for d in self.e_dims) if self.e_dims else (1,) * n
+        e = tuple(int(d) for d in self.e_dims) if self.e_dims else (1,) * len(a)
         if len(a) != n or len(b) != n or len(e) != n:
             raise DeviceValidationError(
                 f"layout: dim lists must have length n_wires={n}, "
@@ -208,7 +208,8 @@ class MeasurementFrame:
                 raise DeviceValidationError(
                     f"{where}: angle {a} projector is not Hermitian ({hb.diff_text(d)})"
                 )
-            d = hb.max_diff(m @ m, m)
+            with np.errstate(invalid="ignore", over="ignore"):  # max_diff flags non-finite
+                d = hb.max_diff(m @ m, m)
             if d > GATE_TOL:
                 raise DeviceValidationError(
                     f"{where}: angle {a} projector is not idempotent ({hb.diff_text(d)})"
@@ -246,6 +247,8 @@ class DeviceGate:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if self.side not in ("A", "B"):
+            raise DeviceValidationError(f"gate: unknown side {self.side!r}")
         wires = tuple(int(w) for w in self.wires)
         if not wires or len(set(wires)) != len(wires):
             raise DeviceValidationError(f"gate wires must be distinct, got {wires}")
@@ -300,6 +303,17 @@ class CircuitGate:
         object.__setattr__(self, "matrix", m)
 
 
+# the ideal output distribution of n wires has 2^n entries, within DIM_CAP
+_MAX_WIRES = hb.DIM_CAP.bit_length() - 1
+
+
+def _wire_count(n) -> int:
+    n = int(n)
+    if not 1 <= n <= _MAX_WIRES:
+        raise CircuitValidationError(f"circuit: n must be in 1..{_MAX_WIRES}, got {n}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class IdealCircuit:
     """Reference computation: n wires, ordered real orthogonal gates, input bits.
@@ -312,20 +326,22 @@ class IdealCircuit:
     input: str
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise CircuitValidationError("circuit: n must be >= 1")
+        n = _wire_count(self.n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         labels = [g.label for g in self.gates]
         if len(set(labels)) != len(labels):
             raise CircuitValidationError(f"circuit: duplicate gate labels in {labels}")
         for g in self.gates:
-            if max(g.wires) >= n:
+            if min(g.wires) < 0 or max(g.wires) >= n:
                 raise CircuitValidationError(
                     f"gate {g.label}: wires {g.wires} out of range for n={n}"
                 )
-        if len(self.input) != n or set(self.input) - {"0", "1"}:
+        if (
+            not isinstance(self.input, str)
+            or len(self.input) != n
+            or set(self.input) - {"0", "1"}
+        ):
             raise CircuitValidationError(
                 f"circuit: input must be {n} bits of 0/1, got {self.input!r}"
             )
@@ -341,7 +357,8 @@ def _check_source(layout: RegisterLayout, source: PhysState) -> None:
             f"source: layout {source.layout.dims} does not match device "
             f"{layout.full.dims}"
         )
-    d = hb.max_diff(hb.norm(source), 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # max_diff flags non-finite
+        d = hb.max_diff(hb.norm(source), 1.0)
     if d > 1e-12:
         raise DeviceValidationError(
             f"source: norm is not 1 within 1e-12 ({hb.diff_text(d)})"
@@ -389,9 +406,9 @@ class DeviceModel:
                 raise DeviceValidationError(
                     f"gate ({side}, {label}): stored side {g.side} disagrees with key"
                 )
-            if max(g.wires) >= lay.n_wires:
+            if min(g.wires) < 0 or max(g.wires) >= lay.n_wires:
                 raise DeviceValidationError(
-                    f"gate ({side}, {label}): wire {max(g.wires)} out of range"
+                    f"gate ({side}, {label}): wires {g.wires} out of range"
                 )
             want = math.prod(lay.side_dim(side, w) for w in g.wires)
             if g.matrix.shape[0] != want:
@@ -404,7 +421,7 @@ class DeviceModel:
                 raise DeviceValidationError(
                     f"frame ({side}, {wire}): stored key disagrees"
                 )
-            if wire >= lay.n_wires:
+            if not 0 <= wire < lay.n_wires:
                 raise DeviceValidationError(f"frame ({side}, {wire}): wire out of range")
             if f.dim != lay.side_dim(side, wire):
                 raise DeviceValidationError(
@@ -471,7 +488,8 @@ def _assemble_source(layout: RegisterLayout, per_wire: Sequence[np.ndarray]) -> 
             (layout.a_dims[i], layout.b_dims[i], layout.e_dims[i])
         )
         parts.append(PhysState(dims, v))
-    inter = hb.tensor(*parts) if len(parts) > 1 else parts[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # _check_source flags these
+        inter = hb.tensor(*parts) if len(parts) > 1 else parts[0]
     # interleaved order [A1 B1 E1 A2 B2 E2 ...] -> [A.. B.. E..]
     perm = (
         tuple(3 * i for i in range(n))
@@ -676,7 +694,7 @@ def _matrix_from_json(rows, what: str) -> np.ndarray:
         raise DeviceValidationError(
             f"{what}: matrix must be square rows of [re, im] pairs, got shape {arr.shape}"
         )
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -691,7 +709,7 @@ def _vector_from_json(entries, what: str) -> np.ndarray:
         raise DeviceValidationError(f"{what}: vector entries must be [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DeviceValidationError(f"{what}: vector entries must be [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return np.ascontiguousarray(arr).view(np.complex128)[:, 0]
 
 
 def _read_json(path_or_data, error: type[Exception]):
@@ -705,26 +723,61 @@ def _read_json(path_or_data, error: type[Exception]):
         raise error(f"{path_or_data}: not valid JSON ({exc})") from None
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, what: str, error: type[Exception]):
+    """value if it is of the JSON type kind (dict, list or str), else error."""
+    if not isinstance(value, kind):
+        raise error(f"{what}: must be {_JSON_TYPES[kind]}, got {value!r:.60}")
+    return value
+
+
+def _integer(value, what: str, error: type[Exception]) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what}: must be an integer, got {value!r:.60}") from None
+
+
+def _integers(values, what: str, error: type[Exception]) -> tuple[int, ...]:
+    return tuple(_integer(v, what, error) for v in _expect(values, list, what, error))
+
+
+def _number(value, what: str, error: type[Exception]) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what}: must be a number, got {value!r:.60}") from None
+
+
+def _entries(data: dict, key: str, fields: str, error: type[Exception]) -> list[dict]:
+    """data[key] as a list of objects that each carry the space-separated fields."""
+    entries = _expect(data.get(key, []), list, key, error)
+    for e in entries:
+        if not isinstance(e, dict) or not set(fields.split()) <= e.keys():
+            raise error(f"{key}: each entry must be an object with {fields}")
+    return entries
+
+
 def load_device(path_or_data) -> DeviceModel:
     """Build a DeviceModel from a JSON file path or an already-parsed dict."""
-    data = _read_json(path_or_data, DeviceValidationError)
-    try:
-        lay_d = data["layout"]
-        n = int(lay_d["n_wires"])
-        a_dims = tuple(int(d) for d in lay_d["a_dims"])
-        b_dims = tuple(int(d) for d in lay_d["b_dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DeviceValidationError(f"layout: missing or malformed field ({exc})") from None
+    err = DeviceValidationError
+    data = _expect(_read_json(path_or_data, err), dict, "device", err)
+    lay_d = _expect(data.get("layout"), dict, "layout", err)
+    n = _integer(lay_d.get("n_wires"), "layout: n_wires", err)
+    a_dims = _integers(lay_d.get("a_dims"), "layout: a_dims", err)
+    b_dims = _integers(lay_d.get("b_dims"), "layout: b_dims", err)
     if "e_dims" in lay_d:
-        e_dims = tuple(int(d) for d in lay_d["e_dims"])
+        e_dims = _integers(lay_d["e_dims"], "layout: e_dims", err)
     else:
-        c = int(lay_d.get("c_dim", 1))
-        e_dims = (c,) + (1,) * (n - 1)  # environment attached to wire 0
+        c = _integer(lay_d.get("c_dim", 1), "layout: c_dim", err)
+        e_dims = (c,) + (1,) * (len(a_dims) - 1)  # environment attached to wire 0
     layout = RegisterLayout(n, a_dims, b_dims, e_dims)
 
-    src = data.get("source", {"kind": "epr"})
+    src = _expect(data.get("source", {"kind": "epr"}), dict, "source", err)
     kind = src.get("kind", "epr")
-    params = src.get("params", {})
+    params = _expect(src.get("params", {}), dict, "source: params", err)
     if kind == "epr":
         per_wire = [
             _epr_wire(layout.a_dims[i], layout.b_dims[i], layout.e_dims[i])
@@ -735,11 +788,11 @@ def load_device(path_or_data) -> DeviceModel:
         if layout.a_dims != (2,) * n or layout.b_dims != (2,) * n:
             raise DeviceValidationError("source: depolarized needs 2x2 wires")
         layout = RegisterLayout(n, layout.a_dims, layout.b_dims, (4,) * n)
-        wire = _depolarized_wire(float(params.get("p", 0.0)))
+        wire = _depolarized_wire(_number(params.get("p", 0.0), "source: p", err))
         source = _assemble_source(layout, [wire.copy() for _ in range(n)])
     elif kind == "matrix":
-        vecs = params.get("per_wire")
-        if vecs is None or len(vecs) != n:
+        vecs = _expect(params.get("per_wire"), list, "source: params.per_wire", err)
+        if len(vecs) != n:
             raise DeviceValidationError(
                 "source: kind 'matrix' needs params.per_wire with one vector per wire"
             )
@@ -748,31 +801,27 @@ def load_device(path_or_data) -> DeviceModel:
         ]
         source = _assemble_source(layout, per_wire)
     else:
-        raise DeviceValidationError(f"source: unknown kind {kind!r}")
+        raise DeviceValidationError(f"source: unknown kind {kind!r:.60}")
 
     gates = {}
-    for g in data.get("gates", ()):
-        try:
-            side, label, rows = g["side"], g["label"], g["matrix"]
-            wires = tuple(int(w) for w in g["wires"])
-        except (KeyError, TypeError, ValueError):
-            raise DeviceValidationError(
-                "gate: each entry needs side, label, wires, matrix"
-            ) from None
-        m = _matrix_from_json(rows, f"gate ({side}, {label})")
-        gates[(side, label)] = DeviceGate(side, wires, m)
+    for g in _entries(data, "gates", "side label wires matrix", err):
+        side = _expect(g["side"], str, "gate: side", err)
+        label = _expect(g["label"], str, "gate: label", err)
+        what = f"gate ({side}, {label})"
+        wires = _integers(g["wires"], f"{what}: wires", err)
+        gates[(side, label)] = DeviceGate(side, wires, _matrix_from_json(g["matrix"], what))
 
     frames: dict[tuple[str, int], dict[float, np.ndarray]] = {}
-    for f in data.get("frames", ()):
-        try:
-            side, wire, key = f["side"], int(f["wire"]), f["angle"]
-        except (KeyError, TypeError, ValueError):
+    for f in _entries(data, "frames", "side wire angle matrix", err):
+        side, key = f["side"], f["angle"]
+        wire = _integer(f["wire"], "frame: wire", err)
+        if side not in ("A", "B") or not 0 <= wire < n:
             raise DeviceValidationError(
-                "frame: each entry needs side, wire, angle, matrix"
-            ) from None
-        if key not in ANGLE_KEYS:
+                f"frame ({side!r:.20}, {wire}): not a wire of the layout"
+            )
+        if not isinstance(key, str) or key not in ANGLE_KEYS:
             raise DeviceValidationError(
-                f"frame ({side}, {wire}): angle key {key!r} must be one of "
+                f"frame ({side}, {wire}): angle key {key!r:.20} must be one of "
                 f"{sorted(ANGLE_KEYS)} (complements are derived)"
             )
         m = _matrix_from_json(f["matrix"], f"frame ({side}, {wire}, {key})")
@@ -794,24 +843,17 @@ def load_device(path_or_data) -> DeviceModel:
 
 def load_circuit(path_or_data) -> IdealCircuit:
     """Build an IdealCircuit from a JSON file path or an already-parsed dict."""
-    data = _read_json(path_or_data, CircuitValidationError)
-    try:
-        n = int(data["n"])
-        raw_gates = data.get("gates", [])
-        x = data.get("input", "0" * n)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitValidationError(f"circuit: malformed file ({exc})") from None
+    err = CircuitValidationError
+    data = _expect(_read_json(path_or_data, err), dict, "circuit", err)
+    n = _wire_count(_integer(data.get("n"), "circuit: n", err))
+    x = data.get("input", "0" * n)
     gates = []
-    for i, g in enumerate(raw_gates):
-        if not isinstance(g, dict):
-            raise CircuitValidationError(f"gate {i + 1}: must be an object, got {g!r}")
-        label = g.get("label", f"g{i + 1}")
-        try:
-            wires = tuple(int(w) for w in g["wires"])
-        except (KeyError, TypeError, ValueError):
-            raise CircuitValidationError(f"gate {label}: missing wires") from None
+    for i, g in enumerate(_expect(data.get("gates", []), list, "circuit: gates", err)):
+        g = _expect(g, dict, f"gate {i + 1}", err)
+        label = _expect(g.get("label", f"g{i + 1}"), str, f"gate {i + 1}: label", err)
+        wires = _integers(g.get("wires"), f"gate {label}: wires", err)
         if "builtin" in g:
-            m = builtin_gate(str(g["builtin"]))
+            m = builtin_gate(_expect(g["builtin"], str, f"gate {label}: builtin", err))
         elif "matrix" in g:
             try:
                 m = np.array(g["matrix"], dtype=float)

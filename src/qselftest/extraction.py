@@ -161,15 +161,13 @@ def _span_generators(
     come in itertools.product order over the (wire, side) slots, and each
     shared prefix of projectors is applied once.
     """
-    gens = [source]
-    for w in wires:
-        for side in ("A", "B"):
-            gens = [
-                g if a is None else stx.collapse(device, g, ((side, w, a),))
-                for g in gens
-                for a in (None,) + BASE_ANGLES
-            ]
-    return gens
+    slots = [(side, w) for w in wires for side in ("A", "B")]
+    products = itertools.product((None,) + BASE_ANGLES, repeat=len(slots))
+    branches = (
+        [(side, w, a) for (side, w), a in zip(slots, angles) if a is not None]
+        for angles in products
+    )
+    return list(stx.walk(device, source, branches))
 
 
 def _extended_zero(source: PhysState, k: int) -> PhysState:
@@ -526,12 +524,12 @@ class BasisGeometryReport:
 def _collapse_family(
     device: DeviceModel, wire: int, alpha: float, beta: float
 ) -> list[PhysState]:
-    out = []
-    for a in (alpha, alpha + math.pi / 2):
-        for b in (beta, beta + math.pi / 2):
-            branches = (("A", wire, a), ("B", wire, b))
-            out.append(stx.collapse(device, device.source, branches))
-    return out
+    branches = (
+        (("A", wire, a), ("B", wire, b))
+        for a in (alpha, alpha + math.pi / 2)
+        for b in (beta, beta + math.pi / 2)
+    )
+    return list(stx.walk(device, device.source, branches))
 
 
 def _ideal_lengths(alpha: float, beta: float) -> tuple[float, ...]:

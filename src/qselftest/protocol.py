@@ -132,6 +132,14 @@ class Verdict:
         return out
 
 
+def _estimate(p: float, n_samples: int, seed: int, index: int) -> float:
+    """Record index's estimate: p itself when exact (n_samples 0), else a
+    binomial draw from the record's own stream."""
+    if n_samples == 0:
+        return p
+    return stx.sample_prob(p, n_samples, stx.record_rng(seed, 2 + index))
+
+
 def _make_verdict(records: Sequence[StatRecord], eps: float, **extra) -> Verdict:
     records = tuple(records)
     failing = tuple(r for r in records if r.deviation > eps)
@@ -159,14 +167,12 @@ def epr_test(
         for b in TEST_ANGLES
     ]
     n = stx.sample_size(eps, gamma, len(settings)) if mode == "sampled" else 0
+    probs = stx.probabilities(device, device.source, (s.branches for s in settings))
     records = []
-    for k, s in enumerate(settings):
+    for k, (s, p) in enumerate(zip(settings, probs)):
         a, b = s.measured[0][2], s.measured[1][2]
         ideal = 0.5 * math.cos(a - b) ** 2
-        if mode == "exact":
-            est = stx.exact_prob(device, s)
-        else:
-            est = stx.sample_prob(device, s, n, stx.record_rng(seed, 2 + k))
+        est = _estimate(p, n, seed, k)
         records.append(StatRecord(s, ideal, est, n))
     return _make_verdict(records, eps, labels=("epr",) * len(records))
 
@@ -280,25 +286,18 @@ def evaluate_schedule(
     reference = stx.reference_device(schedule.circuit)
     m = schedule.n_records
     n_samples = stx.sample_size(schedule.eps, schedule.gamma, m) if mode == "sampled" else 0
-    records = []
-    labels = []
-    idx = 0
-    for exp in schedule.experiments:
-        prep = exp.settings[0].prep if exp.settings else ()
-        dev_state = stx.prepare(device, prep)
-        ref_state = stx.prepare(reference, prep)
-        labels += [f"{exp.kind}@{exp.j}"] * len(exp.settings)
-        for s in exp.settings:
-            ideal = stx.branch_prob(reference, ref_state, s)
-            p = stx.branch_prob(device, dev_state, s)
-            if mode == "sampled":
-                rng = stx.record_rng(seed, 2 + idx)
-                est = float(rng.binomial(n_samples, min(max(p, 0.0), 1.0))) / n_samples
-            else:
-                est = p
-            records.append(StatRecord(s, ideal, est, n_samples))
-            idx += 1
-    return _make_verdict(records, schedule.eps, labels=tuple(labels))
+    settings = [s for exp in schedule.experiments for s in exp.settings]
+    labels = tuple(
+        f"{exp.kind}@{exp.j}" for exp in schedule.experiments for _ in exp.settings
+    )
+    ops = [s.ops for s in settings]
+    ideals = stx.probabilities(reference, reference.source, ops)
+    probs = stx.probabilities(device, device.source, ops)
+    records = [
+        StatRecord(s, ideal, _estimate(p, n_samples, seed, idx), n_samples)
+        for idx, (s, ideal, p) in enumerate(zip(settings, ideals, probs))
+    ]
+    return _make_verdict(records, schedule.eps, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +311,9 @@ def _readout(side: str, bits: str) -> list[tuple[str, int, float]]:
 def _measure_side_distribution(
     device: DeviceModel, state: PhysState, side: str, n: int
 ) -> dict[str, float]:
-    out = {}
-    for code in range(1 << n):
-        bits = format(code, f"0{n}b")
-        st = stx.collapse(device, state, _readout(side, bits))
-        out[bits] = float(hb.norm(st) ** 2)
-    return out
+    outcomes = [format(code, f"0{n}b") for code in range(1 << n)]
+    readouts = (_readout(side, bits) for bits in outcomes)
+    return dict(zip(outcomes, stx.probabilities(device, state, readouts)))
 
 
 def _ideal_computation_distribution(
@@ -409,10 +405,11 @@ def check_simulation(
     """Worst deviation between the device and the honest reference over settings."""
     if not settings:
         raise ValidationError("check_simulation needs at least one setting")
-    worst = 0.0
-    for s in settings:
-        worst = max(worst, abs(stx.exact_prob(device, s) - stx.ideal_prob(circuit, s)))
-    return float(worst)
+    ops = [s.ops for s in settings]
+    reference = stx.reference_device(circuit)
+    probs = stx.probabilities(device, device.source, ops)
+    ideals = stx.probabilities(reference, reference.source, ops)
+    return float(max(abs(p - q) for p, q in zip(probs, ideals)))
 
 
 def input_prep_check(device: DeviceModel, circuit: IdealCircuit, eps: float = 1e-9) -> Verdict:
@@ -427,20 +424,21 @@ def input_prep_check(device: DeviceModel, circuit: IdealCircuit, eps: float = 1e
         raise DeviceValidationError(
             f"device has {device.n_wires} wires, circuit needs {n}"
         )
+    outcomes = [format(code, f"0{n}b") for code in range(1 << n)]
+    collapsed = stx.walk(
+        device, device.source, (_readout("B", bits) for bits in outcomes)
+    )
+    wire_angles = [(w, a) for w in range(n) for a in TEST_ANGLES]
     records = []
     skipped = []
-    for code in range(1 << n):
-        bits = format(code, f"0{n}b")
-        st = stx.collapse(device, device.source, _readout("B", bits))
+    for bits, st in zip(outcomes, collapsed):
         p = hb.norm(st) ** 2
         if p <= 1e-14:
             skipped.append(bits)
             continue
-        st = hb.normalized(st)
-        for w in range(n):
-            for a in TEST_ANGLES:
-                s = Setting(measured=(("A", w, a, 0),))
-                est = stx.branch_prob(device, st, s)
-                ideal = math.cos(a) ** 2 if bits[w] == "0" else math.sin(a) ** 2
-                records.append(StatRecord(s, ideal, est, 0))
+        branches = ((("A", w, a),) for w, a in wire_angles)
+        probs = stx.probabilities(device, hb.normalized(st), branches)
+        for (w, a), est in zip(wire_angles, probs):
+            ideal = math.cos(a) ** 2 if bits[w] == "0" else math.sin(a) ** 2
+            records.append(StatRecord(Setting(measured=(("A", w, a, 0),)), ideal, est, 0))
     return _make_verdict(records, eps, skipped=tuple(skipped))

@@ -3,9 +3,10 @@
 A Setting names what the device is asked to do (ordered one-sided gate
 applications, then one projector branch per measured wire); this module turns
 settings into probabilities, either exactly or through reproducible
-Monte-Carlo estimates sized by a Hoeffding bound. `prepare` and `collapse`
-are the package's one path from a device to a collapsed state and its
-branch probability.
+Monte-Carlo estimates sized by a Hoeffding bound. `walk` is the package's
+one path from a device to a collapsed state and its branch probability: it
+evaluates a sequence of op lists and applies each prefix they share once;
+`prepare`, `collapse` and `probabilities` are built on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,16 +25,16 @@ from .errors import ValidationError
 __all__ = [
     "Setting",
     "StatRecord",
-    "branch_prob",
-    "branch_probabilities",
     "collapse",
     "exact_prob",
     "ideal_prob",
     "prepare",
+    "probabilities",
     "record_rng",
     "reference_device",
     "sample_prob",
     "sample_size",
+    "walk",
 ]
 
 
@@ -75,6 +76,11 @@ class Setting:
     def branches(self) -> tuple[tuple[str, int, float], ...]:
         """(side, wire, branch angle) per measured wire, in measurement order."""
         return tuple((e[0], e[1], self.branch_angle(e)) for e in self.measured)
+
+    @property
+    def ops(self) -> tuple[tuple, ...]:
+        """The prep gates, then the branches: the setting's op list for walk."""
+        return self.prep + self.branches
 
     def with_flips(self, flips: Sequence[int]) -> "Setting":
         """Same setting with the outcome branches replaced wire by wire."""
@@ -123,12 +129,46 @@ class StatRecord:
         }
 
 
+def walk(
+    device: DeviceModel, state: hb.PhysState, op_lists: Iterable[Sequence[tuple]]
+) -> Iterator[hb.PhysState]:
+    """The state after each op list, applied in order to state.
+
+    An op is a one-sided gate (side, label) or a branch projector
+    (side, wire, angle). Each list starts from the state of the longest
+    prefix it shares with the list before it, so a shared prefix is applied
+    once, and only the current list's path of states is kept. Every state is
+    the result of the same apply_operator calls, on the same inputs and in
+    the same order, as applying its list alone, so it is the same floats.
+    """
+    ops: tuple = ()
+    path = [state]
+    operators: dict = {}
+    for new in op_lists:
+        new = tuple(new)
+        k, common = 0, min(len(ops), len(new))
+        while k < common and ops[k] == new[k]:
+            k += 1
+        del path[k + 1:]
+        for op in new[k:]:
+            if op not in operators:
+                build = device.gate_operator if len(op) == 2 else device.frame_operator
+                operators[op] = build(*op)
+            path.append(hb.apply_operator(operators[op], path[-1]))
+        ops = new
+        yield path[-1]
+
+
+def probabilities(
+    device: DeviceModel, state: hb.PhysState, op_lists: Iterable[Sequence[tuple]]
+) -> list[float]:
+    """Squared norm of the state after each op list (see walk)."""
+    return [float(hb.norm(st) ** 2) for st in walk(device, state, op_lists)]
+
+
 def prepare(device: DeviceModel, prep: Iterable[tuple[str, str]]) -> hb.PhysState:
     """The device's source after its one-sided gates (side, label), in order."""
-    st = device.source
-    for side, label in prep:
-        st = hb.apply_operator(device.gate_operator(side, label), st)
-    return st
+    return next(walk(device, device.source, (prep,)))
 
 
 def collapse(
@@ -141,19 +181,12 @@ def collapse(
     Each branch is (side, wire, angle); its squared norm is the probability
     that every listed branch occurs.
     """
-    for side, wire, angle in branches:
-        state = hb.apply_operator(device.frame_operator(side, wire, angle), state)
-    return state
-
-
-def branch_prob(device: DeviceModel, state: hb.PhysState, s: Setting) -> float:
-    """Probability of the setting's outcome branch on an already prepared state."""
-    return float(hb.norm(collapse(device, state, s.branches)) ** 2)
+    return next(walk(device, state, (branches,)))
 
 
 def exact_prob(device: DeviceModel, s: Setting) -> float:
     """Probability of the setting's outcome branch, evaluated on the device."""
-    return branch_prob(device, prepare(device, s.prep), s)
+    return probabilities(device, device.source, (s.ops,))[0]
 
 
 _REFERENCES: "weakref.WeakKeyDictionary[IdealCircuit, DeviceModel]" = (
@@ -190,14 +223,14 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def sample_prob(
-    device: DeviceModel, s: Setting, n: int, rng: np.random.Generator
-) -> float:
-    """Fraction of n simulated runs landing in the outcome branch."""
+def sample_prob(p: float, n: int, rng: np.random.Generator) -> float:
+    """Fraction of n simulated runs landing in a branch of probability p.
+
+    p is clipped to [0, 1] first, so rounding just outside it cannot fail.
+    """
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    p = min(max(exact_prob(device, s), 0.0), 1.0)
-    return float(rng.binomial(n, p)) / n
+    return float(rng.binomial(n, min(max(p, 0.0), 1.0))) / n
 
 
 def sample_size(eps: float, gamma: float, m: int) -> int:
@@ -209,13 +242,3 @@ def sample_size(eps: float, gamma: float, m: int) -> int:
     if m < 1:
         raise ValidationError(f"m={m} must be >= 1")
     return math.ceil(math.log(2 * m / gamma) / (2 * eps * eps))
-
-
-def branch_probabilities(device: DeviceModel, s: Setting) -> dict[tuple[int, ...], float]:
-    """Exact probability of every outcome branch of the measured wires."""
-    k = len(s.measured)
-    out = {}
-    for code in range(1 << k):
-        flips = tuple((code >> i) & 1 for i in range(k))
-        out[flips] = exact_prob(device, s.with_flips(flips))
-    return out

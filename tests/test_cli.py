@@ -54,6 +54,7 @@ def write_json(tmp_path, name, data):
 
 
 ONE_WIRE = {"n_wires": 1, "a_dims": [2], "b_dims": [2]}
+EYE2 = dv.matrix_to_json(np.eye(2))
 
 
 def a_frames(pi4):
@@ -245,6 +246,56 @@ class TestConfigErrors:
         else:
             argv = ["circuit-test", "--device", "builtin:honest", "--circuit", path,
                     "--x", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "device",
+        [
+            {"layout": ONE_WIRE, "source": "epr"},
+            {"layout": ONE_WIRE, "source": {"kind": "depolarized", "params": [0.1]}},
+            {"layout": ONE_WIRE, "gates": 5},
+            {"layout": ONE_WIRE, "frames": 5},
+            {"layout": ONE_WIRE, "source": {"kind": "matrix", "params": {"per_wire": 5}}},
+            {"layout": {**ONE_WIRE, "e_dims": ["two"]}},
+            {"layout": {**ONE_WIRE, "c_dim": "two"}},
+            {"layout": ONE_WIRE, "source": {"kind": "depolarized", "params": {"p": "x"}}},
+            {"layout": ONE_WIRE, "frames": [
+                {"side": "A", "wire": 0, "angle": ["0"], "matrix": []}]},
+            {"layout": ONE_WIRE, "frames": [
+                {"side": "C", "wire": 0, "angle": "0", "matrix": EYE2}]},
+            {"layout": ONE_WIRE, "gates": [
+                {"side": "A", "label": ["g1"], "wires": [0], "matrix": EYE2}]},
+            {"layout": {**ONE_WIRE, "n_wires": math.inf}},
+            {"layout": ONE_WIRE, "source": {"kind": "depolarized", "params": {"p": 2**1100}}},
+            {"layout": ONE_WIRE, "gates": [
+                {"side": "C", "label": "g1", "wires": [0], "matrix": EYE2}]},
+        ],
+        ids=["source-not-object", "params-list", "gates-not-list", "frames-not-list",
+             "per-wire-not-list", "e-dims-not-numeric", "c-dim-not-numeric",
+             "p-not-numeric", "frame-angle-list", "frame-side-unknown",
+             "gate-label-list", "n-wires-infinite", "p-overflows-float",
+             "gate-side-unknown"],
+    )
+    def test_malformed_device_shape_exits_two(self, device, tmp_path, capsys):
+        path = write_json(tmp_path, "bad.json", device)
+        assert cli.main(["epr-test", "--device", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            {"n": 2**70},
+            {"n": 1, "gates": 5},
+            {"n": 1, "input": ["0"]},
+            {"n": 1, "gates": [{"label": ["g1"], "wires": [0], "builtin": "H"}]},
+            {"n": 1, "gates": [{"wires": [-1], "builtin": "H"}]},
+        ],
+        ids=["n-huge", "gates-not-list", "input-list", "label-list", "wire-negative"],
+    )
+    def test_malformed_circuit_shape_exits_two(self, circuit, tmp_path, capsys):
+        path = write_json(tmp_path, "bad.json", circuit)
+        argv = ["circuit-test", "--device", "builtin:honest", "--circuit", path, "--x", "0"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,5 +1,6 @@
 """Setting evaluation, sampling determinism, and sample sizing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,12 @@ def epr_setting(a, b, fa=0, fb=0):
 
 def h_circuit():
     return dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),), "0")
+
+
+def branch_probabilities(dev, s):
+    """Exact probability of every outcome branch of the setting's measured wires."""
+    flips = itertools.product((0, 1), repeat=len(s.measured))
+    return stats.probabilities(dev, dev.source, (s.with_flips(f).ops for f in flips))
 
 
 class TestSetting:
@@ -109,7 +116,8 @@ class TestCollapsePath:
         dev = dv.rotated_device(h_circuit(), theta=0.3)
         s = stats.Setting(prep=(("A", "g1"),), measured=(("A", 0, math.pi / 8, 1),))
         st = stats.prepare(dev, s.prep)
-        assert stats.branch_prob(dev, st, s) == stats.exact_prob(dev, s)
+        prob = hb.norm(stats.collapse(dev, st, s.branches)) ** 2
+        assert prob == stats.exact_prob(dev, s)
 
     def test_collapse_norm_is_branch_prob(self):
         dev = dv.honest_device()
@@ -173,32 +181,33 @@ class TestSampling:
     def test_law_of_large_numbers(self):
         dev = dv.honest_device()
         rng = stats.record_rng(7, 0)
-        est = stats.sample_prob(dev, epr_setting(0.0, math.pi / 8), 10**6, rng)
+        p = stats.exact_prob(dev, epr_setting(0.0, math.pi / 8))
+        est = stats.sample_prob(p, 10**6, rng)
         assert abs(est - HALF_COS8) < 0.01
 
     def test_deterministic_setting_always_one(self):
         # a setting with no projectors has probability exactly 1
         dev = dv.honest_device()
         rng = stats.record_rng(3, 1)
-        assert stats.sample_prob(dev, stats.Setting(), 5, rng) == 1.0
+        assert stats.sample_prob(stats.exact_prob(dev, stats.Setting()), 5, rng) == 1.0
 
     def test_seed_reproducibility(self):
         dev = dv.honest_device()
         s = epr_setting(0.0, math.pi / 8)
-        a = stats.sample_prob(dev, s, 1000, stats.record_rng(42, 5))
-        b = stats.sample_prob(dev, s, 1000, stats.record_rng(42, 5))
+        a = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 5))
+        b = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 5))
         assert a == b
 
     def test_streams_differ_by_index(self):
         dev = dv.honest_device()
         s = epr_setting(0.0, math.pi / 8)
-        a = stats.sample_prob(dev, s, 1000, stats.record_rng(42, 0))
-        b = stats.sample_prob(dev, s, 1000, stats.record_rng(42, 1))
+        a = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 0))
+        b = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 1))
         assert a != b  # astronomically unlikely to collide
 
     def test_bad_count_rejected(self):
         with pytest.raises(ValidationError, match=">= 1"):
-            stats.sample_prob(dv.honest_device(), stats.Setting(), 0, stats.record_rng(0, 0))
+            stats.sample_prob(1.0, 0, stats.record_rng(0, 0))
 
 
 class TestSampleSize:
@@ -231,7 +240,7 @@ class TestBranchSums:
     def test_exact_branches_sum_to_one(self, measured):
         dev = dv.honest_device(h_circuit())
         s = stats.Setting(prep=(("A", "g1"),), measured=measured)
-        total = sum(stats.branch_probabilities(dev, s).values())
+        total = sum(branch_probabilities(dev, s))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_sampled_branches_sum_within_tolerance(self):
@@ -240,7 +249,9 @@ class TestBranchSums:
         s = stats.Setting(measured=(("A", 0, math.pi / 8, 0),))
         n = stats.sample_size(eps, 0.05, 2)
         total = sum(
-            stats.sample_prob(dev, s.with_flips((f,)), n, stats.record_rng(11, f))
+            stats.sample_prob(
+                stats.exact_prob(dev, s.with_flips((f,))), n, stats.record_rng(11, f)
+            )
             for f in (0, 1)
         )
         assert abs(total - 1.0) <= 3 * eps
@@ -253,7 +264,7 @@ class TestBranchSums:
     def test_pair_branch_sum_any_angles(self, a, b):
         dev = dv.honest_device()
         s = epr_setting(a, b)
-        total = sum(stats.branch_probabilities(dev, s).values())
+        total = sum(branch_probabilities(dev, s))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 

@@ -1,0 +1,176 @@
+"""The shared-prefix walker against a per-record loop, float for float.
+
+Every probability the protocol, the CLI and the extraction diagnostics
+evaluate through `stats.walk` must equal, with `==`, the one computed by
+applying its op list alone to the source, one operator at a time.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qselftest import cli
+from qselftest import devices as dv
+from qselftest import extraction as ex
+from qselftest import hilbert as hb
+from qselftest import protocol as pr
+from qselftest import stats
+
+
+def per_record(device, state, ops):
+    """Probability of one op list applied alone to state, op by op."""
+    for op in ops:
+        if len(op) == 2:
+            operator = device.gate_operator(*op)
+        else:
+            operator = device.frame_operator(*op)
+        state = hb.apply_operator(operator, state)
+    return float(hb.norm(state) ** 2)
+
+
+def per_record_estimate(p, n, seed, index):
+    if n == 0:
+        return p
+    rng = stats.record_rng(seed, 2 + index)
+    return float(rng.binomial(n, min(max(p, 0.0), 1.0))) / n
+
+
+def circuit(n, gates):
+    steps = tuple(
+        dv.CircuitGate(f"g{i + 1}", wires, dv.builtin_gate(name))
+        for i, (name, wires) in enumerate(gates)
+    )
+    return dv.IdealCircuit(n, steps, "0" * n)
+
+
+CIRCUITS = {
+    "h": circuit(1, [("H", (0,))]),
+    "fig1": circuit(2, [("H", (0,)), ("CNOT", (0, 1)), ("X", (1,))]),
+    "chain3": circuit(3, [("ROT(0.3)", (0,)), ("CNOT", (0, 1)), ("SWAP", (1, 2)), ("H", (2,))]),
+}
+
+DEVICES = {
+    "honest": dv.honest_device,
+    "rotated": lambda c: dv.rotated_device(c, theta=0.4),
+    "depolarized": lambda c: dv.noisy_source_device(c, p=0.05),
+    "vandam": lambda c: dv.van_dam_device(),
+}
+
+CASES = [
+    (c, d) for c in ("fig1", "chain3") for d in ("honest", "rotated", "depolarized")
+] + [("h", "vandam")]
+
+
+@pytest.fixture(params=CASES, ids=[f"{d}-{c}" for c, d in CASES])
+def case(request):
+    name, dev = request.param
+    circ = CIRCUITS[name]
+    return DEVICES[dev](circ), circ
+
+
+@pytest.mark.parametrize("mode, seed", [("exact", 0), ("sampled", 5)])
+def test_evaluate_schedule(case, mode, seed):
+    device, circ = case
+    y = "1" + "0" * (circ.n - 1)  # one compensating NOT joins the steps
+    schedule = pr.build_schedule(circ, "0" * circ.n, y)
+    verdict = pr.evaluate_schedule(device, schedule, mode, seed)
+    reference = stats.reference_device(circ)
+    n = verdict.records[0].n_samples
+    assert (n == 0) == (mode == "exact")
+    for idx, rec in enumerate(verdict.records):
+        ops = rec.setting.ops
+        assert rec.ideal_p == per_record(reference, reference.source, ops)
+        p = per_record(device, device.source, ops)
+        assert rec.est_p == per_record_estimate(p, n, seed, idx)
+
+
+@pytest.mark.parametrize("mode, seed", [("exact", 0), ("sampled", 3)])
+def test_epr_test(case, mode, seed):
+    device, circ = case
+    for wire in range(device.n_wires):
+        verdict = pr.epr_test(device, wire, mode=mode, seed=seed)
+        n = verdict.records[0].n_samples
+        for idx, rec in enumerate(verdict.records):
+            p = per_record(device, device.source, rec.setting.branches)
+            assert rec.est_p == per_record_estimate(p, n, seed, idx)
+
+
+def test_side_readouts(case):
+    device, circ = case
+    n = circ.n
+    for side in ("A", "B"):
+        got = pr._measure_side_distribution(device, device.source, side, n)
+        assert list(got) == [format(c, f"0{n}b") for c in range(1 << n)]
+        for bits, p in got.items():
+            assert p == per_record(device, device.source, pr._readout(side, bits))
+
+
+def test_input_prep_check(case):
+    device, circ = case
+    verdict = pr.input_prep_check(device, circ)
+    outcomes = [format(c, f"0{circ.n}b") for c in range(1 << circ.n)]
+    kept = [b for b in outcomes if b not in verdict.skipped]
+    per_outcome = len(verdict.records) // len(kept)
+    for k, bits in enumerate(kept):
+        st = device.source
+        for op in pr._readout("B", bits):
+            st = hb.apply_operator(device.frame_operator(*op), st)
+        st = hb.normalized(st)
+        for rec in verdict.records[k * per_outcome:(k + 1) * per_outcome]:
+            assert rec.est_p == per_record(device, st, rec.setting.branches)
+
+
+@pytest.mark.parametrize(
+    "spec", ["builtin:honest", "builtin:rotated?theta=0.4",
+             "builtin:depolarized?p=0.05", "builtin:vandam"]
+)
+def test_tomo(spec, tmp_path):
+    out = tmp_path / "tomo.json"
+    cli.main(["tomo", "--device", spec, "--out", str(out)])
+    device = dv.resolve_device(spec)
+    probs = {
+        (a, b): per_record(device, device.source, (("A", 0, a), ("B", 0, b)))
+        for a in ex.TOMO_ANGLES
+        for b in ex.TOMO_ANGLES
+    }
+    rho = ex.tomo_reconstruct(probs, 2)
+    result = json.loads(out.read_text())["result"]
+    assert result["rho"] == dv.matrix_to_json(rho)
+
+
+def test_collapse_family():
+    device = dv.rotated_device(theta=0.4)
+    alpha, beta = 0.0, math.pi / 8
+    got = ex._collapse_family(device, 0, alpha, beta)
+    k = 0
+    for a in (alpha, alpha + math.pi / 2):
+        for b in (beta, beta + math.pi / 2):
+            st = device.source
+            for op in (("A", 0, a), ("B", 0, b)):
+                st = hb.apply_operator(device.frame_operator(*op), st)
+            assert np.array_equal(got[k].vec, st.vec)
+            k += 1
+
+
+def test_walk_applies_each_shared_prefix_once(monkeypatch):
+    # H circuit, y = x = "0": steps (g1,). Per device, conspiracy@0 has 36
+    # settings (A a)(B b) in a-major order: 6 * (2 + 5) = 42 applications;
+    # conspiracy@1 adds its prep (A g1)(B g1) once: 2 + 42; tomography@1
+    # keeps (A g1) from the list before and has 3 * (2 + 2) = 12. Device and
+    # reference: 2 * 98. One record at a time it took 2 * 165.
+    calls = []
+    real = hb.apply_operator
+
+    def counting(op, state):
+        calls.append(op)
+        return real(op, state)
+
+    circ = CIRCUITS["h"]
+    device = dv.honest_device(circ)
+    schedule = pr.build_schedule(circ, "0", "0")
+    stats.reference_device(circ)  # built outside the count
+    monkeypatch.setattr(hb, "apply_operator", counting)
+    pr.evaluate_schedule(device, schedule)
+    assert len(calls) == 2 * 98
