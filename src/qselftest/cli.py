@@ -12,10 +12,10 @@ is byte-identical between runs.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -154,19 +154,78 @@ def _setting_text(setting) -> str:
 
 
 def _verdict_rows(verdict: pr.Verdict):
+    # the setting column is as wide as its longest text, printed or not, so
+    # every row needs its text; settings repeat, so each is made once
+    texts: dict[tuple, str] = {}
     rows = []
     for label, rec in zip(verdict.labels, verdict.records):
-        rows.append(
-            (
-                label,
-                _setting_text(rec.setting),
-                rec.ideal_p,
-                rec.est_p,
-                rec.deviation,
-                rec.deviation <= verdict.eps,
-            )
-        )
+        text = texts.get(rec.setting.measured)
+        if text is None:
+            text = texts[rec.setting.measured] = _setting_text(rec.setting)
+        dev = rec.deviation
+        rows.append((label, text, rec.ideal_p, rec.est_p, dev, dev <= verdict.eps))
     return rows
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    A tuple is encoded once per indent level: all settings of an experiment
+    share one prep tuple, which the report repeats in every record. The memo
+    lives for one call, while obj keeps every tuple in it alive, so no id is
+    reused.
+    """
+    memo: dict[tuple[int, str], str] = {}
+
+    def enc(o, indent: str) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if math.isinf(o):
+                return "Infinity" if o > 0 else "-Infinity"
+            return float.__repr__(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, dict):
+            parts = [key(k) + ": " + enc(v, indent + "  ") for k, v in sorted(o.items())]
+            return block("{}", parts, indent)
+        if isinstance(o, tuple):
+            text = memo.get((id(o), indent))
+            if text is None:
+                parts = [enc(v, indent + "  ") for v in o]
+                text = memo[id(o), indent] = block("[]", parts, indent)
+            return text
+        if isinstance(o, list):
+            return block("[]", [enc(v, indent + "  ") for v in o], indent)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def key(k) -> str:
+        if isinstance(k, str):
+            return encode_basestring_ascii(k)
+        if k is None or isinstance(k, (int, float)):
+            return encode_basestring_ascii(enc(k, ""))
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+        )
+
+    def block(brackets: str, parts: list[str], indent: str) -> str:
+        if not parts:
+            return brackets
+        inner = "\n" + indent + "  "
+        # brackets go onto the end parts, so the body is copied only once
+        parts[0] = brackets[0] + inner + parts[0]
+        parts[-1] += "\n" + indent + brackets[1]
+        return ("," + inner).join(parts)
+
+    return enc(obj, "")
 
 
 def _emit(cfg: RunConfig, result: dict) -> None:
@@ -180,8 +239,10 @@ def _emit(cfg: RunConfig, result: dict) -> None:
         "config": config,
         "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2)
-    Path(cfg.out).write_text(text + "\n", encoding="utf-8")
+    text = _dumps(report)
+    with open(cfg.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")  # apart from text, which is not copied to append it
 
 
 def _seed(cfg: RunConfig) -> int:

@@ -12,6 +12,7 @@ norm) once, in the device or circuit constructor they enter through, with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -182,12 +183,28 @@ def apply_operator(op: LocalOperator, state: PhysState) -> PhysState:
             f"operator dim {op.dim} does not match target dims "
             f"{tuple(dims[t] for t in op.targets)}"
         )
-    k = len(op.targets)
-    t = np.moveaxis(state.vec.reshape(dims), op.targets, range(k))
+    perm, inv = _axis_order(op.targets, len(dims))
+    t = state.vec.reshape(dims).transpose(perm)
     shape = t.shape
     out = op.matrix @ t.reshape(op.dim, -1)
-    out = np.moveaxis(out.reshape(shape), range(k), op.targets)
+    out = out.reshape(shape).transpose(inv)
     return PhysState._wrap(state.layout, out.reshape(-1))
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_order(
+    targets: tuple[int, ...], ndim: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that brings targets to the front, and its inverse.
+
+    This is the transpose np.moveaxis(t, targets, range(k)) builds, so the
+    views and copies, and hence every float, are the same.
+    """
+    perm = targets + tuple(i for i in range(ndim) if i not in targets)
+    inv = [0] * ndim
+    for pos, axis in enumerate(perm):
+        inv[axis] = pos
+    return perm, tuple(inv)
 
 
 def angle_state(a: float) -> PhysState:

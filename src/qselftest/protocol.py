@@ -110,16 +110,20 @@ class Verdict:
                 "verdict inconsistent: accepted flag disagrees with deviations"
             )
 
-    def to_json(self, include_records: bool = True) -> dict:
+    def to_json(self) -> dict:
+        records = [r.to_json() for r in self.records]
+        # a failing record's entry is the very dict of its records entry
+        shared = {id(r): js for r, js in zip(self.records, records)}
         out = {
             "accepted": self.accepted,
             "max_deviation": self.max_deviation,
             "eps": self.eps,
             "n_records": len(self.records),
-            "failing_records": [r.to_json() for r in self.failing_records],
+            "failing_records": [
+                shared.get(id(r)) or r.to_json() for r in self.failing_records
+            ],
+            "records": records,
         }
-        if include_records:
-            out["records"] = [r.to_json() for r in self.records]
         if self.computation_outcome_histogram is not None:
             out["computation_outcome_histogram"] = dict(
                 sorted(self.computation_outcome_histogram.items())

@@ -38,6 +38,15 @@ __all__ = [
 ]
 
 
+def _is_prep(prep) -> bool:
+    """Whether prep is already a tuple of (str, str) tuples, so a Setting can
+    keep it as given and every setting of an experiment shares one object."""
+    return type(prep) is tuple and all(
+        type(e) is tuple and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
+        for e in prep
+    )
+
+
 @dataclass(frozen=True)
 class Setting:
     """One statistic: prep gates (side, label) in order, then measured branches.
@@ -50,7 +59,9 @@ class Setting:
     measured: tuple[tuple[str, int, float, int], ...] = ()
 
     def __post_init__(self):
-        prep = tuple((str(s), str(l)) for s, l in self.prep)
+        prep = self.prep
+        if not _is_prep(prep):
+            prep = tuple((str(s), str(l)) for s, l in prep)
         meas = []
         seen = set()
         for side, wire, angle, flip in self.measured:
@@ -93,7 +104,7 @@ class Setting:
 
     def to_json(self) -> dict:
         return {
-            "prep": [[s, l] for s, l in self.prep],
+            "prep": self.prep,
             "measured": [
                 {"side": s, "wire": w, "angle": a, "flip": f}
                 for s, w, a, f in self.measured

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qselftest
 import numpy as np
@@ -410,3 +412,97 @@ class TestReports:
         report = json.loads(out.read_text())
         assert report["result"]["y"] == "1"
         assert report["config"]["force_y"] == "1"
+
+
+def oracle(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda i: i * (-1) ** (i % 2))
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text()
+    | st.text(alphabet='"\\\x00\x01\x1f\x7f\u00e9\u2028\U0001f600 ab')
+)
+_keys = st.text(alphabet='"\\\x00\n\u00e9\U0001f600 abz', max_size=4)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@st.composite
+def _shared_tuples(draw):
+    # one tuple at two depths, and again inside a list, the way a prep
+    # tuple recurs in every record of an experiment
+    t = draw(st.lists(_values, max_size=3).map(tuple))
+    rest = draw(_values)
+    return {"a": t, "b": [t, {"c": t, "d": rest}], "e": (t, t)}
+
+
+class TestReportEncoder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_values | _shared_tuples())
+    @example({"z": -0.0, "n": float("nan"), "p": float("inf"), "m": float("-inf")})
+    @example([2**70, -(2**70), True, False, None, 1, 0])
+    @example({"\u00e9\"\\\x00\x1f": "caf\u00e9 \"q\" \\ \t\x01\U0001f600"})
+    @example(({}, [], (), {"": []}))
+    @example(np.float64(0.1))
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == oracle(value)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=2),
+            _scalars,
+            max_size=4,
+        )
+    )
+    def test_non_string_keys_match_json_dumps(self, value):
+        # keys of unlike types cannot be sorted: both must then raise
+        def outcome(encode):
+            try:
+                return encode(value)
+            except TypeError:
+                return TypeError
+
+        assert outcome(cli._dumps) == outcome(oracle)
+
+    @pytest.mark.parametrize(
+        "value", [object(), {1, 2}, np.int64(3), [np.bool_(True)], {(1, 2): 3}, b"x"]
+    )
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            oracle(value)
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+
+
+class TestTable:
+    def test_verdict_rows_match_per_record_text(self):
+        # five steps on two wires give more rows than the table prints
+        gates = ("H", "CNOT", "X", "CNOT", "H")
+        circ = dv.IdealCircuit(
+            2,
+            tuple(
+                dv.CircuitGate(f"g{i}", (0, 1) if g == "CNOT" else (i % 2,),
+                               dv.builtin_gate(g))
+                for i, g in enumerate(gates, start=1)
+            ),
+            "00",
+        )
+        v = qselftest.protocol.circuit_test(dv.honest_device(circ), circ, "00")
+        assert len(v.records) > cli._MAX_TABLE_ROWS
+        assert cli._verdict_rows(v) == [
+            (label, cli._setting_text(r.setting), r.ideal_p, r.est_p, r.deviation,
+             r.deviation <= v.eps)
+            for label, r in zip(v.labels, v.records)
+        ]

@@ -108,6 +108,44 @@ class TestTensorAndApply:
             np.testing.assert_allclose(got.vec, want, atol=1e-10)
         assert drew_dim_one and drew_all_targets
 
+    def test_apply_bitwise_equals_moveaxis_form(self):
+        # the kernel before the cached transpose: the same views, copies and
+        # matmul, so every output bit, sign of zero included, must agree
+        def moveaxis_apply(op, state):
+            k = len(op.targets)
+            t = np.moveaxis(state.vec.reshape(state.layout.dims), op.targets, range(k))
+            shape = t.shape
+            out = op.matrix @ t.reshape(op.dim, -1)
+            return np.moveaxis(out.reshape(shape), range(k), op.targets).reshape(-1)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint8)
+
+        rng = np.random.default_rng(2005)
+        drew_dim_one = drew_all_targets = drew_zero = False
+        for _ in range(300):
+            nsub = int(rng.integers(1, 7))
+            dims = tuple(int(d) for d in rng.integers(1, 4, nsub))
+            k = int(rng.integers(1, nsub + 1))
+            targets = tuple(int(t) for t in rng.choice(nsub, size=k, replace=False))
+            drew_dim_one |= 1 in dims
+            drew_all_targets |= k == nsub > 1 and targets != tuple(range(nsub))
+            d = int(np.prod([dims[t] for t in targets]))
+            total = int(np.prod(dims))
+            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            vec = rng.normal(size=total) + 1j * rng.normal(size=total)
+            # zero and negative-zero entries, where a changed order of
+            # operations would show as a flipped sign bit
+            mat[rng.random((d, d)) < 0.3] = -0.0
+            vec[rng.random(total) < 0.3] = 0.0
+            op = hb.LocalOperator.general(targets, mat)
+            state = hb.PhysState(hb.SubsystemDims(dims), vec)
+            want = moveaxis_apply(op, state)
+            drew_zero |= bool(np.any(want == 0))
+            got = hb.apply_operator(op, state)
+            assert np.array_equal(bits(got.vec), bits(want)), (dims, targets)
+        assert drew_dim_one and drew_all_targets and drew_zero
+
     def test_embed_rejects_bad_targets(self):
         op = hb.LocalOperator.general((5,), np.eye(2))
         with pytest.raises(DimensionError):

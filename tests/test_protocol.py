@@ -144,6 +144,21 @@ class TestBuildSchedule:
         assert tomo.kind == "tomography"
         assert tomo.settings[0].prep == (("A", "g1"),)
 
+    def test_settings_of_an_experiment_share_one_prep(self):
+        # one prep object per experiment, kept by every Setting and handed
+        # to the report as is, so its JSON is encoded once per experiment
+        sch = pr.build_schedule(bell_circuit(), "00", "10")
+        for exp in sch.experiments:
+            prep = exp.settings[0].prep
+            assert all(s.prep is prep for s in exp.settings)
+            assert exp.settings[0].to_json()["prep"] is prep
+        assert max(len(exp.settings[0].prep) for exp in sch.experiments) == 6
+
+    def test_setting_normalizes_other_preps(self):
+        s = stx.Setting(prep=[["A", "g1"], ("B", "g1")])
+        assert s.prep == (("A", "g1"), ("B", "g1"))
+        assert all(type(e) is tuple for e in s.prep)
+
 
 class TestCircuitTest:
     def test_honest_bell_prep(self):
@@ -206,6 +221,16 @@ class TestCircuitTest:
         # both conspiracy-after-gate and tomography experiments contribute failures
         assert any(r.setting.prep == (("A", "g1"),) for r in v.failing_records)
         assert any(len(r.setting.prep) == 2 for r in v.failing_records)
+
+    def test_failing_records_are_the_records_entries(self):
+        v = pr.circuit_test(
+            dv.van_dam_device(), h_circuit(), "0", eps=0.05, mode="exact", force_y="0"
+        )
+        js = v.to_json()
+        assert len(js["failing_records"]) == len(v.failing_records) == 46
+        positions = {id(r): i for i, r in enumerate(v.records)}
+        for rec, entry in zip(v.failing_records, js["failing_records"]):
+            assert entry is js["records"][positions[id(rec)]]
 
     def test_force_y_validation(self):
         dev = dv.honest_device()
