@@ -18,6 +18,7 @@ from qselftest import __version__
 from qselftest import cli
 from qselftest import devices as dv
 from qselftest import hilbert as hb
+from qselftest import protocol as pr
 
 
 @pytest.fixture()
@@ -499,7 +500,7 @@ class TestTable:
             ),
             "00",
         )
-        v = qselftest.protocol.circuit_test(dv.honest_device(circ), circ, "00")
+        v = pr.circuit_test(dv.honest_device(circ), circ, "00")
         assert len(v.records) > cli._MAX_TABLE_ROWS
         assert cli._verdict_rows(v) == [
             (label, cli._setting_text(r.setting), r.ideal_p, r.est_p, r.deviation,
