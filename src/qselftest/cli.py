@@ -154,16 +154,18 @@ def _setting_text(setting) -> str:
 
 
 def _verdict_rows(verdict: pr.Verdict):
-    # the setting column is as wide as its longest text, printed or not, so
-    # every row needs its text; settings repeat, so each is made once
-    texts: dict[tuple, str] = {}
     rows = []
     for label, rec in zip(verdict.labels, verdict.records):
-        text = texts.get(rec.setting.measured)
-        if text is None:
-            text = texts[rec.setting.measured] = _setting_text(rec.setting)
-        dev = rec.deviation
-        rows.append((label, text, rec.ideal_p, rec.est_p, dev, dev <= verdict.eps))
+        rows.append(
+            (
+                label,
+                _setting_text(rec.setting),
+                rec.ideal_p,
+                rec.est_p,
+                rec.deviation,
+                rec.deviation <= verdict.eps,
+            )
+        )
     return rows
 
 

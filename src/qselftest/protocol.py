@@ -119,9 +119,7 @@ class Verdict:
             "max_deviation": self.max_deviation,
             "eps": self.eps,
             "n_records": len(self.records),
-            "failing_records": [
-                shared.get(id(r)) or r.to_json() for r in self.failing_records
-            ],
+            "failing_records": [shared[id(r)] for r in self.failing_records],
             "records": records,
         }
         if self.computation_outcome_histogram is not None:

@@ -103,6 +103,13 @@ class Setting:
         return Setting(self.prep, meas)
 
     def to_json(self) -> dict:
+        """The setting as report JSON.
+
+        "prep" is the setting's own tuple of tuples, not a list copy, so that
+        the report encoder writes a prep shared by an experiment's settings
+        once. The bytes are those of a list; the dict equals a loaded report
+        only after a json round trip, which turns the tuples into lists.
+        """
         return {
             "prep": self.prep,
             "measured": [

@@ -18,7 +18,6 @@ from qselftest import __version__
 from qselftest import cli
 from qselftest import devices as dv
 from qselftest import hilbert as hb
-from qselftest import protocol as pr
 
 
 @pytest.fixture()
@@ -486,24 +485,3 @@ class TestReportEncoder:
         with pytest.raises(TypeError):
             cli._dumps(value)
 
-
-class TestTable:
-    def test_verdict_rows_match_per_record_text(self):
-        # five steps on two wires give more rows than the table prints
-        gates = ("H", "CNOT", "X", "CNOT", "H")
-        circ = dv.IdealCircuit(
-            2,
-            tuple(
-                dv.CircuitGate(f"g{i}", (0, 1) if g == "CNOT" else (i % 2,),
-                               dv.builtin_gate(g))
-                for i, g in enumerate(gates, start=1)
-            ),
-            "00",
-        )
-        v = pr.circuit_test(dv.honest_device(circ), circ, "00")
-        assert len(v.records) > cli._MAX_TABLE_ROWS
-        assert cli._verdict_rows(v) == [
-            (label, cli._setting_text(r.setting), r.ideal_p, r.est_p, r.deviation,
-             r.deviation <= v.eps)
-            for label, r in zip(v.labels, v.records)
-        ]
