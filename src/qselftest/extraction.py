@@ -1,7 +1,7 @@
 """Constructive extraction: swap unitaries, equivalence residuals, tomography.
 
-From nothing but the device's own projectors this module builds the NOT
-gate, the ancilla-swap unitaries that pull the hidden qubit into a fresh
+From nothing but the device's own projectors this module builds the
+ancilla-swap unitaries that pull the hidden qubit into a fresh
 logical slot, and residual distances measuring how far the device is from
 an honest implementation on the tested subspace. Pauli reconstruction from
 three measurement angles and a commutant factorization round out the
@@ -49,11 +49,9 @@ _PAULI_WEIGHTS = {
 __all__ = [
     "EquivalenceReport",
     "TOMO_ANGLES",
-    "build_not",
     "build_swap_extraction",
     "certify_gate_equivalence",
     "certify_state_equivalence",
-    "check_basis_geometry",
     "check_collapse_symmetry",
     "commutant_factor",
     "polar_unitary",
@@ -67,13 +65,6 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     """Closest unitary in Frobenius norm; singular directions completed by SVD."""
     u, _, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
     return u @ vh
-
-
-def build_not(device: DeviceModel, side: str, wire: int) -> LocalOperator:
-    """N = 2 P^{pi/4} - Id on the wire: the device's own NOT, unitary for free."""
-    p = device.frames[(side, wire)].projector(math.pi / 4)
-    n = 2.0 * p - np.eye(p.shape[0])
-    return LocalOperator.unitary((device.layout.side_index(side, wire),), n)
 
 
 def swap_factors(device: DeviceModel, side: str, wire: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,37 +170,29 @@ def _extended_zero(source: PhysState, k: int) -> PhysState:
 
 
 def _swap_ops(
-    device: DeviceModel, wires: tuple[int, ...]
+    device: DeviceModel, wires: tuple[int, ...], slots: Sequence[int]
 ) -> tuple[tuple[LocalOperator, ...], tuple[LocalOperator, ...], tuple[LocalOperator, ...]]:
-    """Per-wire swap unitaries re-targeted into the extended layout.
+    """Per-wire swap unitaries re-targeted into an extended layout.
 
     Returns (bare A ops, bare B ops, all ops with extended-layout targets);
-    extended slots: [A_c per wire, B_c per wire, device...].
+    extended slots: [A_c per wire, B_c per wire, register...], where
+    slots[i] and slots[k + i] are wire i's A and B subsystems in the register.
     """
     k = len(wires)
-    lay = device.layout
     bare_a, bare_b, placed = [], [], []
     for i, w in enumerate(wires):
         ua = build_swap_extraction(device, "A", w)
         ub = build_swap_extraction(device, "B", w)
         bare_a.append(ua)
         bare_b.append(ub)
-        placed.append(LocalOperator.unitary((i, 2 * k + lay.a_index(w)), ua.matrix))
-        placed.append(LocalOperator.unitary((k + i, 2 * k + lay.b_index(w)), ub.matrix))
+        placed.append(LocalOperator.unitary((i, 2 * k + slots[i]), ua.matrix))
+        placed.append(LocalOperator.unitary((k + i, 2 * k + slots[k + i]), ub.matrix))
     return tuple(bare_a), tuple(bare_b), tuple(placed)
 
 
 def _apply_all(ops: Sequence[LocalOperator], st: PhysState) -> PhysState:
     for op in ops:
         st = hb.apply_operator(op, st)
-    return st
-
-
-def _apply_all_adjoint(ops: Sequence[LocalOperator], st: PhysState) -> PhysState:
-    for op in reversed(ops):
-        st = hb.apply_operator(
-            LocalOperator(op.targets, op.matrix.conj().T, "unitary"), st
-        )
     return st
 
 
@@ -242,7 +225,8 @@ def certify_state_equivalence(
     gens = _span_generators(device, source, wires)
     s_basis = hb.orthonormalize(gens)
 
-    bare_a, bare_b, placed = _swap_ops(device, wires)
+    sides = [lay.a_index(w) for w in wires] + [lay.b_index(w) for w in wires]
+    bare_a, bare_b, placed = _swap_ops(device, wires, sides)
     v = _apply_all(placed, _extended_zero(source, k))
 
     d_log = 1 << k
@@ -287,6 +271,12 @@ def certify_gate_equivalence(
     from block-averaging the conjugated device gate and snapping to the
     nearest unitary. The gate residual is the restricted distance between
     the device gate and the pulled-back ideal action.
+
+    The swaps, the ideal gate T and W touch only the 2k logical qubits and
+    the support: the gate's A and B wire subsystems (plus any other one the
+    device's gate acts on). So X = U|0>, Z = T^dag U|0> G and the pulled-back
+    action <0|U^dag W T U|0> are built once, as matrices on the support, and
+    S enters through its reduced state rho_S there and its stacked basis.
     """
     if not 1 <= j <= circuit.t:
         raise ValidationError(f"gate index {j} outside 1..{circuit.t}")
@@ -295,49 +285,46 @@ def certify_gate_equivalence(
     k = len(wires)
     lay = device.layout
 
-    st = device.source
-    for g in circuit.gates[: j - 1]:
-        st = hb.apply_operator(device.gate_operator("A", g.label), st)
-        st = hb.apply_operator(device.gate_operator("B", g.label), st)
-    base = certify_state_equivalence(device, st, wires)
+    prep = [(side, g.label) for g in circuit.gates[: j - 1] for side in ("A", "B")]
+    base = certify_state_equivalence(device, stx.prepare(device, prep), wires)
+    stacked = base.s_basis.stacked
 
-    _, _, placed = _swap_ops(device, wires)
-    t_log = LocalOperator.unitary(tuple(range(k)), gate.matrix)
-    t_log_dag = LocalOperator.unitary(tuple(range(k)), gate.matrix.conj().T)
     gate_op = device.gate_operator("A", gate.label)
+    sides = [lay.a_index(w) for w in wires] + [lay.b_index(w) for w in wires]
+    support = tuple(sides) + tuple(t for t in gate_op.targets if t not in sides)
+    dims = tuple(stacked.layout.dims[t] for t in support)
+    d_sup = math.prod(dims)
     d_log = 1 << k
+    # every basis state of the support at once, its index in a last subsystem
+    eye = PhysState._wrap(
+        SubsystemDims(dims + (d_sup,)), np.eye(d_sup, dtype=np.complex128).reshape(-1)
+    )
+    g_sup = LocalOperator.unitary([support.index(t) for t in gate_op.targets], gate_op.matrix)
+    t_log = LocalOperator.unitary(range(k), gate.matrix)
+    t_log_dag = LocalOperator.unitary(range(k), gate.matrix.conj().T)
 
-    xs, zs = [], []
-    for s in base.s_basis.states:
-        ext = _extended_zero(s, k)
-        xs.append(_apply_all(placed, ext).vec.reshape(d_log, d_log, -1))
-        moved = hb.apply_operator(gate_op, s)
-        z = _apply_all(placed, _extended_zero(moved, k))
-        zs.append(hb.apply_operator(t_log_dag, z).vec.reshape(d_log, d_log, -1))
+    _, _, placed = _swap_ops(device, wires, range(2 * k))
+    x = _apply_all(placed, _extended_zero(eye, k))
+    z = _apply_all(placed, _extended_zero(hb.apply_operator(g_sup, eye), k))
+    z = hb.apply_operator(t_log_dag, z)
+    xm = x.vec.reshape(-1, d_sup)
+    zm = z.vec.reshape(-1, d_sup)
 
-    w_prime = np.zeros((d_log, d_log), dtype=np.complex128)
-    for xk, zk in zip(xs, zs):
-        w_prime += np.einsum("ipd,iqd->pq", zk, xk.conj())
+    # w'_pq = sum over S of <x_s| E_pq |z_s> = tr(X^dag E_pq Z rho_S)
+    rho = hb.partial_trace(stacked, support)
+    zr = (zm @ rho).reshape(d_log, d_log, -1)
+    w_prime = np.einsum("ipa,iqa->pq", zr, xm.conj().reshape(d_log, d_log, -1))
     w = polar_unitary(w_prime)
 
-    w_log = LocalOperator.unitary(tuple(range(k, 2 * k)), w)
-    fact = 0.0
-    for xk, zk in zip(xs, zs):
-        flat = xk.reshape(-1)
-        dims = SubsystemDims((d_log, d_log, xk.shape[2]))
-        wx = hb.apply_operator(
-            LocalOperator.unitary((1,), w), PhysState._wrap(dims, flat)
-        )
-        fact = max(fact, float(np.linalg.norm(zk.reshape(-1) - wx.vec)))
+    wx = hb.apply_operator(LocalOperator.unitary(range(k, 2 * k), w), x)
+    # the fit max_s ||K s||, K = Z - W X: K = QR, so ||K s|| = ||R s|| with
+    # no digits lost to the square root of <s|K^dag K|s>
+    r = np.linalg.qr(zm - wx.vec.reshape(-1, d_sup), mode="r")
+    ks = hb.apply_operator(LocalOperator(support, r), stacked).vec
+    fact = float(np.linalg.norm(ks.reshape(-1, base.s_rank), axis=0).max())
 
-    def composite(x: PhysState) -> PhysState:
-        ext = _extended_zero(x, k)
-        ext = _apply_all(placed, ext)
-        ext = hb.apply_operator(t_log, ext)
-        ext = hb.apply_operator(w_log, ext)
-        ext = _apply_all_adjoint(placed, ext)
-        return PhysState._wrap(x.layout, ext.vec[: x.layout.total])
-
+    twx = hb.apply_operator(t_log, wx).vec.reshape(-1, d_sup)
+    composite = LocalOperator(support, xm.conj().T @ twx)
     gate_residual = float(hb.op_norm_on(base.s_basis, gate_op, composite))
     return replace(
         base,
@@ -503,106 +490,3 @@ def check_collapse_symmetry(device: DeviceModel, wire: int = 0) -> dict:
         }
         worst = max(worst, side)
     return {"max_side_diff": float(worst), "per_angle": per_angle}
-
-
-@dataclass(frozen=True)
-class BasisGeometryReport:
-    """Lengths and angles of the four collapse vectors, plus a change matrix."""
-
-    lengths: tuple[float, ...]
-    ideal_lengths: tuple[float, ...]
-    max_cross_overlap: float
-    change_matrix: np.ndarray | None = None
-    ideal_change_matrix: np.ndarray | None = None
-    max_change_error: float | None = None
-
-    @property
-    def max_length_error(self) -> float:
-        return max(abs(a - b) for a, b in zip(self.lengths, self.ideal_lengths))
-
-
-def _collapse_family(
-    device: DeviceModel, wire: int, alpha: float, beta: float
-) -> list[PhysState]:
-    branches = (
-        (("A", wire, a), ("B", wire, b))
-        for a in (alpha, alpha + math.pi / 2)
-        for b in (beta, beta + math.pi / 2)
-    )
-    return list(stx.walk(device, device.source, branches))
-
-
-def _ideal_lengths(alpha: float, beta: float) -> tuple[float, ...]:
-    out = []
-    for a in (alpha, alpha + math.pi / 2):
-        for b in (beta, beta + math.pi / 2):
-            out.append(abs(math.cos(a - b)) / math.sqrt(2))
-    return tuple(out)
-
-
-def check_basis_geometry(
-    device: DeviceModel,
-    wire: int = 0,
-    alpha: float = 0.0,
-    beta: float = math.pi / 8,
-    alpha2: float | None = None,
-    beta2: float | None = None,
-) -> BasisGeometryReport:
-    """Orthogonality and lengths of the four (a, b)-collapse vectors.
-
-    With a second angle pair the report also compares the basis-change
-    matrix between the two families against the ideal one.
-    """
-    if abs(alpha - beta) < 1e-12:
-        raise ValidationError("basis geometry needs two distinct base angles")
-    fam = _collapse_family(device, wire, alpha, beta)
-    lengths = tuple(float(hb.norm(v)) for v in fam)
-    if min(lengths) <= 1e-12:
-        raise ValidationError("zero-length collapse vector, geometry undefined")
-    unit = [v.vec / n for v, n in zip(fam, lengths)]
-    cross = 0.0
-    for i in range(4):
-        for jj in range(i + 1, 4):
-            cross = max(cross, abs(np.vdot(unit[i], unit[jj])))
-
-    change = ideal_change = None
-    max_err = None
-    if alpha2 is not None and beta2 is not None:
-        fam2 = _collapse_family(device, wire, alpha2, beta2)
-        lengths2 = [float(hb.norm(v)) for v in fam2]
-        if min(lengths2) <= 1e-12:
-            raise ValidationError("zero-length collapse vector, geometry undefined")
-        unit2 = [v.vec / n for v, n in zip(fam2, lengths2)]
-        change = np.array([[np.vdot(u2, u1) for u1 in unit] for u2 in unit2])
-        ideal_change = _ideal_change(alpha, beta, alpha2, beta2)
-        max_err = float(np.abs(change - ideal_change).max())
-    return BasisGeometryReport(
-        lengths,
-        _ideal_lengths(alpha, beta),
-        float(cross),
-        change,
-        ideal_change,
-        max_err,
-    )
-
-
-def _ideal_change(alpha: float, beta: float, alpha2: float, beta2: float) -> np.ndarray:
-    phi = hb.bell_state(1)
-    lay = phi.layout
-
-    def family(al, be):
-        out = []
-        for a in (al, al + math.pi / 2):
-            for b in (be, be + math.pi / 2):
-                st = hb.apply_operator(
-                    LocalOperator((0,), hb.projector_angle(a).matrix, "projector"), phi
-                )
-                st = hb.apply_operator(
-                    LocalOperator((1,), hb.projector_angle(b).matrix, "projector"), st
-                )
-                out.append(st.vec / hb.norm(st))
-        return out
-
-    f1 = family(alpha, beta)
-    f2 = family(alpha2, beta2)
-    return np.array([[np.vdot(u2, u1) for u1 in f1] for u2 in f2])

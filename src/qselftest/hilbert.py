@@ -320,15 +320,22 @@ class SubspaceBasis:
         return self.matrix.shape[0]
 
     @property
-    def states(self) -> tuple[PhysState, ...]:
-        return tuple(PhysState(self.layout, row) for row in self.matrix)
+    def stacked(self) -> PhysState:
+        """The basis as one state whose extra last subsystem (dim rank) indexes
+        the basis vectors, so an operator on the layout acts on all of them."""
+        # not capped: these are the basis matrix's own amplitudes
+        layout = object.__new__(SubsystemDims)
+        object.__setattr__(layout, "dims", self.layout.dims + (self.rank,))
+        return PhysState._wrap(layout, np.ascontiguousarray(self.matrix.T).reshape(-1))
 
 
 def orthonormalize(
     states: Sequence[PhysState], rank_tol: float = RANK_TOL
 ) -> SubspaceBasis:
-    """Modified Gram-Schmidt with deflation; drops residuals below rank_tol.
+    """Gram-Schmidt with deflation; drops residuals below rank_tol.
 
+    Each generator is projected against all accepted rows at once, twice
+    (classical Gram-Schmidt with one re-orthogonalization, CGS2).
     Idempotent on already-orthonormal inputs. The singular values of the
     generator stack ride along for rank diagnostics.
     """
@@ -337,19 +344,18 @@ def orthonormalize(
     layout = states[0].layout
     if any(s.layout != layout for s in states):
         raise DimensionError("orthonormalize() layouts differ")
-    stack = np.stack([s.vec for s in states])
+    stack = np.array([s.vec for s in states], dtype=np.complex128)
     sv = np.linalg.svd(stack, compute_uv=False)
-    rows: list[np.ndarray] = []
-    for v in stack:
-        w = v.astype(np.complex128, copy=True)
-        for _ in range(2):  # re-orthogonalize once for stability
-            for q in rows:
-                w -= q * np.vdot(q, w)
+    r = 0  # accepted rows overwrite stack[:r], whose generators are used up
+    for w in stack:
+        for _ in range(2):
+            q = stack[:r]
+            w -= (q @ w.conj()).conj() @ q
         nw = np.linalg.norm(w)
         if nw >= rank_tol:
-            rows.append(w / nw)
-    mat = np.stack(rows) if rows else np.zeros((0, layout.total), dtype=np.complex128)
-    return SubspaceBasis(layout, mat, sv)
+            stack[r] = w / nw
+            r += 1
+    return SubspaceBasis(layout, stack[:r].copy(), sv)
 
 
 def project_onto(basis: SubspaceBasis, x: PhysState) -> PhysState:
@@ -372,12 +378,15 @@ def op_norm_on(basis: SubspaceBasis, m: OperatorLike, n: OperatorLike = None) ->
     """Largest singular value of (M - N) restricted to the subspace.
 
     m and n may be LocalOperators, callables on PhysState, or None (identity).
+    Each is applied once, to `basis.stacked`: a callable receives the whole
+    basis as one state and must act as C (x) I on it, C on the layout's
+    subsystems and the identity on the last one, which indexes the vectors.
     """
-    fm, fn = _as_map(m), _as_map(n)
     if basis.rank == 0:
         return 0.0
-    cols = [fm(s).vec - fn(s).vec for s in basis.states]
-    return float(np.linalg.svd(np.stack(cols), compute_uv=False)[0])
+    s = basis.stacked
+    diff = _as_map(m)(s).vec - _as_map(n)(s).vec
+    return float(np.linalg.svd(diff.reshape(-1, basis.rank), compute_uv=False)[0])
 
 
 def partial_trace(x, keep: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray:

@@ -268,7 +268,7 @@ class TestSubspaces:
 
     def test_orthonormalize_idempotent(self):
         basis = hb.orthonormalize(self.gens)
-        again = hb.orthonormalize(list(basis.states))
+        again = hb.orthonormalize([hb.PhysState(basis.layout, row) for row in basis.matrix])
         np.testing.assert_allclose(again.matrix, basis.matrix, atol=1e-12)
 
     def test_orthonormal_rows(self):
@@ -296,9 +296,81 @@ class TestSubspaces:
         want = np.linalg.svd((ma - mb) @ basis.matrix.T, compute_uv=False)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_stacked_may_pass_the_layout_cap(self):
+        # dim * rank above DIM_CAP: the stacked state only holds the basis
+        # matrix's own amplitudes, so it is not refused
+        layout = hb.SubsystemDims((2,) * 16)
+        rank = hb.DIM_CAP // layout.total + 1
+        basis = hb.SubspaceBasis(layout, np.eye(rank, layout.total), np.ones(rank))
+        twice = hb.LocalOperator.general((3,), 2 * np.eye(2))
+        assert hb.op_norm_on(basis, twice) == pytest.approx(1.0, abs=1e-12)
+
     def test_op_norm_identity_default(self):
         basis = hb.orthonormalize(self.gens)
         assert hb.op_norm_on(basis, None, None) == 0.0
+
+
+def mgs_reference(vecs, rank_tol=hb.RANK_TOL):
+    """Modified Gram-Schmidt, one accepted row at a time, run twice per generator."""
+    rows = []
+    for v in vecs:
+        w = np.array(v, dtype=np.complex128)
+        for _ in range(2):
+            for q in rows:
+                w -= q * np.vdot(q, w)
+        nw = np.linalg.norm(w)
+        if nw >= rank_tol:
+            rows.append(w / nw)
+    return np.array(rows)
+
+
+def random_vecs(rng, n, dim):
+    return rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+
+
+def generator_sets():
+    rng = np.random.default_rng(17)
+    sets = {
+        "random": random_vecs(rng, 12, 16),
+        "overcomplete": random_vecs(rng, 20, 16),
+        "rank-deficient": rng.normal(size=(10, 4)) @ random_vecs(rng, 4, 16),
+    }
+    # the last generator leaves a residual of 2 and of 0.5 rank_tol; it is
+    # itself that small, so roundoff does not turn its residual's direction
+    base = np.linalg.qr(random_vecs(rng, 16, 4))[0].T
+    for f in (2.0, 0.5):
+        extra = f * hb.RANK_TOL * (base[:3].sum(axis=0) + base[3])
+        sets[f"near-tol x{f}"] = np.vstack([base[:3], extra])
+    return sets
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("name", list(generator_sets()))
+    def test_matches_modified_gram_schmidt(self, name):
+        vecs = generator_sets()[name]
+        layout = hb.SubsystemDims((16,))
+        got = hb.orthonormalize([hb.PhysState(layout, v) for v in vecs])
+        want = mgs_reference(vecs)
+        assert got.rank == len(want)
+        proj = got.matrix.T @ got.matrix.conj()
+        np.testing.assert_allclose(proj, want.T @ want.conj(), atol=1e-12)
+
+    def test_near_tol_residuals_split(self):
+        sets = generator_sets()
+        assert [len(mgs_reference(sets[k])) for k in ("near-tol x2.0", "near-tol x0.5")] == [4, 3]
+
+    def test_op_norm_on_stacked_matches_per_vector(self):
+        rng = np.random.default_rng(23)
+        layout = hb.SubsystemDims((2, 3, 2))
+        basis = hb.orthonormalize(
+            [hb.PhysState(layout, v) for v in random_vecs(rng, 5, layout.total)]
+        )
+        m = hb.LocalOperator.general((2, 0), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        n = hb.LocalOperator.general((1,), rng.normal(size=(3, 3)))
+        rows = [hb.PhysState(layout, row) for row in basis.matrix]
+        cols = [hb.apply_operator(m, x).vec - hb.apply_operator(n, x).vec for x in rows]
+        want = np.linalg.svd(np.stack(cols), compute_uv=False)[0]
+        assert hb.op_norm_on(basis, m, n) == pytest.approx(want, abs=1e-12)
 
 
 class TestPartialTrace:

@@ -6,7 +6,6 @@ applying its op list alone to the source, one operator at a time.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -138,20 +137,6 @@ def test_tomo(spec, tmp_path):
     rho = ex.tomo_reconstruct(probs, 2)
     result = json.loads(out.read_text())["result"]
     assert result["rho"] == dv.matrix_to_json(rho)
-
-
-def test_collapse_family():
-    device = dv.rotated_device(theta=0.4)
-    alpha, beta = 0.0, math.pi / 8
-    got = ex._collapse_family(device, 0, alpha, beta)
-    k = 0
-    for a in (alpha, alpha + math.pi / 2):
-        for b in (beta, beta + math.pi / 2):
-            st = device.source
-            for op in (("A", 0, a), ("B", 0, b)):
-                st = hb.apply_operator(device.frame_operator(*op), st)
-            assert np.array_equal(got[k].vec, st.vec)
-            k += 1
 
 
 def test_walk_applies_each_shared_prefix_once(monkeypatch):
