@@ -268,8 +268,6 @@ def _run_epr_test(cfg: RunConfig) -> int:
 def _run_circuit_test(cfg: RunConfig) -> int:
     circuit = _load_circuit_arg(cfg)
     device = dv.resolve_device(cfg.device, circuit)
-    if cfg.x is None:
-        raise ConfigError("--x is required for circuit-test")
     verdict = pr.circuit_test(
         device,
         circuit,

@@ -55,7 +55,6 @@ __all__ = [
     "load_circuit",
     "load_device",
     "noisy_source_device",
-    "replace_source",
     "resolve_device",
     "rotated_device",
     "rotation",
@@ -318,7 +317,8 @@ def _wire_count(n) -> int:
 class IdealCircuit:
     """Reference computation: n wires, ordered real orthogonal gates, input bits.
 
-    Instances compare by identity so they can key caches of derived models.
+    Instances compare by identity: the gates hold arrays, which a field-wise
+    == cannot compare.
     """
 
     n: int
@@ -499,13 +499,19 @@ def _assemble_source(layout: RegisterLayout, per_wire: Sequence[np.ndarray]) -> 
     return hb.permute_subsystems(inter, perm)
 
 
+def _qubit_frame(side: str, wire: int) -> MeasurementFrame:
+    """The ideal qubit frame: the angle projectors themselves."""
+    return MeasurementFrame(
+        side, wire, {a: hb.projector_angle(a).matrix for a in BASE_ANGLES}
+    )
+
+
 def _qubit_frames(layout: RegisterLayout) -> dict[tuple[str, int], MeasurementFrame]:
-    base = {a: hb.projector_angle(a).matrix for a in BASE_ANGLES}
-    out = {}
-    for side in ("A", "B"):
-        for w in range(layout.n_wires):
-            out[(side, w)] = MeasurementFrame(side, w, dict(base))
-    return out
+    return {
+        (side, w): _qubit_frame(side, w)
+        for side in ("A", "B")
+        for w in range(layout.n_wires)
+    }
 
 
 def _epr_wire(a_dim: int, b_dim: int, e_dim: int) -> np.ndarray:
@@ -674,14 +680,6 @@ def noisy_source_device(
     return DeviceModel(layout, source, base.gates, base.frames)
 
 
-def replace_source(device: DeviceModel, source: PhysState) -> DeviceModel:
-    """New device sharing gates and frames but with a different source state."""
-    return DeviceModel(
-        device.layout, source, dict(device.gates), dict(device.frames),
-        zero_states=device.zero_states,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON loading
 
@@ -832,8 +830,7 @@ def load_device(path_or_data) -> DeviceModel:
             if (side, w) in frames:
                 frame_objs[(side, w)] = MeasurementFrame(side, w, frames[(side, w)])
             elif layout.side_dim(side, w) == 2:
-                base = {a: hb.projector_angle(a).matrix for a in BASE_ANGLES}
-                frame_objs[(side, w)] = MeasurementFrame(side, w, base)
+                frame_objs[(side, w)] = _qubit_frame(side, w)
             else:
                 raise DeviceValidationError(
                     f"frame ({side}, {w}): missing and wire dim is not 2, cannot default"

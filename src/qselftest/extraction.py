@@ -52,7 +52,6 @@ __all__ = [
     "build_swap_extraction",
     "certify_gate_equivalence",
     "certify_state_equivalence",
-    "check_collapse_symmetry",
     "commutant_factor",
     "polar_unitary",
     "swap_factors",
@@ -466,27 +465,3 @@ def commutant_factor(u: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
     w = polar_unitary(w_prime)
     residual = float(np.linalg.norm(u - np.kron(np.eye(h1), w), 2))
     return w, residual
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-
-def check_collapse_symmetry(device: DeviceModel, wire: int = 0) -> dict:
-    """Compare the two sides' collapses of the source, angle by angle.
-
-    side_diff is ||P_A^a psi - P_B^a psi||; joint_diff is
-    ||P_A^a psi - P_A^a P_B^a psi||. Both vanish on an honest source.
-    """
-    per_angle = {}
-    worst = 0.0
-    for a in TEST_ANGLES:
-        pa = stx.collapse(device, device.source, (("A", wire, a),))
-        pb = stx.collapse(device, device.source, (("B", wire, a),))
-        joint = stx.collapse(device, pa, (("B", wire, a),))
-        side = hb.dist(pa, pb)
-        per_angle[angle_name(a)] = {
-            "side_diff": float(side),
-            "joint_diff": float(hb.dist(pa, joint)),
-        }
-        worst = max(worst, side)
-    return {"max_side_diff": float(worst), "per_angle": per_angle}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ __all__ = [
     "angle_state",
     "apply_operator",
     "basis_state",
-    "bell_state",
-    "dist",
-    "inner",
     "max_diff",
     "norm",
     "normalized",
@@ -44,7 +41,6 @@ __all__ = [
     "orthonormalize",
     "partial_trace",
     "permute_subsystems",
-    "project_onto",
     "projector_angle",
     "reduce_angle",
     "tensor",
@@ -142,17 +138,9 @@ class LocalOperator:
     def projector(cls, targets, matrix) -> "LocalOperator":
         return cls(tuple(targets), matrix, "projector")
 
-    @classmethod
-    def general(cls, targets, matrix) -> "LocalOperator":
-        return cls(tuple(targets), matrix, "general")
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-StateMap = Callable[[PhysState], PhysState]
-OperatorLike = Union[LocalOperator, StateMap, None]
 
 
 def tensor(*parts: PhysState) -> PhysState:
@@ -252,21 +240,8 @@ def diff_text(d: float) -> str:
     return "it has a non-finite entry" if d == math.inf else f"largest deviation {d:.2e}"
 
 
-def inner(x: PhysState, y: PhysState) -> complex:
-    """<x|y>, conjugate-linear in the first argument."""
-    if x.layout != y.layout:
-        raise DimensionError("inner() layouts differ")
-    return complex(np.vdot(x.vec, y.vec))
-
-
 def norm(x: PhysState) -> float:
     return float(np.linalg.norm(x.vec))
-
-
-def dist(x: PhysState, y: PhysState) -> float:
-    if x.layout != y.layout:
-        raise DimensionError("dist() layouts differ")
-    return float(np.linalg.norm(x.vec - y.vec))
 
 
 def normalized(x: PhysState) -> PhysState:
@@ -280,14 +255,6 @@ def basis_state(layout: SubsystemDims, index: int) -> PhysState:
     v = np.zeros(layout.total, dtype=np.complex128)
     v[index] = 1.0
     return PhysState._wrap(layout, v)
-
-
-def bell_state(n: int = 1) -> PhysState:
-    """2^(-n/2) sum_x |x>|x> over qubit blocks (x-half, then partner half)."""
-    d = 1 << n
-    v = np.zeros(d * d, dtype=np.complex128)
-    v[(d + 1) * np.arange(d)] = 1.0 / math.sqrt(d)
-    return PhysState._wrap(SubsystemDims((2,) * (2 * n)), v)
 
 
 def permute_subsystems(state: PhysState, perm: Sequence[int]) -> PhysState:
@@ -358,63 +325,26 @@ def orthonormalize(
     return SubspaceBasis(layout, stack[:r].copy(), sv)
 
 
-def project_onto(basis: SubspaceBasis, x: PhysState) -> PhysState:
-    """Orthogonal projection of x onto the subspace."""
-    if x.layout != basis.layout:
-        raise DimensionError("project_onto() layouts differ")
-    coeffs = basis.matrix.conj() @ x.vec
-    return PhysState._wrap(basis.layout, basis.matrix.T @ coeffs)
-
-
-def _as_map(x: OperatorLike) -> StateMap:
-    if x is None:
-        return lambda s: s
-    if isinstance(x, LocalOperator):
-        return lambda s: apply_operator(x, s)
-    return x
-
-
-def op_norm_on(basis: SubspaceBasis, m: OperatorLike, n: OperatorLike = None) -> float:
+def op_norm_on(basis: SubspaceBasis, m: LocalOperator, n: LocalOperator) -> float:
     """Largest singular value of (M - N) restricted to the subspace.
 
-    m and n may be LocalOperators, callables on PhysState, or None (identity).
-    Each is applied once, to `basis.stacked`: a callable receives the whole
-    basis as one state and must act as C (x) I on it, C on the layout's
-    subsystems and the identity on the last one, which indexes the vectors.
+    Each operator is applied once, to `basis.stacked`, the whole basis as one
+    state.
     """
     if basis.rank == 0:
         return 0.0
     s = basis.stacked
-    diff = _as_map(m)(s).vec - _as_map(n)(s).vec
+    diff = apply_operator(m, s).vec - apply_operator(n, s).vec
     return float(np.linalg.svd(diff.reshape(-1, basis.rank), compute_uv=False)[0])
 
 
-def partial_trace(x, keep: Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray:
-    """Reduced density matrix over the kept subsystems (in the listed order).
-
-    x may be a PhysState or a square density matrix (then dims is required).
-    """
+def partial_trace(x: PhysState, keep: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix over the kept subsystems (in the listed order)."""
     keep = tuple(int(i) for i in keep)
-    if isinstance(x, PhysState):
-        d = x.layout.dims
-        if len(set(keep)) != len(keep) or any(i < 0 or i >= len(d) for i in keep):
-            raise DimensionError(f"bad keep indices {keep} for layout {d}")
-        t = np.moveaxis(x.vec.reshape(d), keep, range(len(keep)))
-        kdim = math.prod(d[i] for i in keep)
-        flat = t.reshape(kdim, -1)
-        return flat @ flat.conj().T
-    if dims is None:
-        raise DimensionError("partial_trace() on a matrix requires dims")
-    d = tuple(int(v) for v in dims)
-    rho = np.asarray(x, dtype=np.complex128).reshape(d + d)
-    ns = len(d)
-    if len(set(keep)) != len(keep) or any(i < 0 or i >= ns for i in keep):
-        raise DimensionError(f"bad keep indices {keep} for dims {d}")
-    traced = [i for i in range(ns) if i not in keep]
-    labels = list(range(2 * ns))
-    for i in traced:
-        labels[ns + i] = i  # contract bra against ket
-    out_labels = [i for i in keep] + [ns + i for i in keep]
-    out = np.einsum(rho, labels, out_labels)
+    d = x.layout.dims
+    if len(set(keep)) != len(keep) or any(i < 0 or i >= len(d) for i in keep):
+        raise DimensionError(f"bad keep indices {keep} for layout {d}")
+    t = np.moveaxis(x.vec.reshape(d), keep, range(len(keep)))
     kdim = math.prod(d[i] for i in keep)
-    return out.reshape(kdim, kdim)
+    flat = t.reshape(kdim, -1)
+    return flat @ flat.conj().T

@@ -19,7 +19,14 @@ import numpy as np
 
 from . import hilbert as hb
 from . import stats as stx
-from .devices import BASE_ANGLES, COMP_ANGLES, TEST_ANGLES, DeviceModel, IdealCircuit
+from .devices import (
+    BASE_ANGLES,
+    COMP_ANGLES,
+    TEST_ANGLES,
+    DeviceModel,
+    IdealCircuit,
+    honest_device,
+)
 from .errors import DeviceValidationError, ValidationError
 from .hilbert import LocalOperator, PhysState
 from .stats import Setting, StatRecord
@@ -32,11 +39,9 @@ __all__ = [
     "Step",
     "Verdict",
     "build_schedule",
-    "check_simulation",
     "circuit_test",
     "epr_test",
     "evaluate_schedule",
-    "input_prep_check",
 ]
 
 
@@ -100,7 +105,6 @@ class Verdict:
     computation_outcome_histogram: Mapping[str, float] | None = None
     tv_distance: float | None = None
     y: str | None = None
-    skipped: tuple[str, ...] = ()
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -129,8 +133,6 @@ class Verdict:
             out["tv_distance"] = self.tv_distance
         if self.y is not None:
             out["y"] = self.y
-        if self.skipped:
-            out["skipped_branches"] = list(self.skipped)
         return out
 
 
@@ -163,11 +165,7 @@ def epr_test(
     """All 36 joint angle settings on one wire against (1/2)cos^2(a-b)."""
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
-    settings = [
-        Setting(measured=(("A", wire, a, 0), ("B", wire, b, 0)))
-        for a in TEST_ANGLES
-        for b in TEST_ANGLES
-    ]
+    settings = _conspiracy_settings((), (wire,))
     n = stx.sample_size(eps, gamma, len(settings)) if mode == "sampled" else 0
     probs = stx.probabilities(device, device.source, (s.branches for s in settings))
     records = []
@@ -273,7 +271,8 @@ def evaluate_schedule(
     mode: str = "exact",
     seed: int = 0,
 ) -> Verdict:
-    """Step 6: estimate every scheduled statistic and compare to its ideal.
+    """Step 6: estimate every scheduled statistic and compare to its ideal,
+    the same setting run on the circuit's honest implementation.
 
     Sampled mode draws sample_size(eps, gamma, total records) outcomes per
     record from a stream keyed by (seed, global record index), so evaluation
@@ -285,7 +284,7 @@ def evaluate_schedule(
         raise DeviceValidationError(
             f"device has {device.n_wires} wires, circuit needs {schedule.circuit.n}"
         )
-    reference = stx.reference_device(schedule.circuit)
+    reference = honest_device(schedule.circuit)
     m = schedule.n_records
     n_samples = stx.sample_size(schedule.eps, schedule.gamma, m) if mode == "sampled" else 0
     settings = [s for exp in schedule.experiments for s in exp.settings]
@@ -397,50 +396,3 @@ def circuit_test(
     # steps 6-7
     verdict = evaluate_schedule(device, schedule, mode, seed)
     return replace(verdict, computation_outcome_histogram=hist, tv_distance=tv, y=y)
-
-
-def check_simulation(
-    device: DeviceModel,
-    settings: Sequence[Setting],
-    circuit: IdealCircuit | None = None,
-) -> float:
-    """Worst deviation between the device and the honest reference over settings."""
-    if not settings:
-        raise ValidationError("check_simulation needs at least one setting")
-    ops = [s.ops for s in settings]
-    reference = stx.reference_device(circuit)
-    probs = stx.probabilities(device, device.source, ops)
-    ideals = stx.probabilities(reference, reference.source, ops)
-    return float(max(abs(p - q) for p, q in zip(probs, ideals)))
-
-
-def input_prep_check(device: DeviceModel, circuit: IdealCircuit, eps: float = 1e-9) -> Verdict:
-    """Collapse the B side on every outcome and test the leftover A side.
-
-    For each reachable outcome y the renormalized post-measurement state must
-    look like |y> to every per-wire A-side angle; zero-probability branches
-    are skipped and reported.
-    """
-    n = circuit.n
-    if device.n_wires < n:
-        raise DeviceValidationError(
-            f"device has {device.n_wires} wires, circuit needs {n}"
-        )
-    outcomes = [format(code, f"0{n}b") for code in range(1 << n)]
-    collapsed = stx.walk(
-        device, device.source, (_readout("B", bits) for bits in outcomes)
-    )
-    wire_angles = [(w, a) for w in range(n) for a in TEST_ANGLES]
-    records = []
-    skipped = []
-    for bits, st in zip(outcomes, collapsed):
-        p = hb.norm(st) ** 2
-        if p <= 1e-14:
-            skipped.append(bits)
-            continue
-        branches = ((("A", w, a),) for w, a in wire_angles)
-        probs = stx.probabilities(device, hb.normalized(st), branches)
-        for (w, a), est in zip(wire_angles, probs):
-            ideal = math.cos(a) ** 2 if bits[w] == "0" else math.sin(a) ** 2
-            records.append(StatRecord(Setting(measured=(("A", w, a, 0),)), ideal, est, 0))
-    return _make_verdict(records, eps, skipped=tuple(skipped))

@@ -12,26 +12,22 @@ evaluates a sequence of op lists and applies each prefix they share once;
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import hilbert as hb
-from .devices import TEST_ANGLES, DeviceModel, IdealCircuit, angle_index, honest_device
+from .devices import TEST_ANGLES, DeviceModel, angle_index
 from .errors import ValidationError
 
 __all__ = [
     "Setting",
     "StatRecord",
     "collapse",
-    "exact_prob",
-    "ideal_prob",
     "prepare",
     "probabilities",
     "record_rng",
-    "reference_device",
     "sample_prob",
     "sample_size",
     "walk",
@@ -200,40 +196,6 @@ def collapse(
     that every listed branch occurs.
     """
     return next(walk(device, state, (branches,)))
-
-
-def exact_prob(device: DeviceModel, s: Setting) -> float:
-    """Probability of the setting's outcome branch, evaluated on the device."""
-    return probabilities(device, device.source, (s.ops,))[0]
-
-
-_REFERENCES: "weakref.WeakKeyDictionary[IdealCircuit, DeviceModel]" = (
-    weakref.WeakKeyDictionary()
-)
-_BARE_REFERENCE: list[DeviceModel] = []
-
-
-def reference_device(circuit: IdealCircuit | None) -> DeviceModel:
-    """Honest implementation of the circuit, cached per circuit object."""
-    if circuit is None:
-        if not _BARE_REFERENCE:
-            _BARE_REFERENCE.append(honest_device(None))
-        return _BARE_REFERENCE[0]
-    dev = _REFERENCES.get(circuit)
-    if dev is None:
-        dev = honest_device(circuit)
-        _REFERENCES[circuit] = dev
-    return dev
-
-
-def ideal_prob(circuit: IdealCircuit | None, s: Setting) -> float:
-    """Target probability: the same setting run on the honest implementation.
-
-    Conspiracy settings come out as products of (1/2)cos^2(a-b) per wire and
-    tomography settings as (1/2)tr(T' P(a) T P(b)) blocks, both by direct
-    evaluation on fresh pairs.
-    """
-    return exact_prob(reference_device(circuit), s)
 
 
 def record_rng(seed: int, index: int) -> np.random.Generator:

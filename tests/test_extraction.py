@@ -325,7 +325,7 @@ def reference_gate_certificate(device, circuit, j):
     )
     w = ex.polar_unitary(w_prime)
     w_log = hb.LocalOperator.unitary(range(k, 2 * k), w)
-    fact = max(hb.dist(z, hb.apply_operator(w_log, x)) for x, z in zip(xs, zs))
+    fact = max(np.linalg.norm(z.vec - hb.apply_operator(w_log, x).vec) for x, z in zip(xs, zs))
     adjoint = [hb.LocalOperator.unitary(op.targets, op.matrix.conj().T) for op in reversed(placed)]
     cols = []
     for x, lifted in zip(states, xs):
@@ -411,7 +411,7 @@ class TestRestrictedEquivalences:
         )
         n_log = hb.LocalOperator.unitary((0,), X)
 
-        # a callable receives the stacked basis; the logical qubits go in
+        # the pulled-back NOT on the stacked basis: the logical qubits go in
         # front of it and the basis index stays last
         def composite(x):
             ext = ex._extended_zero(x, 1)
@@ -424,7 +424,9 @@ class TestRestrictedEquivalences:
                 )
             return hb.PhysState._wrap(x.layout, ext.vec[: x.layout.total])
 
-        assert hb.op_norm_on(rep.s_basis, n_phys, composite) <= 1e-10
+        stacked = rep.s_basis.stacked
+        diff = hb.apply_operator(n_phys, stacked).vec - composite(stacked).vec
+        assert np.linalg.svd(diff.reshape(-1, rep.s_rank), compute_uv=False)[0] <= 1e-10
 
 
 class TestTomography:
@@ -548,32 +550,6 @@ class TestCommutantFactor:
             ex.commutant_factor(np.ones((4, 4)), 1)
         with pytest.raises(ValidationError, match="divisible"):
             ex.commutant_factor(np.eye(6), 2)
-
-
-class TestCollapseSymmetry:
-    def test_honest_vanishes(self):
-        assert ex.check_collapse_symmetry(dv.honest_device())["max_side_diff"] <= 1e-12
-
-    def test_depolarized_grows_like_root_p(self):
-        vals = []
-        for p in (1e-4, 1e-2, 0.1):
-            r = ex.check_collapse_symmetry(dv.noisy_source_device(p=p))
-            vals.append(r["max_side_diff"])
-            assert r["max_side_diff"] == pytest.approx(math.sqrt(p / 2), abs=1e-9)
-        assert vals == sorted(vals)
-
-    def test_product_source_golden(self):
-        lay = dv.honest_device().layout
-        prod = np.zeros(4, dtype=np.complex128)
-        prod[0] = 1.0  # both halves in the local zero state, no pairing
-        dev = dv.replace_source(dv.honest_device(), hb.PhysState(lay.full, prod))
-        r = ex.check_collapse_symmetry(dev)
-        assert r["max_side_diff"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
-        assert r["per_angle"]["pi/8"]["side_diff"] == pytest.approx(0.5, abs=1e-12)
-        # the bound sqrt(2) cos sin at pi/8 from direct evaluation
-        assert r["max_side_diff"] >= math.sqrt(2) * math.cos(math.pi / 8) * math.sin(
-            math.pi / 8
-        )
 
 
 class TestFrameBlindness:

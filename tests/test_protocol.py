@@ -264,61 +264,62 @@ class TestCircuitTest:
         dev = dv.honest_device(bell_circuit())
         v = np.zeros(16, dtype=np.complex128)
         v[0] = 1.0
-        prod = dv.replace_source(dev, hb.PhysState(dev.layout.full, v))
+        prod = dv.DeviceModel(dev.layout, hb.PhysState(dev.layout.full, v), dev.gates, dev.frames)
         out = pr.circuit_test(prod, bell_circuit(), "00", eps=1.0, seed=12)
         assert out.y == "00"
 
 
 class TestCheckSimulation:
-    def pair_settings(self):
-        return [
-            stx.Setting(measured=(("A", 0, a, 0), ("B", 0, b, 0)))
-            for a in dv.TEST_ANGLES
-            for b in dv.TEST_ANGLES
-        ]
+    """The pair test against the honest statistics (1/2)cos^2(a - b)."""
 
     def test_honest_and_rotated_simulate_exactly(self):
-        assert pr.check_simulation(dv.honest_device(), self.pair_settings()) <= 1e-12
-        assert pr.check_simulation(dv.rotated_device(theta=0.3), self.pair_settings()) <= 1e-12
+        assert pr.epr_test(dv.honest_device()).max_deviation <= 1e-12
+        assert pr.epr_test(dv.rotated_device(theta=0.3)).max_deviation <= 1e-12
 
     def test_depolarized_deviation_formula(self):
         for p in (0.08, 0.2):
             dev = dv.noisy_source_device(p=p)
-            worst = pr.check_simulation(dev, self.pair_settings())
-            assert worst == pytest.approx(p / 4, abs=1e-12)
+            assert pr.epr_test(dev).max_deviation == pytest.approx(p / 4, abs=1e-12)
 
-    def test_empty_settings_rejected(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            pr.check_simulation(dv.honest_device(), [])
+
+def input_deviation(dev, y):
+    """Worst gap, over every wire and tested angle, between the A side after
+    the B side reads y and the basis state |y> circuit_test computes on."""
+    st = hb.normalized(stx.collapse(dev, dev.source, pr._readout("B", y)))
+    wire_angles = [(w, a) for w in range(len(y)) for a in dv.TEST_ANGLES]
+    probs = stx.probabilities(dev, st, ((("A", w, a),) for w, a in wire_angles))
+    return max(
+        abs(p - (math.cos(a) if y[w] == "0" else math.sin(a)) ** 2)
+        for (w, a), p in zip(wire_angles, probs)
+    )
 
 
 class TestInputPrep:
+    """circuit_test's input preparation: once the B side reads y, the A side
+    must look like |y> to every per-wire angle."""
+
     def test_honest_single_wire(self):
-        v = pr.input_prep_check(dv.honest_device(h_circuit()), h_circuit())
-        assert v.accepted
-        assert v.max_deviation <= 1e-12
-        assert len(v.records) == 2 * 6  # outcomes x angles
-        assert v.skipped == ()
+        dev = dv.honest_device(h_circuit())
+        assert max(input_deviation(dev, y) for y in ("0", "1")) <= 1e-12
 
     def test_honest_two_wires(self):
-        circ = bell_circuit()
-        v = pr.input_prep_check(dv.honest_device(circ), circ)
-        assert v.accepted
-        assert len(v.records) == 4 * 2 * 6
+        dev = dv.honest_device(bell_circuit())
+        assert max(input_deviation(dev, y) for y in ("00", "01", "10", "11")) <= 1e-12
 
     def test_depolarized_deviation_is_half_p(self):
         p = 0.1
-        v = pr.input_prep_check(dv.noisy_source_device(h_circuit(), p=p), h_circuit(), eps=0.2)
-        assert v.max_deviation == pytest.approx(p / 2, abs=1e-12)
+        dev = dv.noisy_source_device(h_circuit(), p=p)
+        worst = max(input_deviation(dev, y) for y in ("0", "1"))
+        assert worst == pytest.approx(p / 2, abs=1e-12)
 
     def test_unreachable_branch_skipped(self):
         dev = dv.honest_device(h_circuit())
         v = np.zeros(4, dtype=np.complex128)
         v[0] = 1.0  # B side always reads 0
-        prod = dv.replace_source(dev, hb.PhysState(dev.layout.full, v))
-        out = pr.input_prep_check(prod, h_circuit())
-        assert out.skipped == ("1",)
-        assert out.accepted
+        prod = dv.DeviceModel(dev.layout, hb.PhysState(dev.layout.full, v), dev.gates, dev.frames)
+        assert input_deviation(prod, "0") <= 1e-12
+        with pytest.raises(ValidationError, match="zero probability"):
+            pr.circuit_test(prod, h_circuit(), "0", force_y="1")
 
 
 class TestStability:
@@ -354,12 +355,7 @@ class TestStability:
         worsts = []
         for dev in devs:
             worst = max(
-                abs(
-                    stx.exact_prob(
-                        dev, stx.Setting(measured=(("A", 0, a, 0), ("B", 0, a, 0)))
-                    )
-                    - 0.5
-                )
+                abs(stx.probabilities(dev, dev.source, ((("A", 0, a), ("B", 0, a)),))[0] - 0.5)
                 for a in dv.TEST_ANGLES
             )
             worsts.append(worst)

@@ -24,6 +24,16 @@ def h_circuit():
     return dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),), "0")
 
 
+def exact_prob(dev, s):
+    """Probability of the setting's outcome branch on the device."""
+    return stats.probabilities(dev, dev.source, (s.ops,))[0]
+
+
+def ideal_prob(circuit, s):
+    """The setting's probability on the circuit's honest implementation."""
+    return exact_prob(dv.honest_device(circuit), s)
+
+
 def branch_probabilities(dev, s):
     """Exact probability of every outcome branch of the setting's measured wires."""
     flips = itertools.product((0, 1), repeat=len(s.measured))
@@ -64,26 +74,26 @@ class TestSetting:
 class TestExactProb:
     def test_orthogonal_branches_vanish(self):
         dev = dv.honest_device()
-        assert stats.exact_prob(dev, epr_setting(0.0, math.pi / 2)) == pytest.approx(
+        assert exact_prob(dev, epr_setting(0.0, math.pi / 2)) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_pair_value(self):
         dev = dv.honest_device()
-        p = stats.exact_prob(dev, epr_setting(0.0, math.pi / 8))
+        p = exact_prob(dev, epr_setting(0.0, math.pi / 8))
         assert p == pytest.approx(HALF_COS8, abs=1e-12)
         assert p == pytest.approx(0.426777, abs=1e-6)
 
     def test_equal_angles_give_half(self):
         dev = dv.honest_device()
-        p = stats.exact_prob(dev, epr_setting(math.pi / 8, math.pi / 8))
+        p = exact_prob(dev, epr_setting(math.pi / 8, math.pi / 8))
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_label_raises(self):
         dev = dv.honest_device()
         s = stats.Setting(prep=(("A", "mystery"),), measured=(("A", 0, 0.0, 0),))
         with pytest.raises(Exception, match="no gate"):
-            stats.exact_prob(dev, s)
+            exact_prob(dev, s)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_disjoint_prep_order_irrelevant(self, order):
@@ -101,14 +111,14 @@ class TestExactProb:
         s = stats.Setting(
             prep=prep, measured=(("A", 0, 0.0, 0), ("B", 1, math.pi / 8, 0))
         )
-        base = stats.exact_prob(
+        base = exact_prob(
             dev,
             stats.Setting(
                 prep=tuple(labels),
                 measured=(("A", 0, 0.0, 0), ("B", 1, math.pi / 8, 0)),
             ),
         )
-        assert stats.exact_prob(dev, s) == pytest.approx(base, abs=1e-14)
+        assert exact_prob(dev, s) == pytest.approx(base, abs=1e-14)
 
 
 class TestCollapsePath:
@@ -117,13 +127,13 @@ class TestCollapsePath:
         s = stats.Setting(prep=(("A", "g1"),), measured=(("A", 0, math.pi / 8, 1),))
         st = stats.prepare(dev, s.prep)
         prob = hb.norm(stats.collapse(dev, st, s.branches)) ** 2
-        assert prob == stats.exact_prob(dev, s)
+        assert prob == exact_prob(dev, s)
 
     def test_collapse_norm_is_branch_prob(self):
         dev = dv.honest_device()
         s = epr_setting(0.0, math.pi / 8, fb=1)
         st = stats.collapse(dev, dev.source, s.branches)
-        assert hb.norm(st) ** 2 == pytest.approx(stats.exact_prob(dev, s), abs=0)
+        assert hb.norm(st) ** 2 == pytest.approx(exact_prob(dev, s), abs=0)
         assert s.branches == (("A", 0, 0.0), ("B", 0, math.pi / 8 + math.pi / 2))
 
     def test_no_branches_leave_state_alone(self):
@@ -139,15 +149,18 @@ class TestCollapsePath:
 
 
 class TestIdealProb:
+    """Closed-form ideals on the honest implementation: (1/2)cos^2(a - b) per
+    pair, tomography blocks, and products over wires."""
+
     def test_conspiracy_single_wire(self):
-        p = stats.ideal_prob(None, epr_setting(math.pi / 4, 0.0))
+        p = ideal_prob(None, epr_setting(math.pi / 4, 0.0))
         assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_tomography_of_h(self):
         s = stats.Setting(
             prep=(("A", "g1"),), measured=(("A", 0, 0.0, 0), ("B", 0, 0.0, 0))
         )
-        assert stats.ideal_prob(h_circuit(), s) == pytest.approx(0.25, abs=1e-12)
+        assert ideal_prob(h_circuit(), s) == pytest.approx(0.25, abs=1e-12)
 
     def test_tomography_of_identity_orthogonal(self):
         circ = dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), np.eye(2)),), "0")
@@ -155,11 +168,7 @@ class TestIdealProb:
             prep=(("A", "g1"),),
             measured=(("A", 0, 0.0, 0), ("B", 0, math.pi / 2, 0)),
         )
-        assert stats.ideal_prob(circ, s) == pytest.approx(0.0, abs=1e-12)
-
-    def test_reference_device_cached(self):
-        circ = h_circuit()
-        assert stats.reference_device(circ) is stats.reference_device(circ)
+        assert ideal_prob(circ, s) == pytest.approx(0.0, abs=1e-12)
 
     def test_conspiracy_two_wires_multiplies(self):
         circ = dv.IdealCircuit(
@@ -174,14 +183,14 @@ class TestIdealProb:
             )
         )
         want = HALF_COS8 * 0.5
-        assert stats.ideal_prob(circ, s) == pytest.approx(want, abs=1e-12)
+        assert ideal_prob(circ, s) == pytest.approx(want, abs=1e-12)
 
 
 class TestSampling:
     def test_law_of_large_numbers(self):
         dev = dv.honest_device()
         rng = stats.record_rng(7, 0)
-        p = stats.exact_prob(dev, epr_setting(0.0, math.pi / 8))
+        p = exact_prob(dev, epr_setting(0.0, math.pi / 8))
         est = stats.sample_prob(p, 10**6, rng)
         assert abs(est - HALF_COS8) < 0.01
 
@@ -189,20 +198,20 @@ class TestSampling:
         # a setting with no projectors has probability exactly 1
         dev = dv.honest_device()
         rng = stats.record_rng(3, 1)
-        assert stats.sample_prob(stats.exact_prob(dev, stats.Setting()), 5, rng) == 1.0
+        assert stats.sample_prob(exact_prob(dev, stats.Setting()), 5, rng) == 1.0
 
     def test_seed_reproducibility(self):
         dev = dv.honest_device()
         s = epr_setting(0.0, math.pi / 8)
-        a = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 5))
-        b = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 5))
+        a = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 5))
+        b = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 5))
         assert a == b
 
     def test_streams_differ_by_index(self):
         dev = dv.honest_device()
         s = epr_setting(0.0, math.pi / 8)
-        a = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 0))
-        b = stats.sample_prob(stats.exact_prob(dev, s), 1000, stats.record_rng(42, 1))
+        a = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 0))
+        b = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 1))
         assert a != b  # astronomically unlikely to collide
 
     def test_bad_count_rejected(self):
@@ -250,7 +259,7 @@ class TestBranchSums:
         n = stats.sample_size(eps, 0.05, 2)
         total = sum(
             stats.sample_prob(
-                stats.exact_prob(dev, s.with_flips((f,))), n, stats.record_rng(11, f)
+                exact_prob(dev, s.with_flips((f,))), n, stats.record_rng(11, f)
             )
             for f in (0, 1)
         )
@@ -272,24 +281,32 @@ class TestDiagnostics:
     """The two sides' single-wire collapses of the source, via stats.collapse."""
 
     @staticmethod
-    def max_side_diff(dev):
-        return max(
-            hb.dist(
-                stats.collapse(dev, dev.source, (("A", 0, a),)),
-                stats.collapse(dev, dev.source, (("B", 0, a),)),
+    def side_diffs(dev):
+        """||P_A^a psi - P_B^a psi|| per tested angle a."""
+        return [
+            np.linalg.norm(
+                stats.collapse(dev, dev.source, (("A", 0, a),)).vec
+                - stats.collapse(dev, dev.source, (("B", 0, a),)).vec
             )
             for a in dv.TEST_ANGLES
-        )
+        ]
 
     def test_collapse_symmetry_on_honest_source(self):
-        assert self.max_side_diff(dv.honest_device()) <= 1e-12
+        assert max(self.side_diffs(dv.honest_device())) <= 1e-12
 
     def test_collapse_asymmetry_flags_product_source(self):
         dev = dv.honest_device()
         v = np.zeros(4, dtype=np.complex128)
         v[0] = 1.0  # both halves in the local zero state, no pairing
-        prod = dv.replace_source(dev, hb.PhysState(dev.layout.full, v))
-        assert self.max_side_diff(prod) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        prod = dv.DeviceModel(dev.layout, hb.PhysState(dev.layout.full, v), dev.gates, dev.frames)
+        diffs = self.side_diffs(prod)
+        assert max(diffs) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        pi8 = dv.TEST_ANGLES.index(math.pi / 8)
+        assert diffs[pi8] == pytest.approx(0.5, abs=1e-12)
+
+    def test_depolarized_asymmetry_grows_like_root_p(self):
+        worst = [max(self.side_diffs(dv.noisy_source_device(p=p))) for p in (1e-4, 1e-2, 0.1)]
+        assert worst == pytest.approx([math.sqrt(p / 2) for p in (1e-4, 1e-2, 0.1)], abs=1e-9)
 
 
 class TestRecordsAndReport:

@@ -75,7 +75,7 @@ def test_evaluate_schedule(case, mode, seed):
     y = "1" + "0" * (circ.n - 1)  # one compensating NOT joins the steps
     schedule = pr.build_schedule(circ, "0" * circ.n, y)
     verdict = pr.evaluate_schedule(device, schedule, mode, seed)
-    reference = stats.reference_device(circ)
+    reference = dv.honest_device(circ)
     n = verdict.records[0].n_samples
     assert (n == 0) == (mode == "exact")
     for idx, rec in enumerate(verdict.records):
@@ -107,18 +107,20 @@ def test_side_readouts(case):
 
 
 def test_input_prep_check(case):
+    # circuit_test's input preparation: the B side collapses on each outcome,
+    # then the A side is read from the renormalized state
     device, circ = case
-    verdict = pr.input_prep_check(device, circ)
-    outcomes = [format(c, f"0{circ.n}b") for c in range(1 << circ.n)]
-    kept = [b for b in outcomes if b not in verdict.skipped]
-    per_outcome = len(verdict.records) // len(kept)
-    for k, bits in enumerate(kept):
-        st = device.source
-        for op in pr._readout("B", bits):
-            st = hb.apply_operator(device.frame_operator(*op), st)
-        st = hb.normalized(st)
-        for rec in verdict.records[k * per_outcome:(k + 1) * per_outcome]:
-            assert rec.est_p == per_record(device, st, rec.setting.branches)
+    n = circ.n
+    for code in range(1 << n):
+        readout = pr._readout("B", format(code, f"0{n}b"))
+        collapsed = stats.collapse(device, device.source, readout)
+        p = per_record(device, device.source, readout)
+        assert hb.norm(collapsed) ** 2 == p
+        if p <= 1e-14:
+            continue
+        st = hb.normalized(collapsed)
+        for bits, q in pr._measure_side_distribution(device, st, "A", n).items():
+            assert q == per_record(device, st, pr._readout("A", bits))
 
 
 @pytest.mark.parametrize(
@@ -144,7 +146,8 @@ def test_walk_applies_each_shared_prefix_once(monkeypatch):
     # settings (A a)(B b) in a-major order: 6 * (2 + 5) = 42 applications;
     # conspiracy@1 adds its prep (A g1)(B g1) once: 2 + 42; tomography@1
     # keeps (A g1) from the list before and has 3 * (2 + 2) = 12. Device and
-    # reference: 2 * 98. One record at a time it took 2 * 165.
+    # reference: 2 * 98 (building the reference applies nothing). One record
+    # at a time it took 2 * 165.
     calls = []
     real = hb.apply_operator
 
@@ -155,7 +158,6 @@ def test_walk_applies_each_shared_prefix_once(monkeypatch):
     circ = CIRCUITS["h"]
     device = dv.honest_device(circ)
     schedule = pr.build_schedule(circ, "0", "0")
-    stats.reference_device(circ)  # built outside the count
     monkeypatch.setattr(hb, "apply_operator", counting)
     pr.evaluate_schedule(device, schedule)
     assert len(calls) == 2 * 98
