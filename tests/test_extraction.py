@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qselftest import devices as dv
 from qselftest import extraction as ex
 from qselftest import hilbert as hb
+from qselftest import stats as qstats
 from qselftest.errors import ValidationError
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -550,6 +551,49 @@ class TestCommutantFactor:
             ex.commutant_factor(np.ones((4, 4)), 1)
         with pytest.raises(ValidationError, match="divisible"):
             ex.commutant_factor(np.eye(6), 2)
+
+
+class TestCollapseSymmetry:
+    """The two sides' single-wire collapses of the source, angle by angle."""
+
+    @staticmethod
+    def collapse_diffs(dev, wire=0):
+        """Per tested angle a: (||P_A^a psi - P_B^a psi||, ||P_A^a psi - P_A^a P_B^a psi||)."""
+        out = {}
+        for a in dv.TEST_ANGLES:
+            pa = qstats.collapse(dev, dev.source, (("A", wire, a),))
+            pb = qstats.collapse(dev, dev.source, (("B", wire, a),))
+            joint = qstats.collapse(dev, pa, (("B", wire, a),))
+            out[a] = (
+                float(np.linalg.norm(pa.vec - pb.vec)),
+                float(np.linalg.norm(pa.vec - joint.vec)),
+            )
+        return out
+
+    def test_honest_vanishes(self):
+        diffs = self.collapse_diffs(dv.honest_device())
+        assert max(side for side, _ in diffs.values()) <= 1e-12
+        assert max(joint for _, joint in diffs.values()) <= 1e-12
+
+    def test_depolarized_grows_like_root_p(self):
+        vals = []
+        for p in (1e-4, 1e-2, 0.1):
+            worst = max(side for side, _ in self.collapse_diffs(dv.noisy_source_device(p=p)).values())
+            vals.append(worst)
+            assert worst == pytest.approx(math.sqrt(p / 2), abs=1e-9)
+        assert vals == sorted(vals)
+
+    def test_product_source_golden(self):
+        dev = dv.honest_device()
+        prod = np.zeros(4, dtype=np.complex128)
+        prod[0] = 1.0  # both halves in the local zero state, no pairing
+        dev = dv.DeviceModel(dev.layout, hb.PhysState(dev.layout.full, prod), dev.gates, dev.frames)
+        diffs = self.collapse_diffs(dev)
+        worst = max(side for side, _ in diffs.values())
+        assert worst == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert diffs[math.pi / 8][0] == pytest.approx(0.5, abs=1e-12)
+        # the bound sqrt(2) cos sin at pi/8 from direct evaluation
+        assert worst >= math.sqrt(2) * math.cos(math.pi / 8) * math.sin(math.pi / 8)
 
 
 class TestFrameBlindness:

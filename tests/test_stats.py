@@ -304,10 +304,6 @@ class TestDiagnostics:
         pi8 = dv.TEST_ANGLES.index(math.pi / 8)
         assert diffs[pi8] == pytest.approx(0.5, abs=1e-12)
 
-    def test_depolarized_asymmetry_grows_like_root_p(self):
-        worst = [max(self.side_diffs(dv.noisy_source_device(p=p))) for p in (1e-4, 1e-2, 0.1)]
-        assert worst == pytest.approx([math.sqrt(p / 2) for p in (1e-4, 1e-2, 0.1)], abs=1e-9)
-
 
 class TestRecordsAndReport:
     def test_record_bounds(self):
