@@ -122,15 +122,18 @@ def _load_circuit_arg(cfg: RunConfig) -> dv.IdealCircuit:
 
 
 def _print_table(rows: list[tuple[str, str, float, float, float, bool]]) -> None:
+    """The first _MAX_TABLE_ROWS rows, in columns as wide as they need; of
+    the rest only the count and the failing count."""
     header = ("experiment", "setting", "ideal", "estimated", "deviation", "pass")
+    shown = rows[:_MAX_TABLE_ROWS]
     widths = [
-        max(len(header[0]), *(len(r[0]) for r in rows)) if rows else len(header[0]),
-        max(len(header[1]), *(len(r[1]) for r in rows)) if rows else len(header[1]),
+        max(len(header[0]), *(len(r[0]) for r in shown)) if shown else len(header[0]),
+        max(len(header[1]), *(len(r[1]) for r in shown)) if shown else len(header[1]),
         10, 10, 10, 4,
     ]
     fmt = "{:<%d}  {:<%d}  {:>%d}  {:>%d}  {:>%d}  {}" % tuple(widths[:5])
     print(fmt.format(*header))
-    for row in rows[:_MAX_TABLE_ROWS]:
+    for row in shown:
         print(
             fmt.format(
                 row[0],
@@ -154,12 +157,14 @@ def _setting_text(setting) -> str:
 
 
 def _verdict_rows(verdict: pr.Verdict):
+    """One table row per record; only the rows _print_table prints get their
+    setting text."""
     rows = []
-    for label, rec in zip(verdict.labels, verdict.records):
+    for i, (label, rec) in enumerate(zip(verdict.labels, verdict.records)):
         rows.append(
             (
                 label,
-                _setting_text(rec.setting),
+                _setting_text(rec.setting) if i < _MAX_TABLE_ROWS else "",
                 rec.ideal_p,
                 rec.est_p,
                 rec.deviation,
@@ -328,7 +333,7 @@ def _run_extract(cfg: RunConfig) -> int:
 def _run_tomo(cfg: RunConfig) -> int:
     device = dv.resolve_device(cfg.device)
     keys = [(a, b) for a in ex.TOMO_ANGLES for b in ex.TOMO_ANGLES]
-    branches = ((("A", cfg.wire, a), ("B", cfg.wire, b)) for a, b in keys)
+    branches = [(("A", cfg.wire, a), ("B", cfg.wire, b)) for a, b in keys]
     probs = stx.probabilities(device, device.source, branches)
     rho = ex.tomo_reconstruct(dict(zip(keys, probs)), 2)
     ideal = np.zeros((4, 4), dtype=np.complex128)

@@ -874,6 +874,15 @@ _GALLERY = (
 )
 
 
+# the query parameters each builtin takes
+_BUILTIN_PARAMS = {
+    "honest": (),
+    "vandam": (),
+    "rotated": ("theta",),
+    "depolarized": ("p",),
+}
+
+
 def builtin_gallery() -> tuple[tuple[str, str], ...]:
     return _GALLERY
 
@@ -884,10 +893,19 @@ def resolve_device(spec: str, circuit: IdealCircuit | None = None) -> DeviceMode
         return load_device(spec)
     rest = spec[len("builtin:"):]
     name, _, query = rest.partition("?")
+    if name not in _BUILTIN_PARAMS:
+        raise ConfigError(f"unknown builtin device {name!r} (see the gallery)")
     params = {}
     if query:
         for item in query.split("&"):
             k, _, v = item.partition("=")
+            if k not in _BUILTIN_PARAMS[name]:
+                takes = " or ".join(_BUILTIN_PARAMS[name]) or "no parameters"
+                raise ConfigError(
+                    f"builtin:{name} takes {takes}, not {k!r} (in {spec!r})"
+                )
+            if k in params:
+                raise ConfigError(f"device parameter {k!r} repeats in {spec!r}")
             try:
                 params[k] = float(v)
             except ValueError:
@@ -900,6 +918,4 @@ def resolve_device(spec: str, circuit: IdealCircuit | None = None) -> DeviceMode
         return van_dam_device()
     if name == "rotated":
         return rotated_device(circuit, theta=params.get("theta", 0.0))
-    if name == "depolarized":
-        return noisy_source_device(circuit, p=params.get("p", 0.0))
-    raise ConfigError(f"unknown builtin device {name!r} (see the gallery)")
+    return noisy_source_device(circuit, p=params.get("p", 0.0))

@@ -153,10 +153,10 @@ def _span_generators(
     """
     slots = [(side, w) for w in wires for side in ("A", "B")]
     products = itertools.product((None,) + BASE_ANGLES, repeat=len(slots))
-    branches = (
+    branches = [
         [(side, w, a) for (side, w), a in zip(slots, angles) if a is not None]
         for angles in products
-    )
+    ]
     return list(stx.walk(device, source, branches))
 
 

@@ -155,44 +155,65 @@ def tensor(*parts: PhysState) -> PhysState:
     return PhysState._wrap(layout, np.ascontiguousarray(vec))
 
 
-def apply_operator(op: LocalOperator, state: PhysState) -> PhysState:
+def apply_operator(
+    op: LocalOperator | Sequence[LocalOperator], state: PhysState
+) -> PhysState | tuple[PhysState, ...]:
     """Apply a local operator to a state by index arithmetic.
 
     The matrix acts on the targets in their listed order; the other
     subsystems are untouched and the full-space matrix is never formed.
+
+    Given a sequence of k operators on the same targets, returns the k
+    states, one per operator. The state is gathered once and the k matrices
+    act as one (k*d x d) stack in one matmul; each output element comes from
+    its own row of the stack, so every state has the bits of its operator
+    applied alone. A single operator is the k = 1 case.
     """
+    single = isinstance(op, LocalOperator)
+    ops = (op,) if single else tuple(op)
+    targets = ops[0].targets
     dims = state.layout.dims
-    if max(op.targets) >= len(dims):
-        raise DimensionError(
-            f"operator targets {op.targets} out of range for layout {dims}"
-        )
-    if op.dim != math.prod(dims[t] for t in op.targets):
-        raise DimensionError(
-            f"operator dim {op.dim} does not match target dims "
-            f"{tuple(dims[t] for t in op.targets)}"
-        )
-    perm, inv = _axis_order(op.targets, len(dims))
+    perm, inv, d = _plan(targets, dims)
+    for o in ops:
+        if o.targets != targets:
+            raise DimensionError(f"stacked operators act on {targets} and {o.targets}")
+        if o.dim != d:
+            raise DimensionError(
+                f"operator dim {o.dim} does not match target dims "
+                f"{tuple(dims[t] for t in targets)}"
+            )
+    k = len(ops)
     t = state.vec.reshape(dims).transpose(perm)
-    shape = t.shape
-    out = op.matrix @ t.reshape(op.dim, -1)
-    out = out.reshape(shape).transpose(inv)
-    return PhysState._wrap(state.layout, out.reshape(-1))
+    stack = op.matrix if single else np.concatenate([o.matrix for o in ops])
+    out = stack @ t.reshape(d, -1)
+    # each row back in natural order, as one contiguous (k, total) copy
+    out = out.reshape((k,) + t.shape).transpose(inv).reshape(k, -1)
+    if single:
+        return PhysState._wrap(state.layout, out[0])
+    return tuple([PhysState._wrap(state.layout, row) for row in out])
 
 
 @functools.lru_cache(maxsize=1024)
-def _axis_order(
-    targets: tuple[int, ...], ndim: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The axis order that brings targets to the front, and its inverse.
+def _plan(
+    targets: tuple[int, ...], dims: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The axis order that brings targets to the front, the inverse that
+    takes a stack of such arrays (the stack index first) back, and the
+    targets' dimension.
 
-    This is the transpose np.moveaxis(t, targets, range(k)) builds, so the
-    views and copies, and hence every float, are the same.
+    The first is the transpose np.moveaxis(t, targets, range(k)) builds, so
+    the views and copies, and hence every float, are the same.
     """
+    ndim = len(dims)
+    if max(targets) >= ndim:
+        raise DimensionError(
+            f"operator targets {targets} out of range for layout {dims}"
+        )
     perm = targets + tuple(i for i in range(ndim) if i not in targets)
-    inv = [0] * ndim
+    inv = [0] * (ndim + 1)
     for pos, axis in enumerate(perm):
-        inv[axis] = pos
-    return perm, tuple(inv)
+        inv[axis + 1] = pos + 1
+    return perm, tuple(inv), math.prod(dims[t] for t in targets)
 
 
 def angle_state(a: float) -> PhysState:
@@ -241,7 +262,9 @@ def diff_text(d: float) -> str:
 
 
 def norm(x: PhysState) -> float:
-    return float(np.linalg.norm(x.vec))
+    # the sum np.linalg.norm takes for a complex vector, without its dispatch
+    re, im = x.vec.real, x.vec.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def normalized(x: PhysState) -> PhysState:

@@ -115,7 +115,10 @@ class Verdict:
             )
 
     def to_json(self) -> dict:
-        records = [r.to_json() for r in self.records]
+        # records that measure alike share one measured tuple, as the
+        # settings of an experiment share one prep
+        measured: dict = {}
+        records = [r.to_json(measured) for r in self.records]
         # a failing record's entry is the very dict of its records entry
         shared = {id(r): js for r, js in zip(self.records, records)}
         out = {
@@ -167,7 +170,7 @@ def epr_test(
         raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
     settings = _conspiracy_settings((), (wire,))
     n = stx.sample_size(eps, gamma, len(settings)) if mode == "sampled" else 0
-    probs = stx.probabilities(device, device.source, (s.branches for s in settings))
+    probs = stx.probabilities(device, device.source, [s.branches for s in settings])
     records = []
     for k, (s, p) in enumerate(zip(settings, probs)):
         a, b = s.measured[0][2], s.measured[1][2]
@@ -313,7 +316,7 @@ def _measure_side_distribution(
     device: DeviceModel, state: PhysState, side: str, n: int
 ) -> dict[str, float]:
     outcomes = [format(code, f"0{n}b") for code in range(1 << n)]
-    readouts = (_readout(side, bits) for bits in outcomes)
+    readouts = [_readout(side, bits) for bits in outcomes]
     return dict(zip(outcomes, stx.probabilities(device, state, readouts)))
 
 

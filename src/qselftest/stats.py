@@ -5,8 +5,10 @@ applications, then one projector branch per measured wire); this module turns
 settings into probabilities, either exactly or through reproducible
 Monte-Carlo estimates sized by a Hoeffding bound. `walk` is the package's
 one path from a device to a collapsed state and its branch probability: it
-evaluates a sequence of op lists and applies each prefix they share once;
-`prepare`, `collapse` and `probabilities` are built on it.
+evaluates a sequence of op lists, applies each prefix they share once,
+applies the sibling branches of one parent state as one stack, and keeps
+only the states a later list restarts from; `prepare`, `collapse` and
+`probabilities` are built on it.
 """
 
 from __future__ import annotations
@@ -98,21 +100,25 @@ class Setting:
         )
         return Setting(self.prep, meas)
 
-    def to_json(self) -> dict:
+    def to_json(self, measured: dict | None = None) -> dict:
         """The setting as report JSON.
 
-        "prep" is the setting's own tuple of tuples, not a list copy, so that
-        the report encoder writes a prep shared by an experiment's settings
-        once. The bytes are those of a list; the dict equals a loaded report
-        only after a json round trip, which turns the tuples into lists.
+        "prep" is the setting's own tuple of tuples, and "measured" a tuple
+        of dicts, not list copies, so that the report encoder writes a tuple
+        shared by many settings once. Given a dict, equal measured lists share
+        the tuple kept there. The bytes are those of lists; the dict equals a
+        loaded report only after a json round trip, which turns the tuples
+        into lists.
         """
-        return {
-            "prep": self.prep,
-            "measured": [
+        entries = None if measured is None else measured.get(self.measured)
+        if entries is None:
+            entries = tuple(
                 {"side": s, "wire": w, "angle": a, "flip": f}
                 for s, w, a, f in self.measured
-            ],
-        }
+            )
+            if measured is not None:
+                measured[self.measured] = entries
+        return {"prep": self.prep, "measured": entries}
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,9 @@ class StatRecord:
     def deviation(self) -> float:
         return abs(self.est_p - self.ideal_p)
 
-    def to_json(self) -> dict:
+    def to_json(self, measured: dict | None = None) -> dict:
         return {
-            "setting": self.setting.to_json(),
+            "setting": self.setting.to_json(measured),
             "ideal_p": self.ideal_p,
             "est_p": self.est_p,
             "n_samples": self.n_samples,
@@ -144,40 +150,100 @@ class StatRecord:
 
 
 def walk(
-    device: DeviceModel, state: hb.PhysState, op_lists: Iterable[Sequence[tuple]]
+    device: DeviceModel, state: hb.PhysState, op_lists: Sequence[Sequence[tuple]]
 ) -> Iterator[hb.PhysState]:
     """The state after each op list, applied in order to state.
 
     An op is a one-sided gate (side, label) or a branch projector
     (side, wire, angle). Each list starts from the state of the longest
     prefix it shares with the list before it, so a shared prefix is applied
-    once, and only the current list's path of states is kept. Every state is
-    the result of the same apply_operator calls, on the same inputs and in
-    the same order, as applying its list alone, so it is the same floats.
+    once. Siblings, consecutive lists that differ only in a last branch on
+    one (side, wire), go to apply_operator as one stack of projectors on
+    their shared parent state. Of the states on the path, only those that a
+    later list restarts from are kept. Every state has the bits of its list
+    applied alone, one operator at a time: the same operators act on the
+    same inputs in the same order, and a stacked row is computed as its
+    operator alone would be.
     """
-    ops: tuple = ()
-    path = [state]
-    operators: dict = {}
-    for new in op_lists:
-        new = tuple(new)
-        k, common = 0, min(len(ops), len(new))
-        while k < common and ops[k] == new[k]:
+    lists = [tuple(ops) for ops in op_lists]
+    n = len(lists)
+    # restart[j]: the length of the prefix list j shares with list j - 1
+    restart = [0] * n
+    for j in range(1, n):
+        before, ops = lists[j - 1], lists[j]
+        k, common = 0, min(len(before), len(ops))
+        while k < common and before[k] == ops[k]:
             k += 1
-        del path[k + 1:]
-        for op in new[k:]:
-            if op not in operators:
-                build = device.gate_operator if len(op) == 2 else device.frame_operator
-                operators[op] = build(*op)
-            path.append(hb.apply_operator(operators[op], path[-1]))
-        ops = new
-        yield path[-1]
+        restart[j] = k
+    # shallower[j]: the first list after j that restarts below restart[j]
+    shallower = [n] * n
+    later: list[int] = []
+    for j in range(n - 1, 0, -1):
+        while later and restart[later[-1]] >= restart[j]:
+            later.pop()
+        if later:
+            shallower[j] = later[-1]
+        later.append(j)
+
+    def needed(j: int) -> set[int]:
+        # the depths that lists j, j + 1, ... restart from: the running
+        # minima of restart[j:], as a shallower restart drops deeper states
+        depths = set()
+        while j < n:
+            depths.add(restart[j])
+            j = shallower[j]
+        return depths
+
+    operators: dict = {}
+
+    def operator(op: tuple) -> hb.LocalOperator:
+        if op not in operators:
+            build = device.gate_operator if len(op) == 2 else device.frame_operator
+            operators[op] = build(*op)
+        return operators[op]
+
+    path = {0: state}  # depth -> state after that many ops of the current list
+    i = 0
+    while i < n:
+        ops, depth = lists[i], restart[i]
+        end, stem = i + 1, len(ops)
+        if depth < stem and len(ops[-1]) == 3:
+            stem -= 1  # a branch; its siblings share the stem before it
+            while (
+                end < n
+                and restart[end] == stem
+                and len(lists[end]) == len(ops)
+                and len(lists[end][-1]) == 3
+                and lists[end][-1][:2] == ops[-1][:2]
+            ):
+                end += 1
+        need = needed(end)
+        states = (path[depth],)
+        path = {d: s for d, s in path.items() if d in need}
+        for depth in range(depth, stem):
+            states = (hb.apply_operator(operator(ops[depth]), states[0]),)
+            if depth + 1 in need:
+                path[depth + 1] = states[0]
+        if stem < len(ops):
+            branches = [operator(other[-1]) for other in lists[i:end]]
+            states = hb.apply_operator(branches, states[0])
+            if len(ops) in need:
+                path[len(ops)] = states[-1]
+        yield from states
+        i = end
 
 
 def probabilities(
-    device: DeviceModel, state: hb.PhysState, op_lists: Iterable[Sequence[tuple]]
+    device: DeviceModel, state: hb.PhysState, op_lists: Sequence[Sequence[tuple]]
 ) -> list[float]:
     """Squared norm of the state after each op list (see walk)."""
-    return [float(hb.norm(st) ** 2) for st in walk(device, state, op_lists)]
+    # map lets go of each state before walk builds the next stack of
+    # siblings, so a stack is freed before the next one is allocated
+    return list(map(_squared_norm, walk(device, state, op_lists)))
+
+
+def _squared_norm(st: hb.PhysState) -> float:
+    return hb.norm(st) ** 2
 
 
 def prepare(device: DeviceModel, prep: Iterable[tuple[str, str]]) -> hb.PhysState:

@@ -18,6 +18,7 @@ from qselftest import __version__
 from qselftest import cli
 from qselftest import devices as dv
 from qselftest import hilbert as hb
+from qselftest import protocol as pr
 
 
 @pytest.fixture()
@@ -185,6 +186,15 @@ class TestConfigErrors:
         code = cli.main(["epr-test", "--device", f"builtin:rotated?theta={value}"])
         assert code == 2
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec", ["builtin:depolarized?P=0.3", "builtin:honest?theta=1"]
+    )
+    def test_misspelled_device_parameter(self, spec, capsys):
+        # at p = 0 or on the honest device these would run and accept
+        code = cli.main(["epr-test", "--device", spec])
+        assert code == 2
+        assert "takes" in capsys.readouterr().err
 
     def test_extract_gate_index_needs_circuit(self, capsys):
         code = cli.main(
@@ -412,6 +422,33 @@ class TestReports:
         report = json.loads(out.read_text())
         assert report["result"]["y"] == "1"
         assert report["config"]["force_y"] == "1"
+
+
+class TestTable:
+    def test_columns_fit_the_printed_rows(self, capsys):
+        # rows past the printed 400 are only counted; they do not widen
+        # the columns
+        rows = [("short", "A0@0", 0.5, 0.5, 0.0, True)] * cli._MAX_TABLE_ROWS
+        rows += [("a-much-longer-label", "A0@0 B0@pi/8 A1@0 B1@pi/8", 0.5, 0.0, 0.5, False)]
+        cli._print_table(rows)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("experiment  setting  ")
+        assert lines[1].startswith("short       A0@0     ")
+        assert lines[-1] == "... 1 more rows (1 failing)"
+        assert len(lines) == cli._MAX_TABLE_ROWS + 2
+
+    def test_hidden_rows_get_no_setting_text(self):
+        # nine H steps: 36 + 9 * (36 + 9) = 441 records
+        gates = tuple(
+            dv.CircuitGate(f"g{i}", (0,), dv.builtin_gate("H")) for i in range(1, 10)
+        )
+        circ = dv.IdealCircuit(1, gates, "0")
+        v = pr.circuit_test(dv.noisy_source_device(circ, p=0.3), circ, "0", force_y="0")
+        rows = cli._verdict_rows(v)
+        assert len(rows) == len(v.records) > cli._MAX_TABLE_ROWS
+        assert all(r[1] for r in rows[: cli._MAX_TABLE_ROWS])
+        assert not any(r[1] for r in rows[cli._MAX_TABLE_ROWS:])
+        assert [r[5] for r in rows] == [rec.deviation <= v.eps for rec in v.records]
 
 
 def oracle(value):

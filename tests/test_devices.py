@@ -467,6 +467,25 @@ class TestLoading:
         with pytest.raises(ConfigError, match="bad device parameter"):
             dv.resolve_device("builtin:depolarized?p=lots")
 
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ("builtin:depolarized?P=0.3", "takes p, not 'P'"),
+            ("builtin:depolarized?theta=0.3", "takes p, not 'theta'"),
+            ("builtin:rotated?p=0.3", "takes theta, not 'p'"),
+            ("builtin:honest?theta=1", "takes no parameters, not 'theta'"),
+            ("builtin:vandam?p=0.1", "takes no parameters, not 'p'"),
+            ("builtin:depolarized?p=0.1&p=0.3", "'p' repeats"),
+            ("builtin:rotated?theta=0.3&theta=0.3", "'theta' repeats"),
+        ],
+    )
+    def test_resolve_rejects_parameters_the_builtin_does_not_take(self, spec, match):
+        # each of these used to run another device: a misspelled or foreign
+        # parameter was dropped (so p = 0 or theta = 0), and the last of a
+        # repeated one won
+        with pytest.raises(ConfigError, match=match):
+            dv.resolve_device(spec, single_h_circuit())
+
     def test_gallery_lists_builtins(self):
         uris = [u for u, _ in dv.builtin_gallery()]
         assert "builtin:honest" in uris

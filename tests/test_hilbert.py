@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qselftest import hilbert as hb
@@ -149,6 +149,67 @@ class TestTensorAndApply:
             got = hb.apply_operator(op, state)
             assert np.array_equal(bits(got.vec), bits(want)), (dims, targets)
         assert drew_dim_one and drew_all_targets and drew_zero
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=6).flatmap(
+            lambda dims: st.tuples(
+                st.just(tuple(dims)),
+                st.permutations(range(len(dims))).flatmap(
+                    lambda order: st.integers(1, min(3, len(dims))).map(
+                        lambda k: tuple(order[:k])
+                    )
+                ),
+                st.integers(1, 8),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @example(((3, 1, 4, 2), (2, 0), 8, 1))  # dim-1 and dim-3 wires, permuted
+    @example(((2, 3), (1, 0), 5, 2))  # every subsystem a target, permuted
+    @example(((4,), (0,), 8, 3))  # nothing left over (one column)
+    @example(((1,), (0,), 3, 4))  # 1 x 1 matrices
+    @example(((2, 2, 2, 2), (3, 0, 2), 7, 5))
+    def test_stacked_rows_bitwise_equal_single_applies(self, case):
+        # the k matrices as one (k*d x d) stack: each row scattered back to
+        # natural order must carry the bits of its operator applied alone
+        dims, targets, k, seed = case
+        rng = np.random.default_rng(seed)
+        d = int(np.prod([dims[t] for t in targets]))
+        total = int(np.prod(dims))
+        vec = rng.normal(size=total) + 1j * rng.normal(size=total)
+        vec[rng.random(total) < 0.2] = -0.0
+        state = hb.PhysState(hb.SubsystemDims(dims), vec)
+        ops = []
+        for _ in range(k):
+            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            mat[rng.random((d, d)) < 0.2] = 0.0
+            ops.append(hb.LocalOperator(targets, mat))
+        rows = hb.apply_operator(ops, state)
+        assert len(rows) == k
+        for op, row in zip(ops, rows):
+            want = hb.apply_operator(op, state)
+            assert row.layout == state.layout
+            assert np.array_equal(
+                np.ascontiguousarray(row.vec).view(np.uint8), want.vec.view(np.uint8)
+            )
+            assert hb.norm(row) == hb.norm(want)
+
+    def test_stack_must_share_targets(self):
+        layout = hb.SubsystemDims((2, 2))
+        ops = [hb.LocalOperator((0,), np.eye(2)), hb.LocalOperator((1,), np.eye(2))]
+        with pytest.raises(DimensionError, match="stacked"):
+            hb.apply_operator(ops, hb.basis_state(layout, 0))
+
+    def test_norm_bitwise_equals_numpy(self):
+        # norm is np.linalg.norm's own sum for a complex vector
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 7, 64, 1000, 4096):
+            vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+            vec *= 10.0 ** rng.integers(-8, 8, size)
+            got = hb.norm(hb.PhysState(hb.SubsystemDims((size,)), vec))
+            assert type(got) is float
+            assert got == float(np.linalg.norm(vec))
 
     def test_embed_rejects_bad_targets(self):
         op = hb.LocalOperator((5,), np.eye(2))

@@ -154,6 +154,27 @@ class TestBuildSchedule:
             assert exp.settings[0].to_json()["prep"] is prep
         assert max(len(exp.settings[0].prep) for exp in sch.experiments) == 6
 
+    def test_records_that_measure_alike_share_one_measured_tuple(self):
+        # equal measured lists across experiments get one tuple in the
+        # report, so the encoder writes each distinct list once
+        circ = bell_circuit()
+        v = pr.circuit_test(dv.honest_device(circ), circ, "00", eps=0.1)
+        js = v.to_json()
+        by_measured = {}
+        for rec, entry in zip(v.records, js["records"]):
+            got = entry["setting"]["measured"]
+            assert type(got) is tuple
+            assert got is by_measured.setdefault(rec.setting.measured, got)
+            assert list(got) == [
+                {"side": s, "wire": w, "angle": a, "flip": f}
+                for s, w, a, f in rec.setting.measured
+            ]
+        assert len({id(t) for t in by_measured.values()}) == len(by_measured)
+        assert len(by_measured) < len(v.records)
+        assert v.records[0].setting.to_json()["measured"] == js["records"][0][
+            "setting"
+        ]["measured"]
+
     def test_setting_normalizes_other_preps(self):
         s = stx.Setting(prep=[["A", "g1"], ("B", "g1")])
         assert s.prep == (("A", "g1"), ("B", "g1"))

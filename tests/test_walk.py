@@ -6,6 +6,7 @@ applying its op list alone to the source, one operator at a time.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,13 +142,80 @@ def test_tomo(spec, tmp_path):
     assert result["rho"] == dv.matrix_to_json(rho)
 
 
+def mixed_op_lists(device, circ, rng):
+    """A schedule's op lists with prefixes cut at random (some end in a
+    gate), empty lists, repeats and side readouts, in a random order."""
+    n = circ.n
+    schedule = pr.build_schedule(circ, "0" * n, "1" + "0" * (n - 1))
+    lists = [s.ops for exp in schedule.experiments for s in exp.settings]
+    lists += [ops[: rng.integers(len(ops) + 1)] for ops in lists[::7]]
+    lists += [(), (), lists[3], lists[3]]
+    lists += [tuple(pr._readout(side, format(c, f"0{n}b")))
+              for side in ("A", "B") for c in range(1 << n)]
+    return [lists[i] for i in rng.permutation(len(lists))]
+
+
+@pytest.mark.parametrize("order", ["shuffled", "sorted"])
+def test_probabilities_over_any_order(case, order):
+    # each list restarts from wherever the list before it left off, so the
+    # states a later list restarts from must survive every shallower or
+    # deeper list in between; sorting makes long runs of siblings
+    device, circ = case
+    rng = np.random.default_rng(2005)
+    lists = mixed_op_lists(device, circ, rng)
+    if order == "sorted":
+        lists.sort(key=repr)
+    got = stats.probabilities(device, device.source, lists)
+    assert got == [per_record(device, device.source, ops) for ops in lists]
+
+
+def test_siblings_extended_by_the_next_list():
+    # the last sibling's state is where a list that extends it restarts
+    device = dv.honest_device(CIRCUITS["fig1"])
+    a = [("A", 0, x) for x in (0.0, np.pi / 8, np.pi / 4)]
+    lists = [[("A", "g1"), op] for op in a]
+    lists += [lists[-1] + [("B", 1, np.pi / 8)], [("A", "g1")], lists[0]]
+    got = stats.probabilities(device, device.source, lists)
+    assert got == [per_record(device, device.source, ops) for ops in lists]
+
+
+def test_walk_keeps_only_the_states_later_lists_restart_from():
+    # 19 compensated steps deep: the longest list has 41 ops. Keeping the
+    # whole path of the current list peaked at 45 state sizes; keeping only
+    # the few states that later lists restart from, next to one stack of
+    # six siblings and its scatter copy, peaks at 18
+    gates = []
+    for i in range(16):
+        w = i // 2 % 3
+        if i % 2 == 0:
+            gates.append((f"ROT({0.1 * (i + 1)})", (w,)))
+        else:
+            gates.append(("CNOT", (w, (w + 1) % 3)))
+    circ = circuit(3, gates)
+    device = dv.noisy_source_device(circ, p=0.05)
+    schedule = pr.build_schedule(circ, "000", "111")
+    lists = [s.ops for exp in schedule.experiments for s in exp.settings]
+    state_bytes = device.source.vec.nbytes  # 64 KiB: hidden dims 4 per wire
+    tracemalloc.start()
+    try:
+        stats.probabilities(device, device.source, lists)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * state_bytes, peak / state_bytes
+
+
 def test_walk_applies_each_shared_prefix_once(monkeypatch):
-    # H circuit, y = x = "0": steps (g1,). Per device, conspiracy@0 has 36
-    # settings (A a)(B b) in a-major order: 6 * (2 + 5) = 42 applications;
-    # conspiracy@1 adds its prep (A g1)(B g1) once: 2 + 42; tomography@1
-    # keeps (A g1) from the list before and has 3 * (2 + 2) = 12. Device and
-    # reference: 2 * 98 (building the reference applies nothing). One record
-    # at a time it took 2 * 165.
+    # H circuit, y = x = "0": steps (g1,). A stacked call, the sibling
+    # branches of one parent applied at once, counts as one. Per device,
+    # conspiracy@0 has 36 settings (A a)(B b) in a-major order: per a, one
+    # single (A a) and one stack of the six (B b), so 6 + 6; conspiracy@1
+    # adds its prep (A g1)(B g1) once: 2 singles, then 6 + 6 again;
+    # tomography@1 keeps (A g1) from the list before and has three (A a),
+    # each with a stack of three (B b): 3 + 3. That is 17 singles and 15
+    # stacks; device and reference: 2 * (17 + 15) = 64 (building the
+    # reference applies nothing). One operator at a time, shared prefixes
+    # once, it took 2 * 98; one record at a time, 2 * 165.
     calls = []
     real = hb.apply_operator
 
@@ -160,4 +228,7 @@ def test_walk_applies_each_shared_prefix_once(monkeypatch):
     schedule = pr.build_schedule(circ, "0", "0")
     monkeypatch.setattr(hb, "apply_operator", counting)
     pr.evaluate_schedule(device, schedule)
-    assert len(calls) == 2 * 98
+    stacks = [op for op in calls if not isinstance(op, hb.LocalOperator)]
+    assert len(calls) - len(stacks) == 2 * 17
+    assert sorted(len(s) for s in stacks) == [3] * 6 + [6] * 24
+    assert len(calls) == 2 * (17 + 15)
