@@ -874,7 +874,7 @@ _GALLERY = (
 )
 
 
-# the query parameters each builtin takes
+# the query parameters each builtin takes, every one of them required
 _BUILTIN_PARAMS = {
     "honest": (),
     "vandam": (),
@@ -912,10 +912,15 @@ def resolve_device(spec: str, circuit: IdealCircuit | None = None) -> DeviceMode
                 raise ConfigError(f"bad device parameter {item!r} in {spec!r}") from None
             if not math.isfinite(params[k]):
                 raise ConfigError(f"device parameter {item!r} in {spec!r} is not finite")
+    for k in _BUILTIN_PARAMS[name]:
+        if k not in params:
+            raise ConfigError(
+                f"builtin:{name} requires {k!r}, as in builtin:{name}?{k}=... (in {spec!r})"
+            )
     if name == "honest":
         return honest_device(circuit)
     if name == "vandam":
         return van_dam_device()
     if name == "rotated":
-        return rotated_device(circuit, theta=params.get("theta", 0.0))
-    return noisy_source_device(circuit, p=params.get("p", 0.0))
+        return rotated_device(circuit, theta=params["theta"])
+    return noisy_source_device(circuit, p=params["p"])

@@ -145,19 +145,37 @@ def _span_generators(
 ) -> list[PhysState]:
     """Products of per-wire projectors applied to the source.
 
-    Per wire and side the angle set reduces to {0, pi/8, pi/4, Id}: the three
-    upper-half projectors are Id minus a base one, so the spanned subspace is
-    unchanged while the generator count drops from 36^k to 16^k. Generators
-    come in itertools.product order over the (wire, side) slots, and each
-    shared prefix of projectors is applied once.
+    Per wire and side the angle set reduces to Id and the base angles
+    {0, pi/8, pi/4}: the three upper-half projectors are Id minus a base one.
+    A base projector whose matrix lies in the span of Id and the ones kept
+    before it is dropped too; on a real qubit frame that is P(pi/4), as real
+    symmetric 2x2 matrices span only three dimensions. The slots act on
+    distinct subsystems, so the products of the kept operators span the same
+    S: from 9^k generators on real qubit frames, and from up to 16^k on
+    others. Generators come in itertools.product order over the (wire, side)
+    slots, and each shared prefix of projectors is applied once.
     """
     slots = [(side, w) for w in wires for side in ("A", "B")]
-    products = itertools.product((None,) + BASE_ANGLES, repeat=len(slots))
+    choices = [(None,) + _independent_angles(device, side, w) for side, w in slots]
     branches = [
         [(side, w, a) for (side, w), a in zip(slots, angles) if a is not None]
-        for angles in products
+        for angles in itertools.product(*choices)
     ]
     return list(stx.walk(device, source, branches))
+
+
+def _independent_angles(device: DeviceModel, side: str, wire: int) -> tuple[float, ...]:
+    """The base angles whose projectors are independent of Id and the ones
+    before them, in BASE_ANGLES order."""
+    mats = [device.frame_operator(side, wire, a).matrix for a in BASE_ANGLES]
+    kept = [np.eye(len(mats[0])).reshape(-1)]
+    angles = []
+    for a, m in zip(BASE_ANGLES, mats):
+        rows = kept + [m.reshape(-1)]
+        if np.linalg.matrix_rank(np.array(rows), tol=hb.RANK_TOL) == len(rows):
+            kept = rows
+            angles.append(a)
+    return tuple(angles)
 
 
 def _extended_zero(source: PhysState, k: int) -> PhysState:
@@ -223,6 +241,7 @@ def certify_state_equivalence(
 
     gens = _span_generators(device, source, wires)
     s_basis = hb.orthonormalize(gens)
+    stacked = s_basis.stacked
 
     sides = [lay.a_index(w) for w in wires] + [lay.b_index(w) for w in wires]
     bare_a, bare_b, placed = _swap_ops(device, wires, sides)
@@ -239,21 +258,21 @@ def certify_state_equivalence(
     for i, w in enumerate(wires):
         for side, bare in (("A", bare_a[i]), ("B", bare_b[i])):
             d = lay.side_dim(side, w)
-            u = bare.matrix
+            # the swap's |0>-logical columns, split by the logical output row
+            u0 = bare.matrix[:d, :d]
+            u1 = bare.matrix[d:, :d]
+            g00 = u0.conj().T @ u0
+            g01 = u0.conj().T @ u1
+            cross = g01 + g01.conj().T
+            g11 = u1.conj().T @ u1
             frame = device.frames[(side, w)]
             target = (lay.side_index(side, w),)
             for a in TEST_ANGLES:
-                av = hb.angle_state(a).vec
-                logical = np.kron(np.outer(av, av.conj()), np.eye(d))
-                # the <0|.|0> block on the logical slot, which comes first
-                m = (u.conj().T @ logical @ u)[:d, :d]
-                res = hb.op_norm_on(
-                    s_basis,
-                    LocalOperator(target, frame.projector(a), "projector"),
-                    LocalOperator(target, m, "general"),
-                )
-                key = f"{side}{w}:{angle_name(a)}"
-                proj_residuals[key] = float(res)
+                # <0|U^dag (|a><a| x Id) U|0> on the wire
+                c, s = hb.angle_state(a).vec
+                m = (c * c) * g00 + (c * s) * cross + (s * s) * g11
+                res = hb.op_norm_on(stacked, LocalOperator(target, frame.projector(a) - m))
+                proj_residuals[f"{side}{w}:{angle_name(a)}"] = res
 
     return EquivalenceReport(
         wires, bare_a, bare_b, s_basis, state_residual, proj_residuals
@@ -303,8 +322,9 @@ def certify_gate_equivalence(
     t_log_dag = LocalOperator.unitary(range(k), gate.matrix.conj().T)
 
     _, _, placed = _swap_ops(device, wires, range(2 * k))
+    g_eye = hb.apply_operator(g_sup, eye)
     x = _apply_all(placed, _extended_zero(eye, k))
-    z = _apply_all(placed, _extended_zero(hb.apply_operator(g_sup, eye), k))
+    z = _apply_all(placed, _extended_zero(g_eye, k))
     z = hb.apply_operator(t_log_dag, z)
     xm = x.vec.reshape(-1, d_sup)
     zm = z.vec.reshape(-1, d_sup)
@@ -323,8 +343,9 @@ def certify_gate_equivalence(
     fact = float(np.linalg.norm(ks.reshape(-1, base.s_rank), axis=0).max())
 
     twx = hb.apply_operator(t_log, wx).vec.reshape(-1, d_sup)
-    composite = LocalOperator(support, xm.conj().T @ twx)
-    gate_residual = float(hb.op_norm_on(base.s_basis, gate_op, composite))
+    # the device gate on the support is g_eye's matrix; both sides as one operator
+    diff = g_eye.vec.reshape(d_sup, d_sup) - xm.conj().T @ twx
+    gate_residual = hb.op_norm_on(stacked, LocalOperator(support, diff))
     return replace(
         base,
         gate_residual=gate_residual,

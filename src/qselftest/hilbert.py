@@ -348,17 +348,18 @@ def orthonormalize(
     return SubspaceBasis(layout, stack[:r].copy(), sv)
 
 
-def op_norm_on(basis: SubspaceBasis, m: LocalOperator, n: LocalOperator) -> float:
-    """Largest singular value of (M - N) restricted to the subspace.
+def op_norm_on(stacked: PhysState, op: LocalOperator) -> float:
+    """Largest singular value of an operator restricted to a subspace.
 
-    Each operator is applied once, to `basis.stacked`, the whole basis as one
-    state.
+    `stacked` is the subspace's orthonormal basis as `SubspaceBasis.stacked`
+    lays it out, so the operator is applied once, to all basis vectors.
+    A difference M - N is passed as one operator.
     """
-    if basis.rank == 0:
+    rank = stacked.layout.dims[-1]
+    if rank == 0:
         return 0.0
-    s = basis.stacked
-    diff = apply_operator(m, s).vec - apply_operator(n, s).vec
-    return float(np.linalg.svd(diff.reshape(-1, basis.rank), compute_uv=False)[0])
+    out = apply_operator(op, stacked).vec
+    return float(np.linalg.svd(out.reshape(-1, rank), compute_uv=False)[0])
 
 
 def partial_trace(x: PhysState, keep: Sequence[int]) -> np.ndarray:

@@ -196,6 +196,15 @@ class TestConfigErrors:
         assert code == 2
         assert "takes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, key", [("builtin:rotated", "theta"), ("builtin:depolarized", "p")]
+    )
+    def test_missing_device_parameter(self, spec, key, capsys):
+        # without its parameter each ran as the honest device and accepted
+        code = cli.main(["epr-test", "--device", spec])
+        assert code == 2
+        assert f"requires {key!r}" in capsys.readouterr().err
+
     def test_extract_gate_index_needs_circuit(self, capsys):
         code = cli.main(
             ["extract", "--device", "builtin:honest", "--gate-index", "1"]

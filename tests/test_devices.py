@@ -477,12 +477,14 @@ class TestLoading:
             ("builtin:vandam?p=0.1", "takes no parameters, not 'p'"),
             ("builtin:depolarized?p=0.1&p=0.3", "'p' repeats"),
             ("builtin:rotated?theta=0.3&theta=0.3", "'theta' repeats"),
+            ("builtin:rotated", "requires 'theta'"),
+            ("builtin:depolarized", "requires 'p'"),
         ],
     )
     def test_resolve_rejects_parameters_the_builtin_does_not_take(self, spec, match):
-        # each of these used to run another device: a misspelled or foreign
-        # parameter was dropped (so p = 0 or theta = 0), and the last of a
-        # repeated one won
+        # each of these used to run another device: a misspelled, foreign or
+        # missing parameter meant p = 0 or theta = 0, the honest device, and
+        # the last of a repeated one won
         with pytest.raises(ConfigError, match=match):
             dv.resolve_device(spec, single_h_circuit())
 

@@ -151,28 +151,80 @@ class TestStateEquivalence:
         }
 
 
+def product_generators(device, wires, angles):
+    """Every product of {Id} + angles over the (wire, side) slots applied to
+    the source in slot order, one product at a time."""
+    slots = [
+        [None] + [device.frame_operator(side, w, a) for a in angles]
+        for w in wires
+        for side in ("A", "B")
+    ]
+    out = []
+    for combo in itertools.product(*slots):
+        st = device.source
+        for op in combo:
+            if op is not None:
+                st = hb.apply_operator(op, st)
+        out.append(st)
+    return out
+
+
+def complex_pi4_device(n):
+    """A loaded n-wire EPR device whose pi/4 projectors are complex: onto
+    (|0> + i|1>)/sqrt(2). Id, P(0), P(pi/8) and P(pi/4) then span all 2x2
+    matrices, so no angle can be dropped."""
+    mats = {
+        "0": hb.projector_angle(0.0).matrix,
+        "pi/8": hb.projector_angle(math.pi / 8).matrix,
+        "pi/4": np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+    }
+    frames = [
+        {"side": side, "wire": w, "angle": key, "matrix": dv.matrix_to_json(m)}
+        for side in "AB"
+        for w in range(n)
+        for key, m in mats.items()
+    ]
+    layout = {"n_wires": n, "a_dims": [2] * n, "b_dims": [2] * n}
+    return dv.load_device({"layout": layout, "frames": frames})
+
+
+SPAN_CASES = [
+    ("honest", lambda: dv.honest_device(bell_circuit()), (0,), 9),
+    ("honest", lambda: dv.honest_device(bell_circuit()), (1, 0), 81),
+    ("rotated", lambda: dv.rotated_device(bell_circuit(), theta=0.9), (0,), 9),
+    ("rotated", lambda: dv.rotated_device(bell_circuit(), theta=0.9), (0, 1), 81),
+    ("depolarized", lambda: dv.noisy_source_device(bell_circuit(), p=0.1), (0,), 9),
+    ("depolarized", lambda: dv.noisy_source_device(bell_circuit(), p=0.1), (1, 0), 81),
+    ("vandam", dv.van_dam_device, (0,), 16),
+    ("complex", lambda: complex_pi4_device(2), (0,), 16),
+    ("complex", lambda: complex_pi4_device(2), (0, 1), 256),
+]
+
+
 class TestSpanGenerators:
     def test_prefix_sharing_matches_product_of_projectors(self):
-        # reference: every (wire, side) slot's {Id, P(0), P(pi/8), P(pi/4)}
-        # applied to the source in slot order, one product at a time
+        # a real qubit frame keeps Id, P(0) and P(pi/8) per slot; P(pi/4)
+        # lies in their span
         dev = dv.noisy_source_device(bell_circuit(), p=0.1)
         wires = (1, 0)
-        slots = [
-            [None] + [dev.frame_operator(side, w, a) for a in dv.BASE_ANGLES]
-            for w in wires
-            for side in ("A", "B")
-        ]
-        want = []
-        for combo in itertools.product(*slots):
-            st = dev.source
-            for op in combo:
-                if op is not None:
-                    st = hb.apply_operator(op, st)
-            want.append(st.vec)
+        want = [g.vec for g in product_generators(dev, wires, dv.BASE_ANGLES[:2])]
         got = [g.vec for g in ex._span_generators(dev, dev.source, wires)]
-        assert len(got) == len(want) == 16 ** len(wires)
+        assert len(got) == len(want) == 9 ** len(wires)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "make, wires, count", [c[1:] for c in SPAN_CASES], ids=[c[0] for c in SPAN_CASES]
+    )
+    def test_same_subspace_as_every_product(self, make, wires, count):
+        dev = make()
+        got = ex._span_generators(dev, dev.source, wires)
+        assert len(got) == count
+        full = hb.orthonormalize(product_generators(dev, wires, dv.BASE_ANGLES))
+        reduced = hb.orthonormalize(got)
+        assert reduced.rank == full.rank
+        proj = reduced.matrix.T @ reduced.matrix.conj()
+        assert np.abs(proj - full.matrix.T @ full.matrix.conj()).max() <= 1e-12
 
 
 class TestGateEquivalence:

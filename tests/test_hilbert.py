@@ -339,9 +339,7 @@ class TestSubspaces:
         basis = hb.orthonormalize(vecs)
         ma = rng.normal(size=(4, 4))
         mb = rng.normal(size=(4, 4))
-        m = hb.LocalOperator((0, 1), ma)
-        n = hb.LocalOperator((0, 1), mb)
-        got = hb.op_norm_on(basis, m, n)
+        got = hb.op_norm_on(basis.stacked, hb.LocalOperator((0, 1), ma - mb))
         want = np.linalg.svd((ma - mb) @ basis.matrix.T, compute_uv=False)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -351,15 +349,14 @@ class TestSubspaces:
         layout = hb.SubsystemDims((2,) * 16)
         rank = hb.DIM_CAP // layout.total + 1
         basis = hb.SubspaceBasis(layout, np.eye(rank, layout.total), np.ones(rank))
-        twice = hb.LocalOperator((3,), 2 * np.eye(2))
         identity = hb.LocalOperator((3,), np.eye(2))
-        assert hb.op_norm_on(basis, twice, identity) == pytest.approx(1.0, abs=1e-12)
+        assert hb.op_norm_on(basis.stacked, identity) == pytest.approx(1.0, abs=1e-12)
 
     def test_op_norm_identity_default(self):
-        # an operator against itself differs by nothing on the subspace
+        # an operator minus itself, passed as one operator, is nothing on S
         basis = hb.orthonormalize(self.gens)
-        identity = hb.LocalOperator((0, 1), np.eye(4))
-        assert hb.op_norm_on(basis, identity, identity) == 0.0
+        zero = hb.LocalOperator((0, 1), np.zeros((4, 4)))
+        assert hb.op_norm_on(basis.stacked, zero) == 0.0
 
 
 def mgs_reference(vecs, rank_tol=hb.RANK_TOL):
@@ -418,11 +415,10 @@ class TestGramSchmidt:
             [hb.PhysState(layout, v) for v in random_vecs(rng, 5, layout.total)]
         )
         m = hb.LocalOperator((2, 0), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        n = hb.LocalOperator((1,), rng.normal(size=(3, 3)))
         rows = [hb.PhysState(layout, row) for row in basis.matrix]
-        cols = [hb.apply_operator(m, x).vec - hb.apply_operator(n, x).vec for x in rows]
+        cols = [hb.apply_operator(m, x).vec for x in rows]
         want = np.linalg.svd(np.stack(cols), compute_uv=False)[0]
-        assert hb.op_norm_on(basis, m, n) == pytest.approx(want, abs=1e-12)
+        assert hb.op_norm_on(basis.stacked, m) == pytest.approx(want, abs=1e-12)
 
 
 class TestPartialTrace:
