@@ -27,6 +27,7 @@ from . import stats as stx
 from .errors import ConfigError, QSelfTestError
 
 _MAX_TABLE_ROWS = 400
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -158,18 +159,18 @@ def _setting_text(setting) -> str:
 
 def _verdict_rows(verdict: pr.Verdict):
     """One table row per record; only the rows _print_table prints get their
-    setting text."""
+    setting text, made once per distinct measured tuple."""
+    texts: dict[tuple, str] = {}
     rows = []
     for i, (label, rec) in enumerate(zip(verdict.labels, verdict.records)):
+        text = ""
+        if i < _MAX_TABLE_ROWS:
+            text = texts.get(rec.setting.measured)
+            if text is None:
+                text = texts[rec.setting.measured] = _setting_text(rec.setting)
         rows.append(
-            (
-                label,
-                _setting_text(rec.setting) if i < _MAX_TABLE_ROWS else "",
-                rec.ideal_p,
-                rec.est_p,
-                rec.deviation,
-                rec.deviation <= verdict.eps,
-            )
+            (label, text, rec.ideal_p, rec.est_p, rec.deviation,
+             rec.deviation <= verdict.eps)
         )
     return rows
 
@@ -177,62 +178,154 @@ def _verdict_rows(verdict: pr.Verdict):
 def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
 
-    A tuple is encoded once per indent level: all settings of an experiment
-    share one prep tuple, which the report repeats in every record. The memo
-    lives for one call, while obj keeps every tuple in it alive, so no id is
-    reused.
+    One pass appends the text to one list of parts, joined once at the end.
+    Exact str, int and finite float values are written inline; subclasses
+    such as bool and np.float64, and dicts with a key that is not a str,
+    take the generic path. Two memos live for one call:
+    - a tuple's text per depth, keyed on its id (obj keeps every tuple
+      alive, so no id is reused): all settings of an experiment share one
+      prep tuple, and records that measure alike one measured tuple, which
+      the report repeats in every record;
+    - a dict's keys in sorted order, each with the text before its value,
+      per (key tuple, depth): every record has the same keys. Only dicts
+      whose keys are all exactly str are memoized, since 1, True and 1.0
+      are equal keys that json writes differently.
     """
-    memo: dict[tuple[int, str], str] = {}
+    parts: list[str] = []
+    put = parts.append
+    tuples: dict[tuple[int, int], str] = {}
+    shapes: dict[tuple[tuple, int], tuple] = {}
+    layouts: list[tuple[str, str, str]] = []
 
-    def enc(o, indent: str) -> str:
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            if math.isinf(o):
-                return "Infinity" if o > 0 else "-Infinity"
-            return float.__repr__(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
+    def layout(depth: int) -> tuple[str, str, str]:
+        # the separator before an item at depth + 1, and the closing "]"
+        # and "}" at depth
+        while len(layouts) <= depth:
+            inner = "\n" + "  " * (len(layouts) + 1)
+            layouts.append(("," + inner, inner[:-2] + "]", inner[:-2] + "}"))
+        return layouts[depth]
+
+    def enc(o, depth: int) -> None:
         if isinstance(o, dict):
-            parts = [key(k) + ": " + enc(v, indent + "  ") for k, v in sorted(o.items())]
-            return block("{}", parts, indent)
-        if isinstance(o, tuple):
-            text = memo.get((id(o), indent))
+            enc_dict(o, depth)
+        elif isinstance(o, tuple):
+            text = tuples.get((id(o), depth))
             if text is None:
-                parts = [enc(v, indent + "  ") for v in o]
-                text = memo[id(o), indent] = block("[]", parts, indent)
-            return text
-        if isinstance(o, list):
-            return block("[]", [enc(v, indent + "  ") for v in o], indent)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+                start = len(parts)
+                enc_list(o, depth)
+                text = tuples[id(o), depth] = "".join(parts[start:])
+                del parts[start:]
+            put(text)
+        elif isinstance(o, list):
+            enc_list(o, depth)
+        else:
+            text = _scalar(o)
+            if text is None:
+                raise TypeError(
+                    f"Object of type {type(o).__name__} is not JSON serializable"
+                )
+            put(text)
 
-    def key(k) -> str:
-        if isinstance(k, str):
-            return encode_basestring_ascii(k)
-        if k is None or isinstance(k, (int, float)):
-            return encode_basestring_ascii(enc(k, ""))
+    def enc_list(o, depth: int) -> None:
+        if not o:
+            put("[]")
+            return
+        sep, close, _ = layout(depth)
+        start = len(parts)
+        for v in o:
+            put(sep)
+            t = type(v)
+            if t is str:
+                put(encode_basestring_ascii(v))
+            elif t is float and -_INF < v < _INF:
+                put(float.__repr__(v))
+            elif t is int:
+                put(int.__repr__(v))
+            elif t is dict:
+                enc_dict(v, depth + 1)
+            else:
+                enc(v, depth + 1)
+        parts[start] = "[" + sep[1:]
+        put(close)
+
+    def enc_dict(o, depth: int) -> None:
+        if not o:
+            put("{}")
+            return
+        keys = tuple(o)
+        shape = shapes.get((keys, depth))
+        if shape is None:
+            if not all(type(k) is str for k in keys):
+                enc_items(o, depth)
+                return
+            sep, _, close = layout(depth)
+            order = sorted(keys)
+            heads = [sep + encode_basestring_ascii(k) + ": " for k in order]
+            heads[0] = "{" + heads[0][1:]
+            shape = shapes[keys, depth] = (tuple(zip(order, heads)), close)
+        pairs, close = shape
+        for k, head in pairs:
+            put(head)
+            v = o[k]
+            t = type(v)
+            if t is str:
+                put(encode_basestring_ascii(v))
+            elif t is float and -_INF < v < _INF:
+                put(float.__repr__(v))
+            elif t is int:
+                put(int.__repr__(v))
+            elif t is dict:
+                enc_dict(v, depth + 1)
+            else:
+                enc(v, depth + 1)
+        put(close)
+
+    def enc_items(o, depth: int) -> None:
+        # keys as json coerces them: sorted as given, then written as strings
+        sep, _, close = layout(depth)
+        start = len(parts)
+        for k, v in sorted(o.items()):
+            put(sep + _key(k) + ": ")
+            enc(v, depth + 1)
+        parts[start] = "{" + parts[start][1:]
+        put(close)
+
+    enc(obj, 0)
+    return "".join(parts)
+
+
+def _scalar(o) -> str | None:
+    """JSON text of a str, float, None, bool or int; None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if math.isinf(o):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return None
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: a str as is, a float, bool, None or int
+    as its JSON text, quoted."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    text = _scalar(k)
+    if text is None:
         raise TypeError(
             f"keys must be str, int, float, bool or None, not {type(k).__name__}"
         )
-
-    def block(brackets: str, parts: list[str], indent: str) -> str:
-        if not parts:
-            return brackets
-        inner = "\n" + indent + "  "
-        # brackets go onto the end parts, so the body is copied only once
-        parts[0] = brackets[0] + inner + parts[0]
-        parts[-1] += "\n" + indent + brackets[1]
-        return ("," + inner).join(parts)
-
-    return enc(obj, "")
+    return encode_basestring_ascii(text)
 
 
 def _emit(cfg: RunConfig, result: dict) -> None:

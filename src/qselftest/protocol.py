@@ -391,7 +391,9 @@ def circuit_test(
         weights = np.clip(weights, 0.0, None)
         weights = weights / weights.sum()
         counts = stx.record_rng(seed, 1).multinomial(n_comp, weights)
-        hist = {k: c / n_comp for k, c in zip(keys, counts) if c}
+        # int(c): NumPy counts would make NumPy floats, whose repr shows
+        # in the printed histogram; the quotient is the same float
+        hist = {k: int(c) / n_comp for k, c in zip(keys, counts) if c}
     else:
         hist = {k: v for k, v in hist.items() if v > 1e-12}
     tv = _tv_distance(hist, _ideal_computation_distribution(schedule))

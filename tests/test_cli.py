@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, determinism, config errors."""
 
+import ast
 import json
 import math
 import os
@@ -374,6 +375,22 @@ class TestReports:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
+    def test_sampled_outcomes_print_as_plain_floats(self, bell_circuit_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        cli.main(
+            ["circuit-test", "--device", "builtin:honest", "--circuit", bell_circuit_file,
+             "--x", "00", "--mode", "sampled", "--seed", "3", "--out", str(out)]
+        )
+        line = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("computation:")
+        )
+        assert "np." not in line
+        shown = ast.literal_eval(line.split("outcomes=", 1)[1])
+        report = json.loads(out.read_text())["result"]
+        assert shown == report["computation_outcome_histogram"]
+        assert set(shown) == {"00", "11"}
+        assert all(type(v) is float for v in shown.values())
+
     def test_different_seed_changes_report(self, tmp_path, capsys):
         texts = []
         for seed in ("1", "2"):
@@ -455,7 +472,10 @@ class TestTable:
         v = pr.circuit_test(dv.noisy_source_device(circ, p=0.3), circ, "0", force_y="0")
         rows = cli._verdict_rows(v)
         assert len(rows) == len(v.records) > cli._MAX_TABLE_ROWS
-        assert all(r[1] for r in rows[: cli._MAX_TABLE_ROWS])
+        shown = v.records[: cli._MAX_TABLE_ROWS]
+        assert [r[1] for r in rows[: cli._MAX_TABLE_ROWS]] == [
+            cli._setting_text(rec.setting) for rec in shown
+        ]
         assert not any(r[1] for r in rows[cli._MAX_TABLE_ROWS:])
         assert [r[5] for r in rows] == [rec.deviation <= v.eps for rec in v.records]
 
@@ -493,14 +513,34 @@ def _shared_tuples(draw):
     return {"a": t, "b": [t, {"c": t, "d": rest}], "e": (t, t)}
 
 
+# one tuple object at several depths, as a prep tuple recurs in the report
+_PAIR = ("A", [1, 0.5])
+
+
+@st.composite
+def _records(draw):
+    # dicts that share one key set, in one order or in several, the way
+    # every record of a report has the same keys
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    orders = [keys, keys[::-1]]
+    rows = draw(st.lists(st.tuples(st.sampled_from(orders),
+                                   st.lists(_values, min_size=5, max_size=5)),
+                         max_size=4))
+    records = [dict(zip(order, vals)) for order, vals in rows]
+    return draw(st.sampled_from([records, {"records": records, "x": [records[:1]]}]))
+
+
 class TestReportEncoder:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_values | _shared_tuples())
+    @given(_values | _shared_tuples() | _records())
     @example({"z": -0.0, "n": float("nan"), "p": float("inf"), "m": float("-inf")})
     @example([2**70, -(2**70), True, False, None, 1, 0])
     @example({"\u00e9\"\\\x00\x1f": "caf\u00e9 \"q\" \\ \t\x01\U0001f600"})
     @example(({}, [], (), {"": []}))
     @example(np.float64(0.1))
+    @example([{"b": 1, "a": 2.5}, {"b": True, "a": np.float64(2.5)}, {"a": "x", "b": None}])
+    @example([{"a": 0, "b": 1}, {"b": 0, "a": 1}, {"a": [{"a": 0, "b": 1}]}])
+    @example({"a": _PAIR, "b": [_PAIR, {"c": _PAIR}], "d": (_PAIR, _PAIR)})
     def test_matches_json_dumps(self, value):
         assert cli._dumps(value) == oracle(value)
 
@@ -512,6 +552,9 @@ class TestReportEncoder:
             max_size=4,
         )
     )
+    # 1, True and 1.0 are equal keys, which json writes as "1", "true", "1.0"
+    @example({"a": {1: 0}, "b": {True: 0}, "c": {1.0: 0}})
+    @example([{1: 0}, {True: 0}, {1.0: 0}, {"1": 0}])
     def test_non_string_keys_match_json_dumps(self, value):
         # keys of unlike types cannot be sorted: both must then raise
         def outcome(encode):
