@@ -1,0 +1,38 @@
+"""Fixtures shared by the tests that check benchmark pool commands."""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from qselftest import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def pinned_pool(tmp_path, monkeypatch, capsys):
+    """(workloads, failures): the benchmark's `perfbench/workloads.py`, with
+    the pool's circuit files written into a temporary working directory, and
+    a function that runs commands through `cli.main --out` and returns why
+    each one fails `workloads.check` against `perfbench/pinned.json`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    wl.write_pool_circuits()
+
+    def failures(cmds):
+        found = []
+        for cmd in cmds:
+            rc = cli.main(list(cmd.argv) + ["--out", "report.json"])
+            capsys.readouterr()
+            data = Path("report.json").read_bytes()
+            Path("report.json").unlink()
+            error = wl.check(cmd, rc, data, json.loads(data), pins)
+            if error is not None:
+                found.append(f"{cmd.key}: {error}")
+        return found
+
+    return wl, failures

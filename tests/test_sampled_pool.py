@@ -1,52 +1,29 @@
 """Sampled pool commands and tiny exact ladders against the benchmark's checks.
 
-The benchmark checks every sampled report field by field against
-`perfbench/pinned.json`, so a change to the report writer, the table or the
-protocol that moves a byte fails it. This runs the small-sampled pool
-commands of two sample seeds and the tiny ladder-exact lists through
-`cli.main`, and checks each with the benchmark's own `workloads.check`.
+The benchmark compares every field of a sampled report with
+`perfbench/pinned.json`, so a change to the report writer or the protocol
+that moves any value fails it. This runs the small-sampled pool commands of
+two sample seeds and the tiny ladder-exact lists through `cli.main`, and
+checks each with the benchmark's own `workloads.check`: sampled reports
+against their pins, ladder reports by exit code and `max_deviation`.
 """
 
-import importlib
-import json
-from pathlib import Path
-
-from qselftest import cli
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SAMPLE_SEEDS = ("0", "1")
 LADDER_SEEDS = (0, 1, 2)
 
 
-def run_and_check(wl, pins, cmds, capsys):
-    failures = []
-    for cmd in cmds:
-        rc = cli.main(list(cmd.argv) + ["--out", "report.json"])
-        capsys.readouterr()
-        data = Path("report.json").read_bytes()
-        Path("report.json").unlink()
-        error = wl.check(cmd, rc, data, json.loads(data), pins)
-        if error is not None:
-            failures.append(f"{cmd.key}: {error}")
-    return failures
-
-
-def test_sampled_pool_and_tiny_ladders_pass_the_benchmark_checks(
-    tmp_path, monkeypatch, capsys
-):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    wl = importlib.import_module("workloads")
-    pins = json.loads((PERFBENCH / "pinned.json").read_text())
-    monkeypatch.chdir(tmp_path)
-    wl.write_pool_circuits()
+def test_sampled_pool_and_tiny_ladders_pass_the_benchmark_checks(pinned_pool):
+    wl, failures = pinned_pool
     sampled = [
         cmd for cmd in wl.small_sampled_pool()
         if cmd.argv[cmd.argv.index("--seed") + 1] in SAMPLE_SEEDS
     ]
     assert len(sampled) == 74
-    failures = run_and_check(wl, pins, sampled, capsys)
+    found = failures(sampled)
     for seed in LADDER_SEEDS:
+        # each seed writes its circuits under the same file names, so its
+        # commands run before the next seed's are built
         ladder = wl.build("ladder-exact", seed, tiny=True)
         assert all(cmd.max_deviation is not None for cmd in ladder)
-        failures += run_and_check(wl, pins, ladder, capsys)
-    assert failures == []
+        found += failures(ladder)
+    assert found == []
