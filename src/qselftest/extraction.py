@@ -99,8 +99,7 @@ class EquivalenceReport:
     """Residual distances of one device fragment from the ideal, on S.
 
     u_bar_a / u_bar_b hold one swap unitary per certified wire. Residuals of
-    0 mean exact equivalence on the tested subspace; the basis carries the
-    singular-value profile when noise bends S away from its ideal rank.
+    0 mean exact equivalence on the tested subspace.
     """
 
     wires: tuple[int, ...]
@@ -125,7 +124,6 @@ class EquivalenceReport:
         out = {
             "wires": list(self.wires),
             "s_rank": self.s_rank,
-            "s_singular_values": [float(s) for s in self.s_basis.singular_values],
             "state_residual": self.state_residual,
             "projector_residuals": dict(sorted(self.projector_residuals.items())),
             "u_bar_a": [matrix_to_json(op.matrix) for op in self.u_bar_a],
@@ -186,25 +184,20 @@ def _extended_zero(source: PhysState, k: int) -> PhysState:
     return PhysState._wrap(dims, vec)
 
 
-def _swap_ops(
-    device: DeviceModel, wires: tuple[int, ...], slots: Sequence[int]
-) -> tuple[tuple[LocalOperator, ...], tuple[LocalOperator, ...], tuple[LocalOperator, ...]]:
+def _placed_swaps(
+    bare_a: Sequence[LocalOperator], bare_b: Sequence[LocalOperator], slots: Sequence[int]
+) -> tuple[LocalOperator, ...]:
     """Per-wire swap unitaries re-targeted into an extended layout.
 
-    Returns (bare A ops, bare B ops, all ops with extended-layout targets);
-    extended slots: [A_c per wire, B_c per wire, register...], where
+    Extended slots: [A_c per wire, B_c per wire, register...], where
     slots[i] and slots[k + i] are wire i's A and B subsystems in the register.
     """
-    k = len(wires)
-    bare_a, bare_b, placed = [], [], []
-    for i, w in enumerate(wires):
-        ua = build_swap_extraction(device, "A", w)
-        ub = build_swap_extraction(device, "B", w)
-        bare_a.append(ua)
-        bare_b.append(ub)
+    k = len(bare_a)
+    placed = []
+    for i, (ua, ub) in enumerate(zip(bare_a, bare_b)):
         placed.append(LocalOperator.unitary((i, 2 * k + slots[i]), ua.matrix))
         placed.append(LocalOperator.unitary((k + i, 2 * k + slots[k + i]), ub.matrix))
-    return tuple(bare_a), tuple(bare_b), tuple(placed)
+    return tuple(placed)
 
 
 def _apply_all(ops: Sequence[LocalOperator], st: PhysState) -> PhysState:
@@ -231,21 +224,27 @@ def certify_state_equivalence(
     pair content into fresh logical qubits, and reports how far the result
     is from a perfect pair tensored with junk; the minimizing junk state is
     the exact partial inner product, no search involved. Projector residuals
-    compare each frame angle against the pulled-back logical projector on S.
+    compare each base frame angle against the pulled-back logical projector
+    on S; each complement angle a + pi/2 reports an upper bound, its base
+    residual plus how far the swap is from an isometry on the |0> input.
+    Raises ValidationError unless the wires are one or more distinct ones.
     """
     wires = tuple(int(w) for w in wires)
+    if not wires or len(set(wires)) != len(wires):
+        raise ValidationError(f"need one or more distinct wires, got {wires}")
     if source is None:
         source = device.source
     k = len(wires)
     lay = device.layout
 
-    gens = _span_generators(device, source, wires)
-    s_basis = hb.orthonormalize(gens)
+    # the generators are not kept: they are as large as the basis
+    s_basis = hb.orthonormalize(_span_generators(device, source, wires))
     stacked = s_basis.stacked
 
     sides = [lay.a_index(w) for w in wires] + [lay.b_index(w) for w in wires]
-    bare_a, bare_b, placed = _swap_ops(device, wires, sides)
-    v = _apply_all(placed, _extended_zero(source, k))
+    bare_a = tuple(build_swap_extraction(device, "A", w) for w in wires)
+    bare_b = tuple(build_swap_extraction(device, "B", w) for w in wires)
+    v = _apply_all(_placed_swaps(bare_a, bare_b, sides), _extended_zero(source, k))
 
     d_log = 1 << k
     f = _phi_plus_vec(k)
@@ -265,14 +264,20 @@ def certify_state_equivalence(
             g01 = u0.conj().T @ u1
             cross = g01 + g01.conj().T
             g11 = u1.conj().T @ u1
+            # P(a + pi/2) = Id - P(a) and m(a) + m(a + pi/2) = g00 + g11, so
+            # the complement's difference is Id - g00 - g11 minus the base
+            # one: its residual is at most the base residual plus this
+            # defect, which is rounding when U|0> is an isometry
+            defect = float(np.linalg.norm(np.eye(d) - g00 - g11, 2))
             frame = device.frames[(side, w)]
             target = (lay.side_index(side, w),)
-            for a in TEST_ANGLES:
+            for a in BASE_ANGLES:
                 # <0|U^dag (|a><a| x Id) U|0> on the wire
                 c, s = hb.angle_state(a).vec
                 m = (c * c) * g00 + (c * s) * cross + (s * s) * g11
                 res = hb.op_norm_on(stacked, LocalOperator(target, frame.projector(a) - m))
                 proj_residuals[f"{side}{w}:{angle_name(a)}"] = res
+                proj_residuals[f"{side}{w}:{angle_name(a + math.pi / 2)}"] = res + defect
 
     return EquivalenceReport(
         wires, bare_a, bare_b, s_basis, state_residual, proj_residuals
@@ -321,7 +326,7 @@ def certify_gate_equivalence(
     t_log = LocalOperator.unitary(range(k), gate.matrix)
     t_log_dag = LocalOperator.unitary(range(k), gate.matrix.conj().T)
 
-    _, _, placed = _swap_ops(device, wires, range(2 * k))
+    placed = _placed_swaps(base.u_bar_a, base.u_bar_b, range(2 * k))
     g_eye = hb.apply_operator(g_sup, eye)
     x = _apply_all(placed, _extended_zero(eye, k))
     z = _apply_all(placed, _extended_zero(g_eye, k))
@@ -337,10 +342,12 @@ def certify_gate_equivalence(
 
     wx = hb.apply_operator(LocalOperator.unitary(range(k, 2 * k), w), x)
     # the fit max_s ||K s||, K = Z - W X: K = QR, so ||K s|| = ||R s|| with
-    # no digits lost to the square root of <s|K^dag K|s>
+    # no digits lost to the square root of <s|K^dag K|s>; R S is as large as
+    # the basis, so it is not kept for the gate residual below
     r = np.linalg.qr(zm - wx.vec.reshape(-1, d_sup), mode="r")
-    ks = hb.apply_operator(LocalOperator(support, r), stacked).vec
-    fact = float(np.linalg.norm(ks.reshape(-1, base.s_rank), axis=0).max())
+    rs = hb.apply_operator(LocalOperator(support, r), stacked).vec.reshape(-1, base.s_rank)
+    fact = float(np.linalg.norm(rs, axis=0).max())
+    del rs
 
     twx = hb.apply_operator(t_log, wx).vec.reshape(-1, d_sup)
     # the device gate on the support is g_eye's matrix; both sides as one operator

@@ -293,17 +293,13 @@ def permute_subsystems(state: PhysState, perm: Sequence[int]) -> PhysState:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal row basis of a subspace plus the generators' singular profile."""
+    """Orthonormal row basis of a subspace."""
 
     layout: SubsystemDims
     matrix: np.ndarray
-    singular_values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix)))
-        object.__setattr__(
-            self, "singular_values", _frozen(np.asarray(self.singular_values))
-        )
 
     @property
     def rank(self) -> int:
@@ -319,15 +315,23 @@ class SubspaceBasis:
         return PhysState._wrap(layout, np.ascontiguousarray(self.matrix.T).reshape(-1))
 
 
+# generators taken per block; a span of up to this many generators is
+# orthonormalized one generator at a time, as by plain CGS2
+_GS_BLOCK = 128
+
+
 def orthonormalize(
     states: Sequence[PhysState], rank_tol: float = RANK_TOL
 ) -> SubspaceBasis:
     """Gram-Schmidt with deflation; drops residuals below rank_tol.
 
-    Each generator is projected against all accepted rows at once, twice
-    (classical Gram-Schmidt with one re-orthogonalization, CGS2).
-    Idempotent on already-orthonormal inputs. The singular values of the
-    generator stack ride along for rank diagnostics.
+    Generators go in blocks (block classical Gram-Schmidt with one
+    re-orthogonalization, BCGS2). A block is projected against all rows
+    accepted before it with one matmul. Then each of its generators is
+    projected, twice, against the rows the block accepted before it, and is
+    accepted if what is left has norm at least rank_tol. A second pass takes
+    the block's new rows against the earlier rows with one matmul, and once
+    more against each other. Idempotent on already-orthonormal inputs.
     """
     if not states:
         raise DimensionError("orthonormalize() needs at least one state")
@@ -335,17 +339,29 @@ def orthonormalize(
     if any(s.layout != layout for s in states):
         raise DimensionError("orthonormalize() layouts differ")
     stack = np.array([s.vec for s in states], dtype=np.complex128)
-    sv = np.linalg.svd(stack, compute_uv=False)
     r = 0  # accepted rows overwrite stack[:r], whose generators are used up
-    for w in stack:
-        for _ in range(2):
-            q = stack[:r]
-            w -= (q @ w.conj()).conj() @ q
-        nw = np.linalg.norm(w)
-        if nw >= rank_tol:
-            stack[r] = w / nw
-            r += 1
-    return SubspaceBasis(layout, stack[:r].copy(), sv)
+    for start in range(0, len(stack), _GS_BLOCK):
+        block = stack[start : start + _GS_BLOCK]
+        q = stack[:r]
+        block -= (block @ q.conj().T) @ q
+        r0 = r
+        for w in block:
+            for _ in range(2):
+                p = stack[r0:r]
+                w -= (p @ w.conj()).conj() @ p
+            nw = np.linalg.norm(w)
+            if nw >= rank_tol:
+                stack[r] = w / nw
+                r += 1
+        if r0:
+            # taking out a generator's in-block part leaves rounding along
+            # the earlier rows as large as that part, not as what is left
+            new = stack[r0:r]
+            new -= (new @ q.conj().T) @ q
+            for i, w in enumerate(new):
+                w -= (new[:i] @ w.conj()).conj() @ new[:i]
+                w /= np.linalg.norm(w)
+    return SubspaceBasis(layout, stack[:r].copy())
 
 
 def op_norm_on(stacked: PhysState, op: LocalOperator) -> float:

@@ -142,6 +142,25 @@ class TestExitCodes:
         assert cli.main(["tomo", "--device", "builtin:honest"]) == 0
         assert cli.main(["tomo", "--device", "builtin:vandam"]) == 1
 
+    @pytest.mark.parametrize("device", ["builtin:honest", "builtin:rotated?theta=0.5"])
+    def test_three_wire_gate_extract(self, device, tmp_path, capsys):
+        # 9^3 = 729 generators span the 64 dimensions of S: several Gram-Schmidt blocks
+        toffoli = np.eye(8)
+        toffoli[6:, 6:] = [[0.0, 1.0], [1.0, 0.0]]
+        circuit = write_json(tmp_path, "toffoli.json", {"n": 3, "input": "000", "gates": [
+            {"label": "g1", "wires": [0], "builtin": "H"},
+            {"label": "g2", "wires": [1], "builtin": "H"},
+            {"label": "g3", "wires": [0, 1, 2], "matrix": toffoli.tolist()}]})
+        out = str(tmp_path / "report.json")
+        argv = ["extract", "--device", device, "--circuit", circuit, "--gate-index", "3"]
+        assert cli.main(argv + ["--out", out]) == 0
+        rep = json.loads(Path(out).read_text())["result"]["report"]
+        assert len(rep["projector_residuals"]) == 36
+        assert rep["s_rank"] == 64
+        residuals = list(rep["projector_residuals"].values()) + [
+            rep[k] for k in ("state_residual", "gate_residual", "factorization_residual")]
+        assert max(residuals) <= 1e-9
+
 
 class TestConfigErrors:
     def test_eps_out_of_range(self, capsys):

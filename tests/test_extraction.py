@@ -150,6 +150,83 @@ class TestStateEquivalence:
             for k in ("0", "pi/8", "pi/4", "pi/2", "5pi/8", "3pi/4")
         }
 
+    @pytest.mark.parametrize("wires", [(), (0, 0)])
+    def test_wires_must_be_distinct_and_present(self, wires):
+        with pytest.raises(ValidationError, match="distinct wires"):
+            ex.certify_state_equivalence(dv.honest_device(), wires=wires)
+
+
+def near_idempotent_device(seed):
+    """The honest 2-wire device with every base projector moved by about
+    1e-11: idempotent only to that, inside the frame tolerance, so each swap
+    is an isometry on the |0> logical input only to that."""
+    dev = dv.honest_device(n=2)
+    rng = np.random.default_rng(seed)
+    frames = {}
+    for key, f in dev.frames.items():
+        base = {}
+        for a, m in f.base.items():
+            h = rng.normal(size=m.shape)
+            base[a] = m + 1e-11 * (h + h.T) / 2
+        frames[key] = dv.MeasurementFrame(f.side, f.wire, base)
+    return dv.DeviceModel(dev.layout, dev.source, dict(dev.gates), frames)
+
+
+def restricted_norm(basis, target, m):
+    """Largest singular value of m, acting on one subsystem, over the basis rows."""
+    rows = basis.matrix.reshape((basis.rank,) + basis.layout.dims)
+    out = np.moveaxis(np.tensordot(m, rows, axes=([1], [target + 1])), 0, target + 1)
+    return np.linalg.svd(out.reshape(basis.rank, -1), compute_uv=False)[0]
+
+
+class TestComplementResiduals:
+    """Each complement angle a + pi/2 is reported as the base residual plus
+    the defect ||Id - U0^dag U0||, U0 the swap's |0> logical columns; here
+    against the SVD value of P(a + pi/2) - m(a + pi/2) on S. On the builtins,
+    and on one seen through complex local unitaries, U0 is an isometry."""
+
+    @pytest.mark.parametrize(
+        "make, wires, isometry",
+        [
+            (lambda: dv.honest_device(n=2), (0, 1), True),
+            (lambda: dv.rotated_device(theta=0.5), (0,), True),
+            (lambda: dv.noisy_source_device(p=0.05), (0,), True),
+            (lambda: dv.van_dam_device(), (0,), True),
+            (lambda: complex_frame(dv.noisy_source_device(p=0.05), 7), (0,), True),
+            (lambda: near_idempotent_device(0), (0, 1), False),
+            (lambda: near_idempotent_device(3), (0, 1), False),
+        ],
+    )
+    def test_bounds_the_svd_value(self, make, wires, isometry):
+        device = make()
+        lay = device.layout
+        rep = ex.certify_state_equivalence(device, wires=wires)
+        defects = []
+        for i, w in enumerate(wires):
+            for side, swaps in (("A", rep.u_bar_a), ("B", rep.u_bar_b)):
+                d = lay.side_dim(side, w)
+                u0 = swaps[i].matrix[:, :d]
+                defect = np.linalg.norm(np.eye(d) - u0.conj().T @ u0, 2)
+                defects.append(defect)
+                for a in dv.BASE_ANGLES:
+                    b = a + math.pi / 2
+                    v = np.array([math.cos(b), math.sin(b)])
+                    pulled = u0.conj().T @ np.kron(np.outer(v, v), np.eye(d)) @ u0
+                    want = restricted_norm(
+                        rep.s_basis,
+                        lay.side_index(side, w),
+                        device.frames[(side, w)].projector(b) - pulled,
+                    )
+                    got = rep.projector_residuals[f"{side}{w}:{dv.angle_name(b)}"]
+                    assert got >= want - 1e-15
+                    # the complement's difference is the defect's operator minus
+                    # the base one, so the sum overshoots by at most twice the defect
+                    assert got <= want + 2 * defect + 1e-15
+                    if isometry:
+                        assert abs(got - want) <= 1e-12
+        # the perturbed device exercises the defect term
+        assert isometry or max(defects) > 1e-11
+
 
 def product_generators(device, wires, angles):
     """Every product of {Id} + angles over the (wire, side) slots applied to
@@ -457,7 +534,9 @@ class TestRestrictedEquivalences:
     def test_physical_not_matches_logical_not_on_s(self):
         dev = dv.honest_device()
         rep = ex.certify_state_equivalence(dev)
-        _, _, placed = ex._swap_ops(dev, (0,), (dev.layout.a_index(0), dev.layout.b_index(0)))
+        placed = ex._placed_swaps(
+            rep.u_bar_a, rep.u_bar_b, (dev.layout.a_index(0), dev.layout.b_index(0))
+        )
         # the device's own NOT, 2 P(pi/4) - Id on the A wire
         n_phys = hb.LocalOperator.unitary(
             (dev.layout.a_index(0),), 2 * dev.frames[("A", 0)].projector(math.pi / 4) - np.eye(2)

@@ -348,7 +348,7 @@ class TestSubspaces:
         # matrix's own amplitudes, so it is not refused
         layout = hb.SubsystemDims((2,) * 16)
         rank = hb.DIM_CAP // layout.total + 1
-        basis = hb.SubspaceBasis(layout, np.eye(rank, layout.total), np.ones(rank))
+        basis = hb.SubspaceBasis(layout, np.eye(rank, layout.total))
         identity = hb.LocalOperator((3,), np.eye(2))
         assert hb.op_norm_on(basis.stacked, identity) == pytest.approx(1.0, abs=1e-12)
 
@@ -390,6 +390,16 @@ def generator_sets():
     for f in (2.0, 0.5):
         extra = f * hb.RANK_TOL * (base[:3].sum(axis=0) + base[3])
         sets[f"near-tol x{f}"] = np.vstack([base[:3], extra])
+    # spread over three blocks; the later blocks mostly fall in the span of
+    # the rows accepted before them
+    sets["multi-block"] = rng.normal(size=(300, 140)) @ random_vecs(rng, 140, 160)
+    # a later block of large combinations of the first generators, each only
+    # 1e-8 off their span: taking out a generator's in-block part leaves
+    # rounding along the earlier rows of up to about 1e-4 of what is left,
+    # until the second pass takes it out
+    first = random_vecs(rng, 130, 160)
+    near = 100 * rng.normal(size=(60, 130)) @ first + 1e-8 * random_vecs(rng, 60, 160)
+    sets["multi-block, nearly dependent"] = np.vstack([first, near])
     return sets
 
 
@@ -397,10 +407,12 @@ class TestGramSchmidt:
     @pytest.mark.parametrize("name", list(generator_sets()))
     def test_matches_modified_gram_schmidt(self, name):
         vecs = generator_sets()[name]
-        layout = hb.SubsystemDims((16,))
+        layout = hb.SubsystemDims((vecs.shape[1],))
         got = hb.orthonormalize([hb.PhysState(layout, v) for v in vecs])
         want = mgs_reference(vecs)
         assert got.rank == len(want)
+        gram = got.matrix.conj() @ got.matrix.T
+        np.testing.assert_allclose(gram, np.eye(got.rank), atol=1e-12)
         proj = got.matrix.T @ got.matrix.conj()
         np.testing.assert_allclose(proj, want.T @ want.conj(), atol=1e-12)
 
