@@ -68,25 +68,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, device=True):
-        if device:
-            p.add_argument(
-                "--device",
-                required=True,
-                help="device JSON path or builtin:name[?k=v]",
-            )
+    def common(p):
+        p.add_argument(
+            "--device",
+            required=True,
+            help="device JSON path or builtin:name[?k=v]",
+        )
         p.add_argument("--eps", type=float, default=0.1)
+        p.add_argument("--out", default=None, help="write the JSON report here")
+
+    def sampling(p):
         p.add_argument("--gamma", type=float, default=0.05)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-        p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("epr-test", help="check one wire's pair statistics")
     common(p)
+    sampling(p)
     p.add_argument("--wire", type=int, default=0)
 
     p = sub.add_parser("circuit-test", help="run the full verification protocol")
     common(p)
+    sampling(p)
     p.add_argument("--circuit", required=True, help="circuit JSON path")
     p.add_argument("--x", required=True, help="input bit string")
     p.add_argument("--force-y", dest="force_y", default=None,
@@ -180,16 +183,15 @@ def _dumps(obj) -> str:
 
     One pass appends the text to one list of parts, joined once at the end.
     Exact str, int and finite float values are written inline; subclasses
-    such as bool and np.float64, and dicts with a key that is not a str,
-    take the generic path. Two memos live for one call:
+    such as bool and np.float64 take the generic path. A dict key that is
+    not a str raises TypeError: every report key is one. Two memos live for
+    one call:
     - a tuple's text per depth, keyed on its id (obj keeps every tuple
       alive, so no id is reused): all settings of an experiment share one
       prep tuple, and records that measure alike one measured tuple, which
       the report repeats in every record;
     - a dict's keys in sorted order, each with the text before its value,
-      per (key tuple, depth): every record has the same keys. Only dicts
-      whose keys are all exactly str are memoized, since 1, True and 1.0
-      are equal keys that json writes differently.
+      per (key tuple, depth): every record has the same keys.
     """
     parts: list[str] = []
     put = parts.append
@@ -255,9 +257,9 @@ def _dumps(obj) -> str:
         keys = tuple(o)
         shape = shapes.get((keys, depth))
         if shape is None:
-            if not all(type(k) is str for k in keys):
-                enc_items(o, depth)
-                return
+            for k in keys:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
             sep, _, close = layout(depth)
             order = sorted(keys)
             heads = [sep + encode_basestring_ascii(k) + ": " for k in order]
@@ -278,16 +280,6 @@ def _dumps(obj) -> str:
                 enc_dict(v, depth + 1)
             else:
                 enc(v, depth + 1)
-        put(close)
-
-    def enc_items(o, depth: int) -> None:
-        # keys as json coerces them: sorted as given, then written as strings
-        sep, _, close = layout(depth)
-        start = len(parts)
-        for k, v in sorted(o.items()):
-            put(sep + _key(k) + ": ")
-            enc(v, depth + 1)
-        parts[start] = "{" + parts[start][1:]
         put(close)
 
     enc(obj, 0)
@@ -313,19 +305,6 @@ def _scalar(o) -> str | None:
     if isinstance(o, int):
         return int.__repr__(o)
     return None
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: a str as is, a float, bool, None or int
-    as its JSON text, quoted."""
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    text = _scalar(k)
-    if text is None:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {type(k).__name__}"
-        )
-    return encode_basestring_ascii(text)
 
 
 def _emit(cfg: RunConfig, result: dict) -> None:
@@ -460,7 +439,6 @@ def _run_gallery(cfg: RunConfig) -> int:
     width = max(len(name) for name, _ in rows)
     for name, desc in rows:
         print(f"{name:<{width}}  {desc}")
-    _emit(cfg, {"devices": [{"name": n, "description": d} for n, d in rows]})
     return 0
 
 

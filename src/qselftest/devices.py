@@ -55,6 +55,7 @@ __all__ = [
     "load_circuit",
     "load_device",
     "noisy_source_device",
+    "not_gate",
     "resolve_device",
     "rotated_device",
     "rotation",
@@ -143,10 +144,6 @@ class RegisterLayout:
         object.__setattr__(self, "b_dims", b)
         object.__setattr__(self, "e_dims", e)
         self.full  # trigger the dimension cap check
-
-    @property
-    def c_dim(self) -> int:
-        return math.prod(self.e_dims)
 
     @property
     def full(self) -> SubsystemDims:
@@ -391,7 +388,6 @@ class DeviceModel:
     source: PhysState
     gates: Mapping[tuple[str, str], DeviceGate]
     frames: Mapping[tuple[str, int], MeasurementFrame]
-    zero_states: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gates", MappingProxyType(dict(self.gates)))
@@ -432,16 +428,6 @@ class DeviceModel:
             for w in range(lay.n_wires):
                 if (side, w) not in self.frames:
                     raise DeviceValidationError(f"frame ({side}, {w}): missing")
-        if self.zero_states is not None:
-            if len(self.zero_states) != lay.n_wires:
-                raise DeviceValidationError("zero_states: need one vector per wire")
-            for w, z in enumerate(self.zero_states):
-                d = hb.max_diff(np.linalg.norm(z), 1.0)
-                if z.shape != (lay.a_dims[w],) or d > 1e-10:
-                    raise DeviceValidationError(
-                        f"zero_states: wire {w} vector is not a unit local state "
-                        f"of shape ({lay.a_dims[w]},) ({hb.diff_text(d)})"
-                    )
 
     @property
     def n_wires(self) -> int:
@@ -469,14 +455,6 @@ class DeviceModel:
         return LocalOperator.projector(
             (self.layout.side_index(side, wire),), f.projector(angle)
         )
-
-    def zero_state(self, wire: int) -> np.ndarray:
-        """The device's alleged local |0> on a wire's A subsystem."""
-        if self.zero_states is not None:
-            return self.zero_states[wire]
-        z = np.zeros(self.layout.a_dims[wire], dtype=np.complex128)
-        z[0] = 1.0
-        return z
 
 
 def _assemble_source(layout: RegisterLayout, per_wire: Sequence[np.ndarray]) -> PhysState:
@@ -522,6 +500,12 @@ def _epr_wire(a_dim: int, b_dim: int, e_dim: int) -> np.ndarray:
     return v
 
 
+def not_gate(wire: int) -> CircuitGate:
+    """The NOT on one wire, labelled not{wire}: honest gate tables hold it
+    on both sides, and circuit_test prepends it where x and y differ."""
+    return CircuitGate(f"not{wire}", (wire,), _X)
+
+
 def _circuit_gates(
     circuit: IdealCircuit | None, n: int
 ) -> dict[tuple[str, str], tuple[tuple[int, ...], np.ndarray]]:
@@ -531,13 +515,10 @@ def _circuit_gates(
     for real gates); that is the unique choice restoring the shared pairs
     after both sides step."""
     table: dict[tuple[str, str], tuple[tuple[int, ...], np.ndarray]] = {}
-    if circuit is not None:
-        for g in circuit.gates:
-            table[("A", g.label)] = (g.wires, g.matrix.copy())
-            table[("B", g.label)] = (g.wires, np.conj(g.matrix))
-    for w in range(n):
-        table[("A", f"not{w}")] = ((w,), _X.copy())
-        table[("B", f"not{w}")] = ((w,), _X.copy())
+    gates = circuit.gates if circuit is not None else ()
+    for g in gates + tuple(not_gate(w) for w in range(n)):
+        table[("A", g.label)] = (g.wires, g.matrix)
+        table[("B", g.label)] = (g.wires, np.conj(g.matrix))
     return table
 
 
@@ -558,15 +539,13 @@ def honest_device(circuit: IdealCircuit | None = None, n: int | None = None) -> 
     return DeviceModel(layout, source, gates, _qubit_frames(layout))
 
 
-def van_dam_device(
-    pi8: np.ndarray | None = None, pi4: np.ndarray | None = None
-) -> DeviceModel:
+def van_dam_device() -> DeviceModel:
     """Hidden-dimension cheat: two qubits per register, encoded 0/1 as 00/11.
 
     The computational measurement mixes the disagreeing basis states, so the
     legacy prepare-Hadamard-measure check passes exactly; the intermediate
-    angles (defaulting to ideal projectors on the first hidden qubit) do not
-    survive the pair tests.
+    angles (ideal projectors on the first hidden qubit) do not survive the
+    pair tests.
     """
     layout = RegisterLayout(1, (4,), (4,))
     v = np.zeros(16, dtype=np.complex128)
@@ -581,8 +560,8 @@ def van_dam_device(
     eye2 = np.eye(2)
     base = {
         0.0: comp,
-        math.pi / 8: pi8 if pi8 is not None else np.kron(hb.projector_angle(math.pi / 8).matrix, eye2),
-        math.pi / 4: pi4 if pi4 is not None else np.kron(hb.projector_angle(math.pi / 4).matrix, eye2),
+        math.pi / 8: np.kron(hb.projector_angle(math.pi / 8).matrix, eye2),
+        math.pi / 4: np.kron(hb.projector_angle(math.pi / 4).matrix, eye2),
     }
     frames = {
         (side, 0): MeasurementFrame(side, 0, dict(base)) for side in ("A", "B")
@@ -640,8 +619,7 @@ def rotated_device(
         v = v_a[wire] if side == "A" else v_b[wire]
         newbase = {a: v @ m @ v.conj().T for a, m in f.base.items()}
         frames[(side, wire)] = MeasurementFrame(side, wire, newbase)
-    zeros = tuple(v_a[w] @ base.zero_state(w) for w in range(nw))
-    return DeviceModel(base.layout, source, gates, frames, zero_states=zeros)
+    return DeviceModel(base.layout, source, gates, frames)
 
 
 _BELL_BASIS = (

@@ -116,10 +116,6 @@ class EquivalenceReport:
     def s_rank(self) -> int:
         return self.s_basis.rank
 
-    @property
-    def max_projector_residual(self) -> float:
-        return max(self.projector_residuals.values(), default=0.0)
-
     def to_json(self) -> dict:
         out = {
             "wires": list(self.wires),

@@ -293,26 +293,21 @@ def permute_subsystems(state: PhysState, perm: Sequence[int]) -> PhysState:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal row basis of a subspace."""
+    """Orthonormal basis of a subspace of layout, held once, as `stacked`:
+    one state whose extra last subsystem (dim rank) indexes the basis
+    vectors, so an operator on the layout acts on all of them."""
 
     layout: SubsystemDims
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix)))
+    stacked: PhysState
 
     @property
     def rank(self) -> int:
-        return self.matrix.shape[0]
+        return self.stacked.layout.dims[-1]
 
     @property
-    def stacked(self) -> PhysState:
-        """The basis as one state whose extra last subsystem (dim rank) indexes
-        the basis vectors, so an operator on the layout acts on all of them."""
-        # not capped: these are the basis matrix's own amplitudes
-        layout = object.__new__(SubsystemDims)
-        object.__setattr__(layout, "dims", self.layout.dims + (self.rank,))
-        return PhysState._wrap(layout, np.ascontiguousarray(self.matrix.T).reshape(-1))
+    def matrix(self) -> np.ndarray:
+        """The basis vectors as rows: a transposed view of `stacked`."""
+        return self.stacked.vec.reshape(self.layout.total, self.rank).T
 
 
 # generators taken per block; a span of up to this many generators is
@@ -320,16 +315,14 @@ class SubspaceBasis:
 _GS_BLOCK = 128
 
 
-def orthonormalize(
-    states: Sequence[PhysState], rank_tol: float = RANK_TOL
-) -> SubspaceBasis:
-    """Gram-Schmidt with deflation; drops residuals below rank_tol.
+def orthonormalize(states: Sequence[PhysState]) -> SubspaceBasis:
+    """Gram-Schmidt with deflation; drops residuals below RANK_TOL.
 
     Generators go in blocks (block classical Gram-Schmidt with one
     re-orthogonalization, BCGS2). A block is projected against all rows
     accepted before it with one matmul. Then each of its generators is
     projected, twice, against the rows the block accepted before it, and is
-    accepted if what is left has norm at least rank_tol. A second pass takes
+    accepted if what is left has norm at least RANK_TOL. A second pass takes
     the block's new rows against the earlier rows with one matmul, and once
     more against each other. Idempotent on already-orthonormal inputs.
     """
@@ -350,7 +343,7 @@ def orthonormalize(
                 p = stack[r0:r]
                 w -= (p @ w.conj()).conj() @ p
             nw = np.linalg.norm(w)
-            if nw >= rank_tol:
+            if nw >= RANK_TOL:
                 stack[r] = w / nw
                 r += 1
         if r0:
@@ -361,7 +354,12 @@ def orthonormalize(
             for i, w in enumerate(new):
                 w -= (new[:i] @ w.conj()).conj() @ new[:i]
                 w /= np.linalg.norm(w)
-    return SubspaceBasis(layout, stack[:r].copy())
+    # not capped: these are the basis's own amplitudes
+    dims = object.__new__(SubsystemDims)
+    object.__setattr__(dims, "dims", layout.dims + (r,))
+    return SubspaceBasis(
+        layout, PhysState._wrap(dims, np.ascontiguousarray(stack[:r].T).reshape(-1))
+    )
 
 
 def op_norm_on(stacked: PhysState, op: LocalOperator) -> float:

@@ -23,35 +23,25 @@ from .devices import (
     BASE_ANGLES,
     COMP_ANGLES,
     TEST_ANGLES,
+    CircuitGate,
     DeviceModel,
     IdealCircuit,
     honest_device,
+    not_gate,
 )
 from .errors import DeviceValidationError, ValidationError
 from .hilbert import LocalOperator, PhysState
 from .stats import Setting, StatRecord
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 __all__ = [
     "Experiment",
     "ExperimentSchedule",
-    "Step",
     "Verdict",
     "build_schedule",
     "circuit_test",
     "epr_test",
     "evaluate_schedule",
 ]
-
-
-@dataclass(frozen=True)
-class Step:
-    """One gate of the compensated sequence: device label, wires, ideal matrix."""
-
-    label: str
-    wires: tuple[int, ...]
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,19 +60,18 @@ class Experiment:
 
 @dataclass(frozen=True)
 class ExperimentSchedule:
-    """Everything step 6 needs: the compensated gate list and its experiments."""
+    """Everything step 6 needs: the compensated gate list and its experiments.
+
+    steps are the compensating NOTs, then the circuit's gates; each step's
+    label names the device gate that runs it."""
 
     circuit: IdealCircuit
     x: str
     y: str
-    steps: tuple[Step, ...]
+    steps: tuple[CircuitGate, ...]
     experiments: tuple[Experiment, ...]
     eps: float
     gamma: float
-
-    @property
-    def t_prime(self) -> int:
-        return len(self.steps)
 
     @property
     def n_records(self) -> int:
@@ -183,17 +172,14 @@ def epr_test(
 # ---------------------------------------------------------------------------
 # Schedule construction
 
-def _compensation_steps(circuit: IdealCircuit, x: str, y: str) -> tuple[Step, ...]:
-    steps = []
-    for i, (xi, yi) in enumerate(zip(x, y)):
-        if xi != yi:
-            steps.append(Step(f"not{i}", (i,), _X.copy()))
-    for g in circuit.gates:
-        steps.append(Step(g.label, g.wires, g.matrix))
-    return tuple(steps)
+def _compensation_steps(
+    circuit: IdealCircuit, x: str, y: str
+) -> tuple[CircuitGate, ...]:
+    nots = tuple(not_gate(i) for i, (xi, yi) in enumerate(zip(x, y)) if xi != yi)
+    return nots + circuit.gates
 
 
-def _both_sides(steps: Sequence[Step], upto: int) -> tuple[tuple[str, str], ...]:
+def _both_sides(steps: Sequence[CircuitGate], upto: int) -> tuple[tuple[str, str], ...]:
     prep = []
     for s in steps[:upto]:
         prep.append(("A", s.label))

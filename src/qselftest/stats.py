@@ -91,15 +91,6 @@ class Setting:
         """The prep gates, then the branches: the setting's op list for walk."""
         return self.prep + self.branches
 
-    def with_flips(self, flips: Sequence[int]) -> "Setting":
-        """Same setting with the outcome branches replaced wire by wire."""
-        if len(flips) != len(self.measured):
-            raise ValidationError("need one flip per measured wire")
-        meas = tuple(
-            (s, w, a, int(f)) for (s, w, a, _), f in zip(self.measured, flips)
-        )
-        return Setting(self.prep, meas)
-
     def to_json(self, measured: dict | None = None) -> dict:
         """The setting as report JSON.
 

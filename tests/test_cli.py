@@ -194,6 +194,18 @@ class TestConfigErrors:
             cli.main(["epr-test"])  # --device missing
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag", [("--gamma", "0.9"), ("--seed", "3"), ("--mode", "sampled"), ("--mode", "exact")]
+    )
+    @pytest.mark.parametrize("command", ["extract", "tomo"])
+    def test_sampling_flags_refused_by_exact_commands(self, command, flag, capsys):
+        # extract and tomo are exact: a sampling flag would do nothing there
+        # but show in the report's config as if it had
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--device", "builtin:honest", *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("wire", ["5", "-1"])
     @pytest.mark.parametrize("command", ["epr-test", "tomo", "extract"])
     def test_wire_out_of_range(self, command, wire, capsys):
@@ -571,18 +583,23 @@ class TestReportEncoder:
             max_size=4,
         )
     )
-    # 1, True and 1.0 are equal keys, which json writes as "1", "true", "1.0"
+    # 1, True and 1.0 are equal keys, which json would write as "1", "true"
+    # and "1.0"; every report key is a str, so the encoder refuses them all
     @example({"a": {1: 0}, "b": {True: 0}, "c": {1.0: 0}})
     @example([{1: 0}, {True: 0}, {1.0: 0}, {"1": 0}])
-    def test_non_string_keys_match_json_dumps(self, value):
-        # keys of unlike types cannot be sorted: both must then raise
-        def outcome(encode):
-            try:
-                return encode(value)
-            except TypeError:
-                return TypeError
+    def test_non_string_keys_raise_type_error(self, value):
+        def keys(o):
+            if isinstance(o, dict):
+                return [*o, *(k for v in o.values() for k in keys(v))]
+            if isinstance(o, list):
+                return [k for v in o for k in keys(v)]
+            return []
 
-        assert outcome(cli._dumps) == outcome(oracle)
+        if all(isinstance(k, str) for k in keys(value)):
+            assert cli._dumps(value) == oracle(value)
+        else:
+            with pytest.raises(TypeError, match="keys must be str"):
+                cli._dumps(value)
 
     @pytest.mark.parametrize(
         "value", [object(), {1, 2}, np.int64(3), [np.bool_(True)], {(1, 2): 3}, b"x"]

@@ -41,13 +41,13 @@ class TestLayout:
         assert lay.a_index(1) == 1
         assert lay.b_index(0) == 2
         assert lay.e_index(1) == 5
-        assert lay.c_dim == 4
+        assert math.prod(lay.e_dims) == 4
         assert lay.side_dim("B", 1) == 2
 
     def test_default_environments(self):
         lay = dv.RegisterLayout(3, (2, 2, 2), (2, 2, 2))
         assert lay.e_dims == (1, 1, 1)
-        assert lay.c_dim == 1
+        assert math.prod(lay.e_dims) == 1
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DeviceValidationError, match="length"):
@@ -202,10 +202,6 @@ class TestHonestDevice:
         with pytest.raises(DeviceValidationError, match="no gate"):
             dv.honest_device().gate_operator("A", "g9")
 
-    def test_zero_state_default(self):
-        dev = dv.honest_device()
-        assert np.array_equal(dev.zero_state(0), [1, 0])
-
 
 class TestValidation:
     def test_separability_cut_rejects_cross_wire_entanglement(self):
@@ -240,25 +236,12 @@ class TestValidation:
         v[1] = math.nan
         with pytest.raises(DeviceValidationError, match="non-finite"):
             dv.DeviceModel(dev.layout, hb.PhysState(dev.layout.full, v), dev.gates, dev.frames)
-        with pytest.raises(DeviceValidationError, match="non-finite"):
-            dv.DeviceModel(
-                dev.layout, dev.source, dict(dev.gates), dict(dev.frames),
-                zero_states=(np.array([math.nan, 0.0]),),
-            )
 
     def test_missing_frame_rejected(self):
         dev = dv.honest_device()
         frames = {k: v for k, v in dev.frames.items() if k != ("B", 0)}
         with pytest.raises(DeviceValidationError, match=r"frame \(B, 0\): missing"):
             dv.DeviceModel(dev.layout, dev.source, dict(dev.gates), frames)
-
-    def test_bad_zero_state_rejected(self):
-        dev = dv.honest_device()
-        with pytest.raises(DeviceValidationError, match="zero_states"):
-            dv.DeviceModel(
-                dev.layout, dev.source, dict(dev.gates), dict(dev.frames),
-                zero_states=(np.array([2.0, 0.0]),),
-            )
 
     def test_gate_dim_mismatch_rejected(self):
         dev = dv.van_dam_device()
@@ -274,7 +257,7 @@ class TestVanDam:
         comp = dev.frames[("A", 0)].projector(0.0)
         had = dev.gates[("A", "g1")].matrix
         notg = dev.gates[("A", "not0")].matrix
-        zero = dev.zero_state(0)
+        zero = np.eye(4)[0]  # the encoded 0, |00>
         # half probability after one alleged Hadamard
         assert np.linalg.norm(comp @ had @ zero) ** 2 == pytest.approx(0.5, abs=1e-12)
         # deterministic zero after two
@@ -321,10 +304,6 @@ class TestRotatedAndNoisy:
                     pair_probability(hon, a, b), abs=1e-12
                 )
 
-    def test_rotated_zero_state_follows_frame(self):
-        rot = dv.rotated_device(theta=0.4)
-        assert np.allclose(rot.zero_state(0), dv.rotation(0.4)[:, 0])
-
     def test_noisy_reduced_state_is_depolarized(self):
         p = 0.12
         dev = dv.noisy_source_device(p=p)
@@ -348,7 +327,7 @@ class TestRotatedAndNoisy:
             2, (dv.CircuitGate("g1", (0, 1), dv.builtin_gate("CNOT")),), "00"
         )
         dev = dv.noisy_source_device(circ, p=0.05)
-        assert dev.layout.c_dim == 16
+        assert math.prod(dev.layout.e_dims) == 16
 
 
 class TestLoading:

@@ -1,5 +1,6 @@
-"""Every name a module lists in __all__ exists and is used: a deletion cannot
-leave a stale export, and no public helper exists only for the tests."""
+"""Every name a module lists in __all__ exists and is used, and so is every
+public method and property of a package class: a deletion cannot leave a
+stale export, and no public helper exists only for the tests."""
 
 import ast
 import importlib
@@ -83,3 +84,46 @@ def test_every_export_has_a_caller_or_is_documented(name):
     # each __all__ name is used by the package itself or is a library entry
     # point named in the README's Python API section
     assert not _unused_exports(name)
+
+
+def _attributes_read() -> set[str]:
+    """Every attribute name that some file under src/qselftest reads.
+
+    The check is by name: which class `x.name` reaches is not known
+    statically, so any read of `.name` counts for every class."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def _public_members() -> list[tuple[str, str, str]]:
+    """(module, class, member) for every public method and property defined
+    in the body of a class under src/qselftest; dataclass fields are data,
+    not members."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                out += [
+                    (path.stem, cls.name, f.name)
+                    for f in cls.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("_")
+                ]
+    return out
+
+
+def test_every_public_member_is_read_or_documented():
+    # a member is used if src/ reads an attribute of its name, or is part
+    # of the library surface if the README's Python API names it as .member
+    read = _attributes_read()
+    api = _python_api_section()
+    unused = [
+        f"{mod}.{cls}.{name}"
+        for mod, cls, name in _public_members()
+        if name not in read and not re.search(rf"\.{re.escape(name)}\b", api)
+    ]
+    assert not unused

@@ -348,7 +348,8 @@ class TestSubspaces:
         # matrix's own amplitudes, so it is not refused
         layout = hb.SubsystemDims((2,) * 16)
         rank = hb.DIM_CAP // layout.total + 1
-        basis = hb.SubspaceBasis(layout, np.eye(rank, layout.total))
+        basis = hb.orthonormalize([hb.basis_state(layout, i) for i in range(rank)])
+        assert basis.stacked.layout.dims == layout.dims + (rank,)
         identity = hb.LocalOperator((3,), np.eye(2))
         assert hb.op_norm_on(basis.stacked, identity) == pytest.approx(1.0, abs=1e-12)
 

@@ -82,13 +82,13 @@ class TestEprTest:
 class TestBuildSchedule:
     def test_matching_input_needs_no_compensation(self):
         sch = pr.build_schedule(h_circuit(), "0", "0")
-        assert sch.t_prime == 1
+        assert len(sch.steps) == 1
         assert [s.label for s in sch.steps] == ["g1"]
 
     def test_single_differing_bit_prepends_one_not(self):
         circ = bell_circuit()
         sch = pr.build_schedule(circ, "00", "10")
-        assert sch.t_prime == 3
+        assert len(sch.steps) == 3
         assert [s.label for s in sch.steps] == ["not0", "g1", "g2"]
         assert sch.steps[0].wires == (0,)
 
@@ -118,13 +118,13 @@ class TestBuildSchedule:
         assert kinds.count("tomography") == 3
         assert sch.experiments[0].j == 0
         assert sch.experiments[0].wires == (0, 1)
-        assert len(sch.experiments) == 2 * sch.t_prime + 1
+        assert len(sch.experiments) == 2 * len(sch.steps) + 1
 
     def test_record_count_bound(self):
         circ = bell_circuit()
         for y in ("00", "11"):
             sch = pr.build_schedule(circ, "00", y)
-            n, tp = circ.n, sch.t_prime
+            n, tp = circ.n, len(sch.steps)
             assert sch.n_records <= 36 * n + 36 * 3 * tp + 9**3 * tp
 
     def test_tomography_counts_scale_with_arity(self):
@@ -359,9 +359,7 @@ class TestStability:
             extra = dv.rotation(small())
             m = np.kron(extra, np.eye(g.matrix.shape[0] // 2)) @ g.matrix
             gates[k] = dv.DeviceGate(g.side, g.wires, m)
-        return dv.DeviceModel(
-            dev.layout, dev.source, gates, dict(dev.frames), zero_states=dev.zero_states
-        )
+        return dv.DeviceModel(dev.layout, dev.source, gates, dict(dev.frames))
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2])
     def test_near_honest_deviations_bounded_linearly(self, delta):
