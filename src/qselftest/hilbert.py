@@ -304,11 +304,6 @@ class SubspaceBasis:
     def rank(self) -> int:
         return self.stacked.layout.dims[-1]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The basis vectors as rows: a transposed view of `stacked`."""
-        return self.stacked.vec.reshape(self.layout.total, self.rank).T
-
 
 # generators taken per block; a span of up to this many generators is
 # orthonormalized one generator at a time, as by plain CGS2

@@ -254,6 +254,34 @@ def build_schedule(
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def _same_bits(device: DeviceModel, reference: DeviceModel) -> bool:
+    """Whether walk sees the same device in both: the same layout, and the
+    same bits in the source, in every gate (its wires and matrix) and in
+    every frame's base projectors (every frame holds all of BASE_ANGLES).
+    Arrays compare by bytes, so a NaN never matches, and by strides, since
+    a matmul may read a matrix stored in another order differently."""
+
+    def same(a: np.ndarray, b: np.ndarray) -> bool:
+        return a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+    return (
+        device.layout == reference.layout
+        and same(device.source.vec, reference.source.vec)
+        and device.gates.keys() == reference.gates.keys()
+        and all(
+            g.wires == reference.gates[k].wires
+            and same(g.matrix, reference.gates[k].matrix)
+            for k, g in device.gates.items()
+        )
+        and device.frames.keys() == reference.frames.keys()
+        and all(
+            same(m, reference.frames[k].base[a])
+            for k, f in device.frames.items()
+            for a, m in f.base.items()
+        )
+    )
+
+
 def evaluate_schedule(
     device: DeviceModel,
     schedule: ExperimentSchedule,
@@ -262,6 +290,11 @@ def evaluate_schedule(
 ) -> Verdict:
     """Step 6: estimate every scheduled statistic and compare to its ideal,
     the same setting run on the circuit's honest implementation.
+
+    The device is walked first. The honest implementation is walked only
+    when the device differs from it (see `_same_bits`); a device that is it
+    bit for bit has the ideals as its own probabilities, since the walk is
+    deterministic and reads nothing else.
 
     Sampled mode draws sample_size(eps, gamma, total records) outcomes per
     record from a stream keyed by (seed, global record index), so evaluation
@@ -281,8 +314,11 @@ def evaluate_schedule(
         f"{exp.kind}@{exp.j}" for exp in schedule.experiments for _ in exp.settings
     )
     ops = [s.ops for s in settings]
-    ideals = stx.probabilities(reference, reference.source, ops)
     probs = stx.probabilities(device, device.source, ops)
+    if _same_bits(device, reference):
+        ideals = probs
+    else:
+        ideals = stx.probabilities(reference, reference.source, ops)
     records = [
         StatRecord(s, ideal, _estimate(p, n_samples, seed, idx), n_samples)
         for idx, (s, ideal, p) in enumerate(zip(settings, ideals, probs))

@@ -270,12 +270,26 @@ def sample_prob(p: float, n: int, rng: np.random.Generator) -> float:
     return float(rng.binomial(n, min(max(p, 0.0), 1.0))) / n
 
 
+# the largest count Generator.binomial and multinomial take
+_MAX_SAMPLES = int(np.iinfo(np.int64).max)
+
+
 def sample_size(eps: float, gamma: float, m: int) -> int:
-    """Two-sided Hoeffding count with a union bound over m statistics."""
+    """Two-sided Hoeffding count with a union bound over m statistics.
+
+    A count that is not finite or exceeds _MAX_SAMPLES cannot be drawn, so
+    eps or gamma that small is refused."""
     if not 0 < eps < 1:
         raise ValidationError(f"eps={eps} outside (0, 1)")
     if not 0 < gamma < 1:
         raise ValidationError(f"gamma={gamma} outside (0, 1)")
     if m < 1:
         raise ValidationError(f"m={m} must be >= 1")
-    return math.ceil(math.log(2 * m / gamma) / (2 * eps * eps))
+    scale = 2 * eps * eps  # 0.0 once eps is below ~1e-162
+    count = math.log(2 * m / gamma) / scale if scale else math.inf
+    if not count <= _MAX_SAMPLES:
+        raise ValidationError(
+            f"eps={eps}, gamma={gamma} need {count:.3g} samples per statistic, "
+            f"more than {_MAX_SAMPLES} can be drawn"
+        )
+    return math.ceil(count)

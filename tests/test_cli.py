@@ -173,6 +173,23 @@ class TestConfigErrors:
         assert code == 2
         assert "--gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [("--eps", "1e-10"), ("--eps", "1e-160"), ("--eps", "1e-200"),
+                 ("--gamma", "1e-320")]
+    )
+    @pytest.mark.parametrize("command", ["epr-test", "circuit-test"])
+    def test_sample_count_too_large(self, command, flag, h_circuit_file, capsys):
+        # a Hoeffding count past what NumPy can draw, or an infinite one,
+        # is a config error, not a rejected device
+        argv = [command, "--device", "builtin:honest", "--mode", "sampled", "--seed", "0"]
+        if command == "circuit-test":
+            argv += ["--circuit", h_circuit_file, "--x", "0"]
+        code = cli.main(argv + list(flag))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "samples per statistic" in err
+
     def test_sampled_requires_seed(self, capsys):
         code = cli.main(["epr-test", "--device", "builtin:honest", "--mode", "sampled"])
         assert code == 2

@@ -18,6 +18,11 @@ from qselftest.errors import ValidationError
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def rows(basis):
+    """The basis vectors as rows: a transposed view of `basis.stacked`."""
+    return basis.stacked.vec.reshape(basis.layout.total, basis.rank).T
+
+
 def h_circuit():
     return dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),), "0")
 
@@ -174,8 +179,8 @@ def near_idempotent_device(seed):
 
 def restricted_norm(basis, target, m):
     """Largest singular value of m, acting on one subsystem, over the basis rows."""
-    rows = basis.matrix.reshape((basis.rank,) + basis.layout.dims)
-    out = np.moveaxis(np.tensordot(m, rows, axes=([1], [target + 1])), 0, target + 1)
+    vecs = rows(basis).reshape((basis.rank,) + basis.layout.dims)
+    out = np.moveaxis(np.tensordot(m, vecs, axes=([1], [target + 1])), 0, target + 1)
     return np.linalg.svd(out.reshape(basis.rank, -1), compute_uv=False)[0]
 
 
@@ -300,8 +305,8 @@ class TestSpanGenerators:
         full = hb.orthonormalize(product_generators(dev, wires, dv.BASE_ANGLES))
         reduced = hb.orthonormalize(got)
         assert reduced.rank == full.rank
-        proj = reduced.matrix.T @ reduced.matrix.conj()
-        assert np.abs(proj - full.matrix.T @ full.matrix.conj()).max() <= 1e-12
+        proj = rows(reduced).T @ rows(reduced).conj()
+        assert np.abs(proj - rows(full).T @ rows(full).conj()).max() <= 1e-12
 
 
 class TestGateEquivalence:
@@ -420,7 +425,7 @@ def reference_gate_certificate(device, circuit, j):
         st = hb.apply_operator(device.gate_operator("A", g.label), st)
         st = hb.apply_operator(device.gate_operator("B", g.label), st)
     basis = ex.certify_state_equivalence(device, st, gate.wires).s_basis
-    states = [hb.PhysState(basis.layout, row) for row in basis.matrix]
+    states = [hb.PhysState(basis.layout, row) for row in rows(basis)]
     ext_layout = hb.SubsystemDims((2,) * (2 * k)) + basis.layout
     placed = []
     for i, w in enumerate(gate.wires):

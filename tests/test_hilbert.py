@@ -14,6 +14,11 @@ A0 = (0.0, math.pi / 8, math.pi / 4)
 ANGLES = A0 + tuple(a + math.pi / 2 for a in A0)
 
 
+def rows(basis):
+    """The basis vectors as rows: a transposed view of `basis.stacked`."""
+    return basis.stacked.vec.reshape(basis.layout.total, basis.rank).T
+
+
 def dense_embed(matrix, dims, targets):
     """Oracle: materialize the full-space matrix with explicit kron factors."""
     nsub = len(dims)
@@ -324,12 +329,12 @@ class TestSubspaces:
 
     def test_orthonormalize_idempotent(self):
         basis = hb.orthonormalize(self.gens)
-        again = hb.orthonormalize([hb.PhysState(basis.layout, row) for row in basis.matrix])
-        np.testing.assert_allclose(again.matrix, basis.matrix, atol=1e-12)
+        again = hb.orthonormalize([hb.PhysState(basis.layout, row) for row in rows(basis)])
+        np.testing.assert_allclose(rows(again), rows(basis), atol=1e-12)
 
     def test_orthonormal_rows(self):
         basis = hb.orthonormalize(self.gens)
-        gram = basis.matrix.conj() @ basis.matrix.T
+        gram = rows(basis).conj() @ rows(basis).T
         np.testing.assert_allclose(gram, np.eye(basis.rank), atol=1e-12)
 
     def test_op_norm_on_matches_dense(self):
@@ -340,7 +345,7 @@ class TestSubspaces:
         ma = rng.normal(size=(4, 4))
         mb = rng.normal(size=(4, 4))
         got = hb.op_norm_on(basis.stacked, hb.LocalOperator((0, 1), ma - mb))
-        want = np.linalg.svd((ma - mb) @ basis.matrix.T, compute_uv=False)[0]
+        want = np.linalg.svd((ma - mb) @ rows(basis).T, compute_uv=False)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_stacked_may_pass_the_layout_cap(self):
@@ -412,9 +417,9 @@ class TestGramSchmidt:
         got = hb.orthonormalize([hb.PhysState(layout, v) for v in vecs])
         want = mgs_reference(vecs)
         assert got.rank == len(want)
-        gram = got.matrix.conj() @ got.matrix.T
+        gram = rows(got).conj() @ rows(got).T
         np.testing.assert_allclose(gram, np.eye(got.rank), atol=1e-12)
-        proj = got.matrix.T @ got.matrix.conj()
+        proj = rows(got).T @ rows(got).conj()
         np.testing.assert_allclose(proj, want.T @ want.conj(), atol=1e-12)
 
     def test_near_tol_residuals_split(self):
@@ -428,8 +433,8 @@ class TestGramSchmidt:
             [hb.PhysState(layout, v) for v in random_vecs(rng, 5, layout.total)]
         )
         m = hb.LocalOperator((2, 0), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        rows = [hb.PhysState(layout, row) for row in basis.matrix]
-        cols = [hb.apply_operator(m, x).vec for x in rows]
+        states = [hb.PhysState(layout, row) for row in rows(basis)]
+        cols = [hb.apply_operator(m, x).vec for x in states]
         want = np.linalg.svd(np.stack(cols), compute_uv=False)[0]
         assert hb.op_norm_on(basis.stacked, m) == pytest.approx(want, abs=1e-12)
 

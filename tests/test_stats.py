@@ -235,6 +235,25 @@ class TestSampleSize:
         n2 = stats.sample_size(0.05, 0.05, 1)
         assert abs(n2 - 4 * n1) <= 4
 
+    @pytest.mark.parametrize("eps", [1e-10, 1e-160, 1e-200])
+    def test_count_past_int64_refused(self, eps):
+        with pytest.raises(ValidationError, match="samples per statistic"):
+            stats.sample_size(eps, 0.05, 36)
+
+    def test_int64_boundary(self):
+        # the count is log(2m/gamma) / (2 eps^2); eps is solved for a count
+        # a billionth inside and outside the largest one Generator.binomial
+        # takes
+        limit = np.iinfo(np.int64).max
+        log_term = math.log(2 * 36 / 0.05)
+        inside = math.sqrt(log_term / (2 * limit * (1 - 1e-9)))
+        outside = math.sqrt(log_term / (2 * limit * (1 + 1e-9)))
+        n = stats.sample_size(inside, 0.05, 36)
+        assert limit * (1 - 2e-9) < n <= limit
+        stats.sample_prob(0.5, n, stats.record_rng(0, 0))  # NumPy takes it
+        with pytest.raises(ValidationError, match="samples per statistic"):
+            stats.sample_size(outside, 0.05, 36)
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             stats.sample_size(0.0, 0.05, 1)

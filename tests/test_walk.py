@@ -205,17 +205,8 @@ def test_walk_keeps_only_the_states_later_lists_restart_from():
     assert peak < 28 * state_bytes, peak / state_bytes
 
 
-def test_walk_applies_each_shared_prefix_once(monkeypatch):
-    # H circuit, y = x = "0": steps (g1,). A stacked call, the sibling
-    # branches of one parent applied at once, counts as one. Per device,
-    # conspiracy@0 has 36 settings (A a)(B b) in a-major order: per a, one
-    # single (A a) and one stack of the six (B b), so 6 + 6; conspiracy@1
-    # adds its prep (A g1)(B g1) once: 2 singles, then 6 + 6 again;
-    # tomography@1 keeps (A g1) from the list before and has three (A a),
-    # each with a stack of three (B b): 3 + 3. That is 17 singles and 15
-    # stacks; device and reference: 2 * (17 + 15) = 64 (building the
-    # reference applies nothing). One operator at a time, shared prefixes
-    # once, it took 2 * 98; one record at a time, 2 * 165.
+def count_applies(monkeypatch, device, schedule):
+    """(single applies, sorted stack sizes) of one evaluate_schedule call."""
     calls = []
     real = hb.apply_operator
 
@@ -223,12 +214,108 @@ def test_walk_applies_each_shared_prefix_once(monkeypatch):
         calls.append(op)
         return real(op, state)
 
-    circ = CIRCUITS["h"]
-    device = dv.honest_device(circ)
-    schedule = pr.build_schedule(circ, "0", "0")
     monkeypatch.setattr(hb, "apply_operator", counting)
     pr.evaluate_schedule(device, schedule)
+    monkeypatch.undo()
     stacks = [op for op in calls if not isinstance(op, hb.LocalOperator)]
-    assert len(calls) - len(stacks) == 2 * 17
-    assert sorted(len(s) for s in stacks) == [3] * 6 + [6] * 24
-    assert len(calls) == 2 * (17 + 15)
+    return len(calls) - len(stacks), sorted(len(s) for s in stacks)
+
+
+# H circuit, y = x = "0": steps (g1,). A stacked call, the sibling branches
+# of one parent applied at once, counts as one. Per walk, conspiracy@0 has
+# 36 settings (A a)(B b) in a-major order: per a, one single (A a) and one
+# stack of the six (B b), so 6 + 6; conspiracy@1 adds its prep (A g1)(B g1)
+# once: 2 singles, then 6 + 6 again; tomography@1 keeps (A g1) from the list
+# before and has three (A a), each with a stack of three (B b): 3 + 3. That
+# is 17 singles and 15 stacks (building the reference applies nothing). One
+# operator at a time, shared prefixes once, it took 98; one record at a
+# time, 165.
+ONE_WALK = (17, [3] * 3 + [6] * 12)
+TWO_WALKS = (2 * 17, [3] * 6 + [6] * 24)
+
+
+def test_walk_applies_each_shared_prefix_once(monkeypatch):
+    # the device is the honest one bit for bit, so its probabilities are
+    # the ideals and the reference is not walked: 17 + 15 applies
+    circ = CIRCUITS["h"]
+    schedule = pr.build_schedule(circ, "0", "0")
+    assert count_applies(monkeypatch, dv.honest_device(circ), schedule) == ONE_WALK
+
+
+def test_device_and_reference_walked_when_they_differ(monkeypatch):
+    # device and reference: 2 * (17 + 15) applies
+    circ = CIRCUITS["h"]
+    schedule = pr.build_schedule(circ, "0", "0")
+    device = dv.rotated_device(circ, theta=0.4)
+    assert count_applies(monkeypatch, device, schedule) == TWO_WALKS
+
+
+def device_json(device):
+    """A device file's contents for a device with qubit wires, an EPR source
+    and the ideal frames, such as the honest one; the frames are written out."""
+    lay = device.layout
+    return {
+        "layout": {"n_wires": lay.n_wires, "a_dims": list(lay.a_dims),
+                   "b_dims": list(lay.b_dims)},
+        "source": {"kind": "epr"},
+        "gates": [
+            {"side": side, "label": label, "wires": list(g.wires),
+             "matrix": dv.matrix_to_json(g.matrix)}
+            for (side, label), g in device.gates.items()
+        ],
+        "frames": [
+            {"side": side, "wire": wire, "angle": dv.ANGLE_NAMES[a],
+             "matrix": dv.matrix_to_json(m)}
+            for (side, wire), f in device.frames.items()
+            for a, m in f.base.items()
+        ],
+    }
+
+
+def test_loaded_honest_device_walked_once(tmp_path, monkeypatch):
+    circ = CIRCUITS["h"]
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(device_json(dv.honest_device(circ))))
+    device = dv.load_device(str(path))
+    schedule = pr.build_schedule(circ, "0", "0")
+    assert count_applies(monkeypatch, device, schedule) == ONE_WALK
+    assert pr.evaluate_schedule(device, schedule) == pr.evaluate_schedule(
+        dv.honest_device(circ), schedule
+    )
+
+
+def nudged(circ, part):
+    """The honest device with one part off by a hair: one source amplitude
+    one ulp up, frame (A, 0)'s pi/8 projector rotated by 1e-9, or one entry
+    of gate (A, g1) 1e-12 up, inside GATE_TOL."""
+    dev = dv.honest_device(circ)
+    source, gates, frames = dev.source, dict(dev.gates), dict(dev.frames)
+    if part == "source":
+        vec = dev.source.vec.copy()
+        vec[0] = np.nextafter(vec[0].real, 1.0)
+        source = hb.PhysState(dev.source.layout, vec)
+    elif part == "frame":
+        base = dict(frames[("A", 0)].base)
+        base[np.pi / 8] = hb.projector_angle(np.pi / 8 + 1e-9).matrix
+        frames[("A", 0)] = dv.MeasurementFrame("A", 0, base)
+    else:
+        g = gates[("A", "g1")]
+        m = g.matrix.copy()
+        m[0, 0] += 1e-12
+        gates[("A", "g1")] = dv.DeviceGate("A", g.wires, m)
+    return dv.DeviceModel(dev.layout, source, gates, frames)
+
+
+@pytest.mark.parametrize("part", ["source", "frame", "gate"])
+def test_nudged_device_walked_twice(part, monkeypatch):
+    circ = CIRCUITS["h"]
+    schedule = pr.build_schedule(circ, "0", "0")
+    assert count_applies(monkeypatch, nudged(circ, part), schedule) == TWO_WALKS
+    circ = CIRCUITS["fig1"]
+    device = nudged(circ, part)
+    reference = dv.honest_device(circ)
+    verdict = pr.evaluate_schedule(device, pr.build_schedule(circ, "00", "10"))
+    for rec in verdict.records:
+        ops = rec.setting.ops
+        assert rec.ideal_p == per_record(reference, reference.source, ops)
+        assert rec.est_p == per_record(device, device.source, ops)
