@@ -128,14 +128,6 @@ class Verdict:
         return out
 
 
-def _estimate(p: float, n_samples: int, seed: int, index: int) -> float:
-    """Record index's estimate: p itself when exact (n_samples 0), else a
-    binomial draw from the record's own stream."""
-    if n_samples == 0:
-        return p
-    return stx.sample_prob(p, n_samples, stx.record_rng(seed, 2 + index))
-
-
 def _make_verdict(records: Sequence[StatRecord], eps: float, **extra) -> Verdict:
     records = tuple(records)
     failing = tuple(r for r in records if r.deviation > eps)
@@ -160,11 +152,11 @@ def epr_test(
     settings = _conspiracy_settings((), (wire,))
     n = stx.sample_size(eps, gamma, len(settings)) if mode == "sampled" else 0
     probs = stx.probabilities(device, device.source, [s.branches for s in settings])
+    ests = stx.estimates(probs, n, seed) if n else probs
     records = []
-    for k, (s, p) in enumerate(zip(settings, probs)):
+    for s, est in zip(settings, ests):
         a, b = s.measured[0][2], s.measured[1][2]
         ideal = 0.5 * math.cos(a - b) ** 2
-        est = _estimate(p, n, seed, k)
         records.append(StatRecord(s, ideal, est, n))
     return _make_verdict(records, eps, labels=("epr",) * len(records))
 
@@ -213,6 +205,16 @@ def _tomography_settings(
                 meas.append(("B", w, b, 0))
             out.append(Setting(prep=prep, measured=tuple(meas)))
     return tuple(out)
+
+
+def _min_records(circuit: IdealCircuit) -> int:
+    """Records in circuit's smallest schedule, the one for y = x: no
+    compensating NOT, so the source test and two experiments per gate."""
+    pairs = len(TEST_ANGLES) ** 2  # conspiracy settings per wire
+    return pairs * circuit.n + sum(
+        pairs * len(g.wires) + len(BASE_ANGLES) ** (2 * len(g.wires))
+        for g in circuit.gates
+    )
 
 
 def build_schedule(
@@ -319,9 +321,10 @@ def evaluate_schedule(
         ideals = probs
     else:
         ideals = stx.probabilities(reference, reference.source, ops)
+    ests = stx.estimates(probs, n_samples, seed) if n_samples else probs
     records = [
-        StatRecord(s, ideal, _estimate(p, n_samples, seed, idx), n_samples)
-        for idx, (s, ideal, p) in enumerate(zip(settings, ideals, probs))
+        StatRecord(s, ideal, est, n_samples)
+        for s, ideal, est in zip(settings, ideals, ests)
     ]
     return _make_verdict(records, schedule.eps, labels=labels)
 
@@ -383,6 +386,10 @@ def circuit_test(
         )
     if len(x) != n or set(x) - {"0", "1"}:
         raise ValidationError(f"x must be {n} bits of 0/1, got {x!r}")
+    if mode == "sampled":
+        # refuse an eps or gamma too small to sample before any walk: the
+        # count grows with the records, and no y gives fewer than y = x
+        stx.sample_size(eps, gamma, max(_min_records(circuit), 1))
 
     # step 2: one B-side reading fixes y
     y_dist = _measure_side_distribution(device, device.source, "B", n)

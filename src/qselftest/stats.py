@@ -14,6 +14,7 @@ only the states a later list restarts from; `prepare`, `collapse` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "Setting",
     "StatRecord",
     "collapse",
+    "estimates",
     "prepare",
     "probabilities",
     "record_rng",
@@ -255,9 +257,123 @@ def collapse(
     return next(walk(device, state, (branches,)))
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), fixed by its
+# stream-compatibility policy, and PCG64's seeding step (pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first, as
+    SeedSequence reads its entropy and spawn key."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValidationError(f"seed and stream index must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+# SeedSequence's 32-bit word operations, on Python ints or on uint64 arrays
+# (one entry per stream). Every value stays below 2**32 between operations,
+# so a product fits in 64 bits and the masks give the uint32 results.
+
+def _hashmix(value, const: int):
+    """hashmix(value) with hash constant const, and the constant it leaves."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return out ^ out >> 16
+
+
+def _seed_words(seed: int, key: Sequence) -> list:
+    """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64), the
+    words PCG64 is seeded from, for key = _words(k).
+
+    The hash constants run through a fixed sequence, whatever the words, so
+    a key word given as a uint64 array of many streams' words hashes every
+    stream at once, and the seed's own words are hashed once, as ints."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))  # a spawn key pads the seed
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:] + list(key):
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    halves = []
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[k] | halves[k + 1] << 32 for k in range(0, len(halves), 2)]
+
+
+def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
+    """PCG64's (state, inc) once seeded from the words (s0, s1, s2, s3): the
+    first two are its initial state, the last two its sequence, high first."""
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _generator() -> tuple[np.random.PCG64, dict, np.random.Generator]:
+    """A PCG64, its state dict to fill in, and a Generator drawing from it."""
+    bits = np.random.PCG64(0)
+    return bits, bits.state, np.random.Generator(bits)
+
+
 def record_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one record; order of evaluation cannot matter."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    """Stream index of a run: the Generator that
+    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    builds, state for state. Stream 0 draws y, stream 1 the computation
+    histogram, and stream 2 + i record i, so the order of evaluation cannot
+    matter."""
+    bits, state, gen = _generator()
+    state["state"]["state"], state["state"]["inc"] = _pcg64_state(
+        *_seed_words(seed, _words(index))
+    )
+    bits.state = state
+    return gen
+
+
+def estimates(probs: Sequence[float], n: int, seed: int) -> list[float]:
+    """sample_prob(p, n, record_rng(seed, 2 + i)) for the i-th p of probs.
+
+    Every stream's seed words are derived in one pass over arrays, and one
+    PCG64 is set to each stream's state in turn: the draws are those of the
+    separate streams, without building each one."""
+    # 2**32 records would not fit in memory, so each spawn key is one word
+    keys = np.arange(2, 2 + len(probs), dtype=np.uint64)
+    words = [w.tolist() for w in _seed_words(seed, [keys])]
+    bits, state, gen = _generator()
+    pcg = state["state"]
+    out = []
+    for p, s0, s1, s2, s3 in zip(probs, *words):
+        pcg["state"], pcg["inc"] = _pcg64_state(s0, s1, s2, s3)
+        bits.state = state
+        out.append(sample_prob(p, n, gen))
+    return out
 
 
 def sample_prob(p: float, n: int, rng: np.random.Generator) -> float:

@@ -423,6 +423,19 @@ class TestReports:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # NumPy loads numpy.random on first use; importing the CLI must not
+        # use it, so start-up does not pay for the RNG modules
+        src = str(Path(qselftest.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, qselftest.cli; print('numpy.random' in sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert run.stdout == "False\n"
+
     def test_sampled_outcomes_print_as_plain_floats(self, bell_circuit_file, tmp_path, capsys):
         out = tmp_path / "r.json"
         cli.main(

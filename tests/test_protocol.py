@@ -264,6 +264,39 @@ class TestCircuitTest:
         with pytest.raises(DeviceValidationError, match="wires"):
             pr.circuit_test(dv.van_dam_device(), bell_circuit(), "00")
 
+    def test_unsampleable_eps_refused_before_any_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(stx, "walk", walk)
+        circ = bell_circuit()
+        with pytest.raises(ValidationError, match="samples per statistic"):
+            pr.circuit_test(
+                dv.honest_device(circ), circ, "00", eps=1e-10, seed=0, mode="sampled"
+            )
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            (),
+            (("H", (0,)),),
+            (("H", (0,)), ("CNOT", (0, 1)), ("X", (1,))),
+            (("SWAP", (1, 2)), ("ROT(0.3)", (2,))),
+        ],
+    )
+    def test_min_records_is_the_y_equals_x_schedule(self, gates):
+        circ = dv.IdealCircuit(
+            3,
+            tuple(
+                dv.CircuitGate(f"g{i}", wires, dv.builtin_gate(name))
+                for i, (name, wires) in enumerate(gates)
+            ),
+            "000",
+        )
+        for x in ("000", "101"):
+            assert pr._min_records(circ) == pr.build_schedule(circ, x, x).n_records
+        assert pr._min_records(circ) < pr.build_schedule(circ, "000", "100").n_records
+
     def test_sampled_mode_deterministic(self):
         dev = dv.honest_device(h_circuit())
         v1 = pr.circuit_test(dev, h_circuit(), "0", mode="sampled", seed=4)

@@ -225,6 +225,72 @@ class TestSampling:
             stats.sample_prob(1.0, 0, stats.record_rng(0, 0))
 
 
+def numpy_stream(seed, index):
+    """Stream index of a run as NumPy builds it: the reference for
+    stats.record_rng and stats.estimates."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+STREAM_SEEDS = [0, 1, 15, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestStreams:
+    """The seed words, streams and estimates the package derives itself,
+    against NumPy's SeedSequence and Generator."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        keys = list(range(3000)) + [2**31, 2**32 - 1]
+        got = stats._seed_words(seed, [np.array(keys, dtype=np.uint64)])
+        want = np.array(
+            [
+                np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                for k in keys
+            ]
+        )
+        assert np.array_equal(np.stack(got, axis=1), want)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS + [2**200 + 3])
+    @pytest.mark.parametrize("index", [0, 1, 2, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_record_rng_matches_numpy(self, seed, index):
+        got, want = stats.record_rng(seed, index), numpy_stream(seed, index)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.binomial(1000, 0.3) == want.binomial(1000, 0.3)
+        weights = [0.2, 0.8]
+        assert got.multinomial(50, weights).tolist() == want.multinomial(50, weights).tolist()
+        assert got.random(4).tolist() == want.random(4).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 7, 10**3, 10**6, 2**40, 2**63 - 1])
+    def test_estimates_match_numpy(self, seed, n):
+        # edge probabilities, a run of one p (each draw after the first
+        # reuses the Generator's cached binomial set-up), then random ones
+        probs = [0.0, 1.0, 1e-12, 1 - 1e-12] + [0.3] * 20
+        probs += np.random.default_rng(seed % 97).random(40).tolist()
+        want = [
+            float(numpy_stream(seed, 2 + i).binomial(n, p)) / n
+            for i, p in enumerate(probs)
+        ]
+        assert stats.estimates(probs, n, seed) == want
+        for i, p in enumerate(probs[:8]):
+            assert stats.sample_prob(p, n, stats.record_rng(seed, 2 + i)) == want[i]
+
+    def test_no_records(self):
+        assert stats.estimates([], 10, 0) == []
+
+    def test_negative_seed_or_index_refused(self):
+        with pytest.raises(ValidationError, match=">= 0"):
+            stats.record_rng(-1, 0)
+        with pytest.raises(ValidationError, match=">= 0"):
+            stats.record_rng(0, -1)
+        with pytest.raises(ValidationError, match=">= 0"):
+            stats.estimates([0.5], 10, -1)
+
+    def test_zero_count_refused(self):
+        with pytest.raises(ValidationError, match=">= 1"):
+            stats.estimates([0.5], 0, 0)
+
+
 class TestSampleSize:
     def test_known_values(self):
         assert stats.sample_size(0.1, 0.05, 1) == 185

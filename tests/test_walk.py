@@ -31,9 +31,10 @@ def per_record(device, state, ops):
 
 
 def per_record_estimate(p, n, seed, index):
+    """Record index's estimate, drawn from its stream as NumPy builds it."""
     if n == 0:
         return p
-    rng = stats.record_rng(seed, 2 + index)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2 + index,)))
     return float(rng.binomial(n, min(max(p, 0.0), 1.0))) / n
 
 
