@@ -125,11 +125,18 @@ def _load_circuit_arg(cfg: RunConfig) -> dv.IdealCircuit:
     return dv.load_circuit(cfg.circuit)
 
 
-def _print_table(rows: list[tuple[str, str, float, float, float, bool]]) -> None:
-    """The first _MAX_TABLE_ROWS rows, in columns as wide as they need; of
-    the rest only the count and the failing count."""
+def _print_table(
+    rows: list[tuple[str, str, float, float, float, bool]],
+    hidden: int = 0,
+    hidden_failing: int = 0,
+) -> None:
+    """The first _MAX_TABLE_ROWS rows, in columns as wide as they need. The
+    rows past them, and the hidden rows the caller only counted, print as
+    one line: their count and how many of them fail."""
     header = ("experiment", "setting", "ideal", "estimated", "deviation", "pass")
     shown = rows[:_MAX_TABLE_ROWS]
+    hidden += len(rows) - len(shown)
+    hidden_failing += sum(1 for r in rows[_MAX_TABLE_ROWS:] if not r[5])
     widths = [
         max(len(header[0]), *(len(r[0]) for r in shown)) if shown else len(header[0]),
         max(len(header[1]), *(len(r[1]) for r in shown)) if shown else len(header[1]),
@@ -148,34 +155,41 @@ def _print_table(rows: list[tuple[str, str, float, float, float, bool]]) -> None
                 "ok" if row[5] else "FAIL",
             )
         )
-    if len(rows) > _MAX_TABLE_ROWS:
-        hidden = rows[_MAX_TABLE_ROWS:]
-        failing = sum(1 for r in hidden if not r[5])
-        print(f"... {len(hidden)} more rows ({failing} failing)")
+    if hidden:
+        print(f"... {hidden} more rows ({hidden_failing} failing)")
 
 
-def _setting_text(setting) -> str:
-    return " ".join(
-        f"{side}{wire}@{dv.angle_name(a)}" for side, wire, a in setting.branches
-    )
+def _setting_text(branches) -> str:
+    return " ".join(f"{side}{wire}@{dv.ANGLE_NAMES[a]}" for side, wire, a in branches)
 
 
 def _verdict_rows(verdict: pr.Verdict):
-    """One table row per record; only the rows _print_table prints get their
-    setting text, made once per distinct measured tuple."""
+    """Table rows of the records _print_table shows, then the count of the
+    other records and of the failing ones among them. Only the shown rows
+    get their setting text, made once per distinct measured list."""
+    recs = verdict.records
+    shown = min(len(recs), _MAX_TABLE_ROWS)
     texts: dict[tuple, str] = {}
-    rows = []
-    for i, (label, rec) in enumerate(zip(verdict.labels, verdict.records)):
-        text = ""
-        if i < _MAX_TABLE_ROWS:
-            text = texts.get(rec.setting.measured)
+    heads = []
+    for label, exp in zip(verdict.labels, recs.experiments):
+        if len(heads) == shown:
+            break
+        for branches in exp.branches[: shown - len(heads)]:
+            text = texts.get(branches)
             if text is None:
-                text = texts[rec.setting.measured] = _setting_text(rec.setting)
-        rows.append(
-            (label, text, rec.ideal_p, rec.est_p, rec.deviation,
-             rec.deviation <= verdict.eps)
+                text = texts[branches] = _setting_text(branches)
+            heads.append((label, text))
+    eps = verdict.eps
+    rows = [
+        (label, text, ideal, est, dev, dev <= eps)
+        for (label, text), ideal, est, dev in zip(
+            heads,
+            recs.ideal_p[:shown].tolist(),
+            recs.est_p[:shown].tolist(),
+            recs.deviation[:shown].tolist(),
         )
-    return rows
+    ]
+    return rows, len(recs) - shown, int(np.count_nonzero(verdict.failing >= shown))
 
 
 def _dumps(obj) -> str:
@@ -333,7 +347,7 @@ def _run_epr_test(cfg: RunConfig) -> int:
     verdict = pr.epr_test(
         device, cfg.wire, cfg.eps, cfg.mode, gamma=cfg.gamma, seed=_seed(cfg)
     )
-    _print_table(_verdict_rows(verdict))
+    _print_table(*_verdict_rows(verdict))
     print(
         f"verdict: {'accept' if verdict.accepted else 'reject'}  "
         f"max_deviation={verdict.max_deviation:.6f}  eps={verdict.eps}"
@@ -355,7 +369,7 @@ def _run_circuit_test(cfg: RunConfig) -> int:
         mode=cfg.mode,
         force_y=cfg.force_y,
     )
-    _print_table(_verdict_rows(verdict))
+    _print_table(*_verdict_rows(verdict))
     hist = dict(sorted(verdict.computation_outcome_histogram.items()))
     print(
         f"verdict: {'accept' if verdict.accepted else 'reject'}  "

@@ -342,8 +342,11 @@ def certify_gate_equivalence(
     # the basis, so it is not kept for the gate residual below
     r = np.linalg.qr(zm - wx.vec.reshape(-1, d_sup), mode="r")
     rs = hb.apply_operator(LocalOperator(support, r), stacked).vec.reshape(-1, base.s_rank)
-    fact = float(np.linalg.norm(rs, axis=0).max())
-    del rs
+    # column norms from views of the real and imaginary parts: no conjugate
+    # copy or product of the whole matrix
+    re, im = rs.real, rs.imag
+    fact = math.sqrt((np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)).max())
+    del rs, re, im
 
     twx = hb.apply_operator(t_log, wx).vec.reshape(-1, d_sup)
     # the device gate on the support is g_eye's matrix; both sides as one operator

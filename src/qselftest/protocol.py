@@ -10,10 +10,9 @@ eps of its ideal value.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -31,11 +30,11 @@ from .devices import (
 )
 from .errors import DeviceValidationError, ValidationError
 from .hilbert import LocalOperator, PhysState
-from .stats import Setting, StatRecord
 
 __all__ = [
     "Experiment",
     "ExperimentSchedule",
+    "Records",
     "Verdict",
     "build_schedule",
     "circuit_test",
@@ -44,18 +43,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experiment:
-    """One scheduled experiment: a prep prefix shared by a block of settings."""
+    """One scheduled experiment: a prep prefix shared by a block of settings.
+
+    settings has one row per setting and two columns per wire, A_w then B_w
+    in the order of wires. An entry is the index in TEST_ANGLES of the angle
+    that side measures the wire at, or -1 where the setting leaves the wire
+    alone. A conspiracy setting measures one wire on both sides, a tomography
+    setting every wire on both sides. A column's position fixes its side and
+    the wires are distinct, so no side measures a wire twice.
+    """
 
     kind: str  # "conspiracy" or "tomography"
     j: int  # 0 = initial source test, else 1-based step index
     wires: tuple[int, ...]
-    settings: tuple[Setting, ...]
+    prep: tuple[tuple[str, str], ...]
+    settings: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("conspiracy", "tomography"):
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
+        wires = tuple(int(w) for w in self.wires)
+        if len(set(wires)) != len(wires):
+            raise ValidationError(f"experiment wires {wires} repeat a wire")
+        s = np.asarray(self.settings)
+        width = 2 * len(wires)
+        if s.ndim != 2 or s.shape[1] != width or not s.size or s.dtype.kind not in "iu":
+            raise ValidationError(
+                f"settings must be one or more integer rows of {width} angle indices"
+            )
+        if not (s.min() >= -1 and s.max() < len(TEST_ANGLES)):
+            raise ValidationError("a setting's angle index is not in the tested set")
+        measured = s >= 0
+        per_row = 2 if self.kind == "conspiracy" else s.shape[1]
+        if not (
+            (measured[:, ::2] == measured[:, 1::2]).all()
+            and (measured.sum(axis=1) == per_row).all()
+        ):
+            raise ValidationError(
+                f"a {self.kind} setting must measure "
+                + ("one wire" if self.kind == "conspiracy" else "every wire")
+                + " on both sides"
+            )
+        s = s.astype(np.int8)
+        s.flags.writeable = False
+        object.__setattr__(self, "wires", wires)
+        object.__setattr__(
+            self, "prep", tuple((str(side), str(label)) for side, label in self.prep)
+        )
+        object.__setattr__(self, "settings", s)
+
+    @property
+    def branches(self) -> list[tuple[tuple[str, int, float], ...]]:
+        """Each setting's branches (side, wire, angle), in column order."""
+        m = len(TEST_ANGLES)
+        table = [(side, w, a) for w in self.wires for side in "AB" for a in TEST_ANGLES]
+        s = self.settings
+        codes = (s + np.arange(0, m * s.shape[1], m))[s >= 0].reshape(len(s), -1)
+        get = table.__getitem__
+        return [tuple(map(get, row)) for row in codes.tolist()]
 
 
 @dataclass(frozen=True)
@@ -78,44 +125,97 @@ class ExperimentSchedule:
         return sum(len(e.settings) for e in self.experiments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A run's records as columns: one per setting of every experiment, in
+    order. n_samples is the count behind each estimate, 0 in exact mode;
+    experiment is each record's index into experiments."""
+
+    experiments: tuple[Experiment, ...]
+    ideal_p: np.ndarray
+    est_p: np.ndarray
+    n_samples: int = 0
+    experiment: np.ndarray = field(init=False)
+    deviation: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        sizes = [len(e.settings) for e in self.experiments]
+        for name in ("ideal_p", "est_p"):
+            p = np.asarray(getattr(self, name), dtype=np.float64)
+            if p.shape != (sum(sizes),):
+                raise ValidationError(f"{name} must hold one value per setting")
+            # NaN fails both comparisons
+            bad = ~((p >= -1e-12) & (p <= 1 + 1e-12))
+            if bad.any():
+                raise ValidationError(f"{name}={float(p[bad.argmax()])} outside [0, 1]")
+            object.__setattr__(self, name, p)
+        object.__setattr__(self, "experiment", np.repeat(np.arange(len(sizes)), sizes))
+        object.__setattr__(self, "deviation", np.abs(self.est_p - self.ideal_p))
+
+    def __len__(self) -> int:
+        return len(self.ideal_p)
+
+
+@dataclass(frozen=True, eq=False)
 class Verdict:
     """Outcome of a test run; accepted iff no record deviates beyond eps.
 
-    labels name each record's experiment for display (e.g. "conspiracy@2");
+    failing holds the indices of the records that deviate beyond eps, in
+    order. labels name each experiment for display (e.g. "conspiracy@2");
     they are not part of the report.
     """
 
     accepted: bool
     max_deviation: float
     eps: float
-    failing_records: tuple[StatRecord, ...]
-    records: tuple[StatRecord, ...]
+    failing: np.ndarray
+    records: Records
+    labels: tuple[str, ...]
     computation_outcome_histogram: Mapping[str, float] | None = None
     tv_distance: float | None = None
     y: str | None = None
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ok = all(r.deviation <= self.eps for r in self.records)
-        if self.accepted != ok:
+        if self.accepted != bool((self.records.deviation <= self.eps).all()):
             raise ValidationError(
                 "verdict inconsistent: accepted flag disagrees with deviations"
             )
 
     def to_json(self) -> dict:
-        # records that measure alike share one measured tuple, as the
-        # settings of an experiment share one prep
+        recs = self.records
+        # settings that measure alike share one measured tuple, as the
+        # settings of an experiment share one prep, so the report encoder
+        # writes each once; experiments with the same wires and settings
+        # share the list of them
         measured: dict = {}
-        records = [r.to_json(measured) for r in self.records]
-        # a failing record's entry is the very dict of its records entry
-        shared = {id(r): js for r, js in zip(self.records, records)}
+        tables: dict = {}
+        settings = []
+        for exp in recs.experiments:
+            key = (exp.wires, exp.settings.tobytes())
+            entries = tables.get(key)
+            if entries is None:
+                entries = tables[key] = []
+                for b in exp.branches:
+                    m = measured.get(b)
+                    if m is None:
+                        m = measured[b] = tuple(
+                            {"side": s, "wire": w, "angle": a, "flip": 0} for s, w, a in b
+                        )
+                    entries.append(m)
+            settings += [{"prep": exp.prep, "measured": m} for m in entries]
+        n = recs.n_samples
+        columns = (recs.ideal_p.tolist(), recs.est_p.tolist(), recs.deviation.tolist())
+        records = [
+            {"setting": s, "ideal_p": i, "est_p": e, "n_samples": n, "deviation": d}
+            for s, i, e, d in zip(settings, *columns)
+        ]
         out = {
             "accepted": self.accepted,
             "max_deviation": self.max_deviation,
             "eps": self.eps,
-            "n_records": len(self.records),
-            "failing_records": [shared[id(r)] for r in self.failing_records],
+            "n_records": len(records),
+            # a failing record's entry is the very dict of its records entry
+            "failing_records": [records[i] for i in self.failing.tolist()],
             "records": records,
         }
         if self.computation_outcome_histogram is not None:
@@ -128,11 +228,11 @@ class Verdict:
         return out
 
 
-def _make_verdict(records: Sequence[StatRecord], eps: float, **extra) -> Verdict:
-    records = tuple(records)
-    failing = tuple(r for r in records if r.deviation > eps)
-    maxdev = max((r.deviation for r in records), default=0.0)
-    return Verdict(not failing, maxdev, eps, failing, records, **extra)
+def _make_verdict(records: Records, eps: float, labels: tuple[str, ...]) -> Verdict:
+    dev = records.deviation
+    failing = np.flatnonzero(dev > eps)
+    maxdev = float(dev.max()) if dev.size else 0.0
+    return Verdict(not failing.size, maxdev, eps, failing, records, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +249,14 @@ def epr_test(
     """All 36 joint angle settings on one wire against (1/2)cos^2(a-b)."""
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
-    settings = _conspiracy_settings((), (wire,))
-    n = stx.sample_size(eps, gamma, len(settings)) if mode == "sampled" else 0
-    probs = stx.probabilities(device, device.source, [s.branches for s in settings])
+    exp = Experiment("conspiracy", 0, (wire,), (), _conspiracy_settings(1))
+    n = stx.sample_size(eps, gamma, len(exp.settings)) if mode == "sampled" else 0
+    probs = stx.probabilities(device, device.source, exp.branches)
     ests = stx.estimates(probs, n, seed) if n else probs
-    records = []
-    for s, est in zip(settings, ests):
-        a, b = s.measured[0][2], s.measured[1][2]
-        ideal = 0.5 * math.cos(a - b) ** 2
-        records.append(StatRecord(s, ideal, est, n))
-    return _make_verdict(records, eps, labels=("epr",) * len(records))
+    pair = np.array([[0.5 * math.cos(a - b) ** 2 for b in TEST_ANGLES]
+                     for a in TEST_ANGLES])
+    ideal = pair[exp.settings[:, 0], exp.settings[:, 1]]
+    return _make_verdict(Records((exp,), ideal, ests, n), eps, ("epr",))
 
 
 # ---------------------------------------------------------------------------
@@ -171,40 +269,23 @@ def _compensation_steps(
     return nots + circuit.gates
 
 
-def _both_sides(steps: Sequence[CircuitGate], upto: int) -> tuple[tuple[str, str], ...]:
-    prep = []
-    for s in steps[:upto]:
-        prep.append(("A", s.label))
-        prep.append(("B", s.label))
-    return tuple(prep)
+def _conspiracy_settings(k: int) -> np.ndarray:
+    """Every (A_w, B_w) pair of tested angles, A-major, wire by wire."""
+    m = len(TEST_ANGLES)
+    pairs = np.stack(np.divmod(np.arange(m * m), m), axis=1)
+    out = np.full((k * m * m, 2 * k), -1, dtype=np.int8)
+    for w in range(k):
+        out[w * m * m:(w + 1) * m * m, 2 * w:2 * w + 2] = pairs
+    return out
 
 
-def _conspiracy_settings(
-    prep: tuple[tuple[str, str], ...], wires: Iterable[int]
-) -> tuple[Setting, ...]:
-    out = []
-    for w in wires:
-        for a in TEST_ANGLES:
-            for b in TEST_ANGLES:
-                out.append(
-                    Setting(prep=prep, measured=(("A", w, a, 0), ("B", w, b, 0)))
-                )
-    return tuple(out)
-
-
-def _tomography_settings(
-    prep: tuple[tuple[str, str], ...], wires: tuple[int, ...]
-) -> tuple[Setting, ...]:
-    out = []
-    k = len(wires)
-    for a_tuple in itertools.product(BASE_ANGLES, repeat=k):
-        for b_tuple in itertools.product(BASE_ANGLES, repeat=k):
-            meas = []
-            for w, a, b in zip(wires, a_tuple, b_tuple):
-                meas.append(("A", w, a, 0))
-                meas.append(("B", w, b, 0))
-            out.append(Setting(prep=prep, measured=tuple(meas)))
-    return tuple(out)
+def _tomography_settings(k: int) -> np.ndarray:
+    """Every product of base angles over the A sides, then for each, over
+    the B sides; the last wire's angle varies fastest."""
+    m = len(BASE_ANGLES)
+    digits = np.unravel_index(np.arange(m ** (2 * k)), (m,) * (2 * k))
+    columns = [digits[c] for w in range(k) for c in (w, k + w)]
+    return np.stack(columns, axis=1).astype(np.int8)
 
 
 def _min_records(circuit: IdealCircuit) -> int:
@@ -239,17 +320,20 @@ def build_schedule(
         raise ValidationError("x and y must be bit strings")
     steps = _compensation_steps(circuit, x, y)
     experiments = [
-        Experiment("conspiracy", 0, tuple(range(n)), _conspiracy_settings((), range(n)))
+        Experiment("conspiracy", 0, tuple(range(n)), (), _conspiracy_settings(n))
     ]
+    # a step's settings depend only on its arity
+    tables = {
+        k: (_conspiracy_settings(k), _tomography_settings(k))
+        for k in {len(step.wires) for step in steps}
+    }
+    prep: tuple[tuple[str, str], ...] = ()
     for j, step in enumerate(steps, start=1):
-        prep_j = _both_sides(steps, j)
-        experiments.append(
-            Experiment("conspiracy", j, step.wires, _conspiracy_settings(prep_j, step.wires))
-        )
-        prep_tomo = _both_sides(steps, j - 1) + (("A", step.label),)
-        experiments.append(
-            Experiment("tomography", j, step.wires, _tomography_settings(prep_tomo, step.wires))
-        )
+        conspiracy, tomography = tables[len(step.wires)]
+        tomo_prep = prep + (("A", step.label),)
+        prep = tomo_prep + (("B", step.label),)
+        experiments.append(Experiment("conspiracy", j, step.wires, prep, conspiracy))
+        experiments.append(Experiment("tomography", j, step.wires, tomo_prep, tomography))
     return ExperimentSchedule(circuit, x, y, steps, tuple(experiments), eps, gamma)
 
 
@@ -311,22 +395,16 @@ def evaluate_schedule(
     reference = honest_device(schedule.circuit)
     m = schedule.n_records
     n_samples = stx.sample_size(schedule.eps, schedule.gamma, m) if mode == "sampled" else 0
-    settings = [s for exp in schedule.experiments for s in exp.settings]
-    labels = tuple(
-        f"{exp.kind}@{exp.j}" for exp in schedule.experiments for _ in exp.settings
-    )
-    ops = [s.ops for s in settings]
+    ops = [exp.prep + b for exp in schedule.experiments for b in exp.branches]
     probs = stx.probabilities(device, device.source, ops)
     if _same_bits(device, reference):
         ideals = probs
     else:
         ideals = stx.probabilities(reference, reference.source, ops)
     ests = stx.estimates(probs, n_samples, seed) if n_samples else probs
-    records = [
-        StatRecord(s, ideal, est, n_samples)
-        for s, ideal, est in zip(settings, ideals, ests)
-    ]
-    return _make_verdict(records, schedule.eps, labels=labels)
+    records = Records(schedule.experiments, ideals, ests, n_samples)
+    labels = tuple(f"{exp.kind}@{exp.j}" for exp in schedule.experiments)
+    return _make_verdict(records, schedule.eps, labels)
 
 
 # ---------------------------------------------------------------------------

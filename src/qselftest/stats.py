@@ -1,32 +1,29 @@
 """Outcome statistics: exact branch probabilities, seeded sampling, sample sizing.
 
-A Setting names what the device is asked to do (ordered one-sided gate
-applications, then one projector branch per measured wire); this module turns
-settings into probabilities, either exactly or through reproducible
-Monte-Carlo estimates sized by a Hoeffding bound. `walk` is the package's
-one path from a device to a collapsed state and its branch probability: it
-evaluates a sequence of op lists, applies each prefix they share once,
-applies the sibling branches of one parent state as one stack, and keeps
-only the states a later list restarts from; `prepare`, `collapse` and
-`probabilities` are built on it.
+An op list names what the device is asked to do: ordered one-sided gate
+applications (side, label), then one projector branch (side, wire, angle)
+per measured wire. This module turns op lists into probabilities, either
+exactly or through reproducible Monte-Carlo estimates sized by a Hoeffding
+bound. `walk` is the package's one path from a device to a collapsed state
+and its branch probability: it evaluates a sequence of op lists, applies
+each prefix they share once, applies the sibling branches of one parent
+state as one stack, and keeps only the states a later list restarts from;
+`prepare`, `collapse` and `probabilities` are built on it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import hilbert as hb
-from .devices import TEST_ANGLES, DeviceModel, angle_index
+from .devices import DeviceModel
 from .errors import ValidationError
 
 __all__ = [
-    "Setting",
-    "StatRecord",
     "collapse",
     "estimates",
     "prepare",
@@ -36,110 +33,6 @@ __all__ = [
     "sample_size",
     "walk",
 ]
-
-
-def _is_prep(prep) -> bool:
-    """Whether prep is already a tuple of (str, str) tuples, so a Setting can
-    keep it as given and every setting of an experiment shares one object."""
-    return type(prep) is tuple and all(
-        type(e) is tuple and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
-        for e in prep
-    )
-
-
-@dataclass(frozen=True)
-class Setting:
-    """One statistic: prep gates (side, label) in order, then measured branches.
-
-    Each measured entry is (side, wire, angle, flip); flip 0 keeps the
-    angle's own branch, flip 1 its complement at angle + pi/2.
-    """
-
-    prep: tuple[tuple[str, str], ...] = ()
-    measured: tuple[tuple[str, int, float, int], ...] = ()
-
-    def __post_init__(self):
-        prep = self.prep
-        if not _is_prep(prep):
-            prep = tuple((str(s), str(l)) for s, l in prep)
-        meas = []
-        seen = set()
-        for side, wire, angle, flip in self.measured:
-            if side not in ("A", "B"):
-                raise ValidationError(f"measured side {side!r} must be A or B")
-            if (side, wire) in seen:
-                raise ValidationError(f"wire ({side}, {wire}) measured twice")
-            seen.add((side, wire))
-            if flip not in (0, 1):
-                raise ValidationError(f"flip must be 0 or 1, got {flip!r}")
-            i = angle_index(angle)
-            if i is None:
-                raise ValidationError(f"angle {angle} is not in the tested set")
-            meas.append((side, int(wire), TEST_ANGLES[i], int(flip)))
-        object.__setattr__(self, "prep", prep)
-        object.__setattr__(self, "measured", tuple(meas))
-
-    def branch_angle(self, entry: tuple[str, int, float, int]) -> float:
-        side, wire, angle, flip = entry
-        return angle + flip * math.pi / 2
-
-    @property
-    def branches(self) -> tuple[tuple[str, int, float], ...]:
-        """(side, wire, branch angle) per measured wire, in measurement order."""
-        return tuple((e[0], e[1], self.branch_angle(e)) for e in self.measured)
-
-    @property
-    def ops(self) -> tuple[tuple, ...]:
-        """The prep gates, then the branches: the setting's op list for walk."""
-        return self.prep + self.branches
-
-    def to_json(self, measured: dict | None = None) -> dict:
-        """The setting as report JSON.
-
-        "prep" is the setting's own tuple of tuples, and "measured" a tuple
-        of dicts, not list copies, so that the report encoder writes a tuple
-        shared by many settings once. Given a dict, equal measured lists share
-        the tuple kept there. The bytes are those of lists; the dict equals a
-        loaded report only after a json round trip, which turns the tuples
-        into lists.
-        """
-        entries = None if measured is None else measured.get(self.measured)
-        if entries is None:
-            entries = tuple(
-                {"side": s, "wire": w, "angle": a, "flip": f}
-                for s, w, a, f in self.measured
-            )
-            if measured is not None:
-                measured[self.measured] = entries
-        return {"prep": self.prep, "measured": entries}
-
-
-@dataclass(frozen=True)
-class StatRecord:
-    """One estimated statistic next to its ideal target."""
-
-    setting: Setting
-    ideal_p: float
-    est_p: float
-    n_samples: int = 0
-
-    def __post_init__(self):
-        for name, p in (("ideal_p", self.ideal_p), ("est_p", self.est_p)):
-            if not -1e-12 <= p <= 1 + 1e-12:
-                raise ValidationError(f"{name}={p} outside [0, 1]")
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.est_p - self.ideal_p)
-
-    def to_json(self, measured: dict | None = None) -> dict:
-        return {
-            "setting": self.setting.to_json(measured),
-            "ideal_p": self.ideal_p,
-            "est_p": self.est_p,
-            "n_samples": self.n_samples,
-            "deviation": self.deviation,
-        }
 
 
 def walk(
@@ -299,7 +192,7 @@ def _mix(x, y):
 
 def _seed_words(seed: int, key: Sequence) -> list:
     """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64), the
-    words PCG64 is seeded from, for key = _words(k).
+    words PCG64 is seeded from, for key the 32-bit words of k.
 
     The hash constants run through a fixed sequence, whatever the words, so
     a key word given as a uint64 array of many streams' words hashes every
@@ -344,17 +237,12 @@ def _generator() -> tuple[np.random.PCG64, dict, np.random.Generator]:
 
 
 def record_rng(seed: int, index: int) -> np.random.Generator:
-    """Stream index of a run: the Generator that
-    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    builds, state for state. Stream 0 draws y, stream 1 the computation
+    """Stream index of a run. Stream 0 draws y, stream 1 the computation
     histogram, and stream 2 + i record i, so the order of evaluation cannot
     matter."""
-    bits, state, gen = _generator()
-    state["state"]["state"], state["state"]["inc"] = _pcg64_state(
-        *_seed_words(seed, _words(index))
-    )
-    bits.state = state
-    return gen
+    if seed < 0 or index < 0:
+        raise ValidationError(f"seed and stream index must be >= 0, got {seed}, {index}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def estimates(probs: Sequence[float], n: int, seed: int) -> list[float]:

@@ -90,10 +90,11 @@ def test_a1_ideal_epr_statistics(capsys):
     verdict = pr.epr_test(dev, mode="exact")
     elapsed = time.monotonic() - t0
     worst = 0.0
-    for rec in verdict.records:
-        (_, _, a, _), (_, _, b, _) = rec.setting.measured
+    recs = verdict.records
+    (exp,) = recs.experiments
+    for ((_, _, a), (_, _, b)), est, ideal_p in zip(exp.branches, recs.est_p, recs.ideal_p):
         ideal = 0.5 * math.cos(a - b) ** 2
-        worst = max(worst, abs(rec.est_p - ideal), abs(rec.ideal_p - ideal))
+        worst = max(worst, abs(est - ideal), abs(ideal_p - ideal))
     ok = (
         verdict.accepted
         and len(verdict.records) == 36
@@ -153,14 +154,14 @@ def test_a3_conspiracy_detection(capsys):
 
     circ = single_gate_circuit("H")
     verdict = pr.circuit_test(vd, circ, "0", eps=0.05, mode="exact")
-    fails = verdict.failing_records
+    fails = verdict.records.deviation[verdict.failing].tolist()
     # frozen rejection fingerprint: every failing deviation sits on one of
     # three exact levels, with 15 records at the worst level
     levels = (0.125, math.sqrt(2) / 8, 0.25)
     on_level = all(
-        min(abs(r.deviation - lv) for lv in levels) <= 1e-9 for r in fails
+        min(abs(d - lv) for lv in levels) <= 1e-9 for d in fails
     )
-    worst_count = sum(1 for r in fails if abs(r.deviation - 0.25) <= 1e-9)
+    worst_count = sum(1 for d in fails if abs(d - 0.25) <= 1e-9)
     reject_ok = (
         not verdict.accepted
         and abs(verdict.max_deviation - 0.25) <= 1e-12

@@ -525,20 +525,30 @@ class TestTable:
         assert len(lines) == cli._MAX_TABLE_ROWS + 2
 
     def test_hidden_rows_get_no_setting_text(self):
-        # nine H steps: 36 + 9 * (36 + 9) = 441 records
+        # nine H steps: 36 + 9 * (36 + 9) = 441 records; rows are made only
+        # for the printed 400, and the rest are only counted
         gates = tuple(
             dv.CircuitGate(f"g{i}", (0,), dv.builtin_gate("H")) for i in range(1, 10)
         )
         circ = dv.IdealCircuit(1, gates, "0")
-        v = pr.circuit_test(dv.noisy_source_device(circ, p=0.3), circ, "0", force_y="0")
-        rows = cli._verdict_rows(v)
-        assert len(rows) == len(v.records) > cli._MAX_TABLE_ROWS
-        shown = v.records[: cli._MAX_TABLE_ROWS]
-        assert [r[1] for r in rows[: cli._MAX_TABLE_ROWS]] == [
-            cli._setting_text(rec.setting) for rec in shown
-        ]
-        assert not any(r[1] for r in rows[cli._MAX_TABLE_ROWS:])
-        assert [r[5] for r in rows] == [rec.deviation <= v.eps for rec in v.records]
+        v = pr.circuit_test(
+            dv.noisy_source_device(circ, p=0.3), circ, "0", eps=0.05, force_y="0"
+        )
+        rows, hidden, hidden_failing = cli._verdict_rows(v)
+        recs = v.records
+        assert len(recs) == 441 and len(rows) == cli._MAX_TABLE_ROWS
+        assert hidden == 441 - cli._MAX_TABLE_ROWS
+        passed = (recs.deviation <= v.eps).tolist()
+        assert 0 < hidden_failing == passed[cli._MAX_TABLE_ROWS:].count(False)
+        branches = [b for exp in recs.experiments for b in exp.branches]
+        labels = [v.labels[e] for e in recs.experiment.tolist()]
+        assert rows == [
+            (label, cli._setting_text(b), ideal, est, dev, ok)
+            for label, b, ideal, est, dev, ok in zip(
+                labels, branches, recs.ideal_p.tolist(), recs.est_p.tolist(),
+                recs.deviation.tolist(), passed,
+            )
+        ][: cli._MAX_TABLE_ROWS]
 
 
 def oracle(value):

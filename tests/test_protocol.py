@@ -1,5 +1,7 @@
 """Protocol-level behavior: pair test, schedules, full runs, rejection goldens."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -57,22 +59,19 @@ class TestEprTest:
         v = pr.epr_test(classically_correlated_device(), eps=0.1)
         assert not v.accepted
         assert v.max_deviation == pytest.approx(0.25, abs=1e-12)
-        quarter = [
-            r
-            for r in v.failing_records
-            if r.setting.measured[0][2] == pytest.approx(math.pi / 4)
-            and r.setting.measured[1][2] == pytest.approx(math.pi / 4)
-        ]
-        assert quarter and quarter[0].est_p == pytest.approx(0.25, abs=1e-12)
-        assert quarter[0].ideal_p == pytest.approx(0.5, abs=1e-12)
+        pi4 = dv.TEST_ANGLES.index(math.pi / 4)
+        settings = v.records.experiments[0].settings
+        quarter = [i for i in v.failing.tolist() if settings[i].tolist() == [pi4, pi4]]
+        assert quarter and v.records.est_p[quarter[0]] == pytest.approx(0.25, abs=1e-12)
+        assert v.records.ideal_p[quarter[0]] == pytest.approx(0.5, abs=1e-12)
 
     def test_sampled_mode_deterministic_and_sound(self):
         dev = dv.honest_device()
         v1 = pr.epr_test(dev, eps=0.1, mode="sampled", seed=9)
         v2 = pr.epr_test(dev, eps=0.1, mode="sampled", seed=9)
-        assert [r.est_p for r in v1.records] == [r.est_p for r in v2.records]
+        assert v1.records.est_p.tolist() == v2.records.est_p.tolist()
         assert v1.accepted
-        assert v1.records[0].n_samples == stx.sample_size(0.1, 0.05, 36)
+        assert v1.records.n_samples == stx.sample_size(0.1, 0.05, 36)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError, match="mode"):
@@ -142,17 +141,18 @@ class TestBuildSchedule:
         sch = pr.build_schedule(h_circuit(), "0", "0")
         tomo = sch.experiments[2]
         assert tomo.kind == "tomography"
-        assert tomo.settings[0].prep == (("A", "g1"),)
+        assert tomo.prep == (("A", "g1"),)
 
     def test_settings_of_an_experiment_share_one_prep(self):
-        # one prep object per experiment, kept by every Setting and handed
-        # to the report as is, so its JSON is encoded once per experiment
-        sch = pr.build_schedule(bell_circuit(), "00", "10")
-        for exp in sch.experiments:
-            prep = exp.settings[0].prep
-            assert all(s.prep is prep for s in exp.settings)
-            assert exp.settings[0].to_json()["prep"] is prep
-        assert max(len(exp.settings[0].prep) for exp in sch.experiments) == 6
+        # one prep object per experiment, handed to the report as is for
+        # every setting, so its JSON is encoded once per experiment
+        circ = bell_circuit()
+        sch = pr.build_schedule(circ, "00", "10")
+        js = pr.evaluate_schedule(dv.honest_device(circ), sch).to_json()
+        preps = [exp.prep for exp in sch.experiments for _ in exp.settings]
+        assert len(preps) == len(js["records"])
+        assert all(r["setting"]["prep"] is p for r, p in zip(js["records"], preps))
+        assert max(len(exp.prep) for exp in sch.experiments) == 6
 
     def test_records_that_measure_alike_share_one_measured_tuple(self):
         # equal measured lists across experiments get one tuple in the
@@ -160,25 +160,148 @@ class TestBuildSchedule:
         circ = bell_circuit()
         v = pr.circuit_test(dv.honest_device(circ), circ, "00", eps=0.1)
         js = v.to_json()
+        measured = [
+            tuple(
+                ("AB"[c % 2], exp.wires[c // 2], dv.TEST_ANGLES[i])
+                for c, i in enumerate(row)
+                if i >= 0
+            )
+            for exp in v.records.experiments
+            for row in exp.settings.tolist()
+        ]
         by_measured = {}
-        for rec, entry in zip(v.records, js["records"]):
+        for key, entry in zip(measured, js["records"], strict=True):
             got = entry["setting"]["measured"]
             assert type(got) is tuple
-            assert got is by_measured.setdefault(rec.setting.measured, got)
+            assert got is by_measured.setdefault(key, got)
             assert list(got) == [
-                {"side": s, "wire": w, "angle": a, "flip": f}
-                for s, w, a, f in rec.setting.measured
+                {"side": side, "wire": w, "angle": a, "flip": 0} for side, w, a in key
             ]
         assert len({id(t) for t in by_measured.values()}) == len(by_measured)
         assert len(by_measured) < len(v.records)
-        assert v.records[0].setting.to_json()["measured"] == js["records"][0][
-            "setting"
-        ]["measured"]
 
     def test_setting_normalizes_other_preps(self):
-        s = stx.Setting(prep=[["A", "g1"], ("B", "g1")])
-        assert s.prep == (("A", "g1"), ("B", "g1"))
-        assert all(type(e) is tuple for e in s.prep)
+        exp = pr.Experiment(
+            "conspiracy", 1, (0,), [["A", "g1"], ("B", "g1")], np.array([[0, 0]])
+        )
+        assert exp.prep == (("A", "g1"), ("B", "g1"))
+        assert all(type(e) is tuple for e in exp.prep)
+        assert exp.branches == [(("A", 0, 0.0), ("B", 0, 0.0))]
+
+
+def toffoli_circuit():
+    toffoli = np.eye(8)
+    toffoli[[6, 7]] = toffoli[[7, 6]]
+    return dv.IdealCircuit(
+        3,
+        (
+            dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),
+            dv.CircuitGate("g2", (1,), dv.builtin_gate("H")),
+            dv.CircuitGate("g3", (0, 1, 2), toffoli),
+        ),
+        "000",
+    )
+
+
+def fig1_circuit():
+    return dv.IdealCircuit(
+        2, bell_circuit().gates + (dv.CircuitGate("g3", (1,), dv.builtin_gate("X")),), "00"
+    )
+
+
+def nested_loop_schedule(circuit, x, y):
+    """(label, prep, measured branches) per record, built one record at a
+    time in the loop order of the per-record schedule that the columnar one
+    replaced: the source test on every wire, then per step a conspiracy test
+    after both sides ran it and a tomography test after side A alone did."""
+    steps = tuple(dv.not_gate(i) for i, (a, b) in enumerate(zip(x, y)) if a != b)
+    steps += circuit.gates
+    out = []
+
+    def both_sides(upto):
+        return tuple((side, s.label) for s in steps[:upto] for side in ("A", "B"))
+
+    def conspiracy(label, prep, wires):
+        for w in wires:
+            for a in dv.TEST_ANGLES:
+                for b in dv.TEST_ANGLES:
+                    out.append((label, prep, (("A", w, a), ("B", w, b))))
+
+    def tomography(label, prep, wires):
+        for a_tuple in itertools.product(dv.BASE_ANGLES, repeat=len(wires)):
+            for b_tuple in itertools.product(dv.BASE_ANGLES, repeat=len(wires)):
+                measured = []
+                for w, a, b in zip(wires, a_tuple, b_tuple):
+                    measured += [("A", w, a), ("B", w, b)]
+                out.append((label, prep, tuple(measured)))
+
+    conspiracy("conspiracy@0", (), range(circuit.n))
+    for j, step in enumerate(steps, start=1):
+        conspiracy(f"conspiracy@{j}", both_sides(j), step.wires)
+        tomography(f"tomography@{j}", both_sides(j - 1) + (("A", step.label),), step.wires)
+    return out
+
+
+SCHEDULES = {
+    "fig1": (fig1_circuit, "00", "00"),
+    "bell": (bell_circuit, "00", "00"),
+    "h": (h_circuit, "0", "0"),
+    "toffoli": (toffoli_circuit, "000", "000"),
+    "x-differs-from-y": (fig1_circuit, "00", "11"),
+}
+
+
+def recorded_op_lists(monkeypatch, run):
+    """run() and the op lists it hands to stats.probabilities, call by call."""
+    calls = []
+    real = stx.probabilities
+
+    def recording(device, state, op_lists):
+        calls.append(list(op_lists))
+        return real(device, state, calls[-1])
+
+    monkeypatch.setattr(stx, "probabilities", recording)
+    return run(), calls
+
+
+class TestScheduleAgainstNestedLoops:
+    """The columnar schedule against a per-record builder written here."""
+
+    @pytest.mark.parametrize("name", list(SCHEDULES))
+    def test_op_lists_order_and_measured_json(self, name, monkeypatch):
+        make, x, y = SCHEDULES[name]
+        circ = make()
+        want = nested_loop_schedule(circ, x, y)
+        sch = pr.build_schedule(circ, x, y)
+        # a device that is not the honest one: the reference is walked too,
+        # on the same op lists
+        device = dv.rotated_device(circ, theta=0.4)
+        v, calls = recorded_op_lists(
+            monkeypatch, lambda: pr.evaluate_schedule(device, sch, "sampled", 3)
+        )
+        ops = [prep + measured for _, prep, measured in want]
+        assert calls == [ops, ops]
+        assert [v.labels[e] for e in v.records.experiment.tolist()] == [
+            label for label, _, _ in want
+        ]
+        records = json.loads(json.dumps(v.to_json()))["records"]
+        assert [r["setting"] for r in records] == [
+            {
+                "prep": [list(e) for e in prep],
+                "measured": [
+                    {"side": side, "wire": w, "angle": a, "flip": 0}
+                    for side, w, a in measured
+                ],
+            }
+            for _, prep, measured in want
+        ]
+
+    def test_epr_op_lists(self, monkeypatch):
+        _, calls = recorded_op_lists(
+            monkeypatch, lambda: pr.epr_test(dv.rotated_device(theta=0.4), wire=0)
+        )
+        source_test = nested_loop_schedule(h_circuit(), "0", "0")[:36]
+        assert calls == [[measured for _, _, measured in source_test]]
 
 
 class TestCircuitTest:
@@ -196,11 +319,15 @@ class TestCircuitTest:
         circ = bell_circuit()
         v = pr.circuit_test(dv.honest_device(circ), circ, "00", eps=0.1)
         sched = pr.build_schedule(circ, "00", v.y)
-        assert v.labels == tuple(
-            f"{e.kind}@{e.j}" for e in sched.experiments for _ in e.settings
-        )
+        assert v.labels == tuple(f"{e.kind}@{e.j}" for e in sched.experiments)
+        sizes = [len(e.settings) for e in sched.experiments]
+        assert v.records.experiment.tolist() == [
+            e for e, size in enumerate(sizes) for _ in range(size)
+        ]
         assert "labels" not in v.to_json()
-        assert pr.epr_test(dv.honest_device()).labels == ("epr",) * 36
+        epr = pr.epr_test(dv.honest_device())
+        assert epr.labels == ("epr",)
+        assert epr.records.experiment.tolist() == [0] * 36
 
     def test_honest_not_gate_deterministic_output(self):
         circ = dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("X")),), "0")
@@ -216,7 +343,7 @@ class TestCircuitTest:
         assert not v.accepted
         assert v.max_deviation == pytest.approx(0.25, abs=1e-12)
         assert len(v.records) == 81
-        assert len(v.failing_records) == 46
+        assert len(v.failing) == 46
         # its actual computation is flawless: correct histogram, zero distance
         assert v.tv_distance <= 1e-12
         assert v.computation_outcome_histogram["0"] == pytest.approx(0.5, abs=1e-12)
@@ -225,33 +352,35 @@ class TestCircuitTest:
         v = pr.circuit_test(
             dv.van_dam_device(), h_circuit(), "0", eps=0.05, mode="exact", force_y="0"
         )
-        pi4 = math.pi / 4
+        recs = v.records
+        exps = recs.experiments
+        pi4 = dv.TEST_ANGLES.index(math.pi / 4)
+        source = exps[0]  # conspiracy@0, no prep
+        assert source.prep == ()
         worst = [
-            r
-            for r in v.failing_records
-            if r.setting.prep == ()
-            and r.setting.measured[0][2] == pytest.approx(pi4)
-            and r.setting.measured[1][2] == pytest.approx(pi4)
+            i for i in v.failing.tolist()
+            if recs.experiment[i] == 0 and source.settings[i].tolist() == [pi4, pi4]
         ]
-        assert worst and worst[0].deviation == pytest.approx(0.25, abs=1e-12)
+        assert worst and recs.deviation[worst[0]] == pytest.approx(0.25, abs=1e-12)
         # computational-angle records on the raw source all pass (legacy blind spot)
-        comp = {0.0, math.pi / 2}
-        for r in v.records:
-            if r.setting.prep == () and {r.setting.measured[0][2], r.setting.measured[1][2]} <= comp:
-                assert r.deviation <= 1e-12
+        comp = {dv.TEST_ANGLES.index(0.0), dv.TEST_ANGLES.index(math.pi / 2)}
+        for i, row in enumerate(source.settings.tolist()):
+            if set(row) <= comp:
+                assert recs.deviation[i] <= 1e-12
         # both conspiracy-after-gate and tomography experiments contribute failures
-        assert any(r.setting.prep == (("A", "g1"),) for r in v.failing_records)
-        assert any(len(r.setting.prep) == 2 for r in v.failing_records)
+        failing_preps = {exps[e].prep for e in recs.experiment[v.failing].tolist()}
+        assert (("A", "g1"),) in failing_preps
+        assert any(len(p) == 2 for p in failing_preps)
 
     def test_failing_records_are_the_records_entries(self):
         v = pr.circuit_test(
             dv.van_dam_device(), h_circuit(), "0", eps=0.05, mode="exact", force_y="0"
         )
         js = v.to_json()
-        assert len(js["failing_records"]) == len(v.failing_records) == 46
-        positions = {id(r): i for i, r in enumerate(v.records)}
-        for rec, entry in zip(v.failing_records, js["failing_records"]):
-            assert entry is js["records"][positions[id(rec)]]
+        assert len(js["failing_records"]) == len(v.failing) == 46
+        assert v.failing.tolist() == np.flatnonzero(v.records.deviation > 0.05).tolist()
+        for i, entry in zip(v.failing.tolist(), js["failing_records"]):
+            assert entry is js["records"][i]
 
     def test_force_y_validation(self):
         dev = dv.honest_device()
@@ -302,7 +431,7 @@ class TestCircuitTest:
         v1 = pr.circuit_test(dev, h_circuit(), "0", mode="sampled", seed=4)
         v2 = pr.circuit_test(dev, h_circuit(), "0", mode="sampled", seed=4)
         assert v1.y == v2.y
-        assert [r.est_p for r in v1.records] == [r.est_p for r in v2.records]
+        assert v1.records.est_p.tolist() == v2.records.est_p.tolist()
         assert v1.computation_outcome_histogram == v2.computation_outcome_histogram
 
     def test_sampled_honest_passes_many_seeds(self):
@@ -428,7 +557,7 @@ class TestEvaluateSchedule:
         dev = dv.honest_device(h_circuit())
         v1 = pr.evaluate_schedule(dev, sch, mode="sampled", seed=2)
         v2 = pr.evaluate_schedule(dev, sch, mode="sampled", seed=2)
-        assert [r.est_p for r in v1.records] == [r.est_p for r in v2.records]
+        assert v1.records.est_p.tolist() == v2.records.est_p.tolist()
 
     def test_missing_not_gate_propagates(self):
         # a device lacking the compensation gate cannot run a y != x schedule

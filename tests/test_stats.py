@@ -1,4 +1,4 @@
-"""Setting evaluation, sampling determinism, and sample sizing."""
+"""Op-list evaluation, experiment settings, sampling determinism, and sample sizing."""
 
 import itertools
 import math
@@ -10,96 +10,143 @@ from hypothesis import strategies as st
 
 from qselftest import devices as dv
 from qselftest import hilbert as hb
+from qselftest import protocol as pr
 from qselftest import stats
 from qselftest.errors import DeviceValidationError, ValidationError
 
 HALF_COS8 = 0.5 * math.cos(math.pi / 8) ** 2  # 0.4267766952966369
 
 
-def epr_setting(a, b, fa=0, fb=0):
-    return stats.Setting(measured=(("A", 0, a, fa), ("B", 0, b, fb)))
+def epr_ops(a, b):
+    """The op list measuring wire 0 at angle a on side A, then b on side B."""
+    return (("A", 0, a), ("B", 0, b))
 
 
 def h_circuit():
     return dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),), "0")
 
 
-def exact_prob(dev, s):
-    """Probability of the setting's outcome branch on the device."""
-    return stats.probabilities(dev, dev.source, (s.ops,))[0]
+def exact_prob(dev, ops):
+    """Probability of the op list's outcome branch on the device."""
+    return stats.probabilities(dev, dev.source, (ops,))[0]
 
 
-def ideal_prob(circuit, s):
-    """The setting's probability on the circuit's honest implementation."""
-    return exact_prob(dv.honest_device(circuit), s)
+def ideal_prob(circuit, ops):
+    """The op list's probability on the circuit's honest implementation."""
+    return exact_prob(dv.honest_device(circuit), ops)
 
 
-def with_flips(s, flips):
-    """The same setting with the outcome branches replaced wire by wire."""
-    meas = tuple((side, w, a, f) for (side, w, a, _), f in zip(s.measured, flips))
-    return stats.Setting(s.prep, meas)
+def with_flips(ops, flips):
+    """The op list with its last len(flips) branches each moved to its
+    complement at angle + pi/2 where its flip is 1."""
+    k = len(ops) - len(flips)
+    return ops[:k] + tuple(
+        (side, w, a + f * math.pi / 2) for (side, w, a), f in zip(ops[k:], flips)
+    )
 
 
-def branch_probabilities(dev, s):
-    """Exact probability of every outcome branch of the setting's measured wires."""
-    flips = itertools.product((0, 1), repeat=len(s.measured))
-    return stats.probabilities(dev, dev.source, (with_flips(s, f).ops for f in flips))
+def branch_probabilities(dev, ops, k):
+    """Exact probability of every outcome branch of the op list's last k
+    branches."""
+    flips = itertools.product((0, 1), repeat=k)
+    return stats.probabilities(dev, dev.source, (with_flips(ops, f) for f in flips))
+
+
+def conspiracy(wires, rows, prep=()):
+    return pr.Experiment("conspiracy", 1, wires, prep, np.array(rows))
 
 
 class TestSetting:
+    """An experiment's settings are angle indices, checked once when the
+    experiment is built; its branches are walk's op lists for them. A
+    branch angle names a frame projector modulo pi."""
+
     def test_angle_canonicalized(self):
-        s = epr_setting(9 * math.pi / 8, 0.0)
-        assert s.measured[0][2] == pytest.approx(math.pi / 8)
+        dev = dv.rotated_device(theta=0.3)
+        got = stats.collapse(dev, dev.source, epr_ops(9 * math.pi / 8, 0.0))
+        want = stats.collapse(dev, dev.source, epr_ops(math.pi / 8, 0.0))
+        assert np.array_equal(got.vec, want.vec)
+        exp = conspiracy((0,), [[1, 4]])
+        assert exp.branches == [(("A", 0, dv.TEST_ANGLES[1]), ("B", 0, dv.TEST_ANGLES[4]))]
 
     @pytest.mark.parametrize("a", [-1e-17, math.pi - 1e-15, math.pi, -math.pi])
     def test_angle_wraps_around_pi(self, a):
-        s = stats.Setting(measured=(("A", 0, a, 0),))
-        assert s.measured[0][2] == 0.0
+        dev = dv.rotated_device(theta=0.3)
+        got = stats.collapse(dev, dev.source, (("A", 0, a),))
+        want = stats.collapse(dev, dev.source, (("A", 0, 0.0),))
+        assert np.array_equal(got.vec, want.vec)
 
     def test_invalid_angle_rejected(self):
-        with pytest.raises(ValidationError, match="tested set"):
-            epr_setting(0.3, 0.0)
+        for bad in ([[6, 0]], [[0, -2]]):
+            with pytest.raises(ValidationError, match="tested set"):
+                conspiracy((0,), bad)
+        with pytest.raises(ValidationError, match="integer"):
+            conspiracy((0,), [[0.0, 1.0]])
+        dev = dv.honest_device()
+        with pytest.raises(DeviceValidationError, match="tested set"):
+            exact_prob(dev, epr_ops(0.3, 0.0))
 
     def test_duplicate_wire_rejected(self):
-        with pytest.raises(ValidationError, match="measured twice"):
-            stats.Setting(measured=(("A", 0, 0.0, 0), ("A", 0, math.pi / 4, 0)))
+        # one column per side and wire: a wire listed once is measured at
+        # most once per side
+        with pytest.raises(ValidationError, match="repeat"):
+            conspiracy((0, 0), [[0, 0, -1, -1]])
+        with pytest.raises(ValidationError, match="repeat"):
+            pr.Experiment("tomography", 1, (1, 1), (), np.zeros((1, 4), dtype=int))
 
     def test_bad_side_and_flip_rejected(self):
-        with pytest.raises(ValidationError, match="side"):
-            stats.Setting(measured=(("C", 0, 0.0, 0),))
-        with pytest.raises(ValidationError, match="flip"):
-            stats.Setting(measured=(("A", 0, 0.0, 2),))
+        # a column's position is its side, so no side can be named wrong;
+        # a wire measured on one side only, a conspiracy setting on two
+        # wires, a tomography setting that skips a wire, or a table of the
+        # wrong width is refused. No flip exists: every branch is the one
+        # its angle names, and the report writes flip 0
+        bad = [
+            ("conspiracy", (0,), [[0, -1]]),
+            ("conspiracy", (0, 1), [[0, 0, 1, 1]]),
+            ("tomography", (0, 1), [[0, 0, -1, -1]]),
+            ("conspiracy", (0,), [[0, 0, 0]]),
+            ("conspiracy", (0,), [0, 0]),
+            ("conspiracy", (0,), np.zeros((0, 2), dtype=int)),
+            ("conspiracy", (), np.zeros((1, 0), dtype=int)),
+        ]
+        for kind, wires, rows in bad:
+            with pytest.raises(ValidationError, match="setting"):
+                pr.Experiment(kind, 1, wires, (), np.array(rows))
+        with pytest.raises(ValidationError, match="kind"):
+            pr.Experiment("flipped", 1, (0,), (), np.zeros((1, 2), dtype=int))
+        v = pr.epr_test(dv.honest_device())
+        flips = {m["flip"] for r in v.to_json()["records"] for m in r["setting"]["measured"]}
+        assert flips == {0}
 
     def test_with_flips(self):
-        s = epr_setting(0.0, math.pi / 8)
-        t = with_flips(s, (1, 0))
-        assert t.measured[0][3] == 1
-        assert t.branch_angle(t.measured[0]) == pytest.approx(math.pi / 2)
+        # the complement of tested angle i is tested angle i + 3
+        ops = with_flips(conspiracy((0,), [[0, 1]]).branches[0], (1, 0))
+        assert dv.angle_index(ops[0][2]) == 3
+        assert ops[1] == ("B", 0, math.pi / 8)
 
 
 class TestExactProb:
     def test_orthogonal_branches_vanish(self):
         dev = dv.honest_device()
-        assert exact_prob(dev, epr_setting(0.0, math.pi / 2)) == pytest.approx(
+        assert exact_prob(dev, epr_ops(0.0, math.pi / 2)) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_pair_value(self):
         dev = dv.honest_device()
-        p = exact_prob(dev, epr_setting(0.0, math.pi / 8))
+        p = exact_prob(dev, epr_ops(0.0, math.pi / 8))
         assert p == pytest.approx(HALF_COS8, abs=1e-12)
         assert p == pytest.approx(0.426777, abs=1e-6)
 
     def test_equal_angles_give_half(self):
         dev = dv.honest_device()
-        p = exact_prob(dev, epr_setting(math.pi / 8, math.pi / 8))
+        p = exact_prob(dev, epr_ops(math.pi / 8, math.pi / 8))
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_label_raises(self):
         dev = dv.honest_device()
-        s = stats.Setting(prep=(("A", "mystery"),), measured=(("A", 0, 0.0, 0),))
         with pytest.raises(Exception, match="no gate"):
-            exact_prob(dev, s)
+            exact_prob(dev, (("A", "mystery"), ("A", 0, 0.0)))
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_disjoint_prep_order_irrelevant(self, order):
@@ -114,33 +161,25 @@ class TestExactProb:
         dev = dv.honest_device(circ)
         labels = [("A", "g1"), ("A", "g2")]
         prep = tuple(labels[i] for i in order)
-        s = stats.Setting(
-            prep=prep, measured=(("A", 0, 0.0, 0), ("B", 1, math.pi / 8, 0))
-        )
-        base = exact_prob(
-            dev,
-            stats.Setting(
-                prep=tuple(labels),
-                measured=(("A", 0, 0.0, 0), ("B", 1, math.pi / 8, 0)),
-            ),
-        )
-        assert exact_prob(dev, s) == pytest.approx(base, abs=1e-14)
+        measured = (("A", 0, 0.0), ("B", 1, math.pi / 8))
+        base = exact_prob(dev, tuple(labels) + measured)
+        assert exact_prob(dev, prep + measured) == pytest.approx(base, abs=1e-14)
 
 
 class TestCollapsePath:
     def test_exact_prob_is_branch_prob_of_prepared_state(self):
         dev = dv.rotated_device(h_circuit(), theta=0.3)
-        s = stats.Setting(prep=(("A", "g1"),), measured=(("A", 0, math.pi / 8, 1),))
-        st = stats.prepare(dev, s.prep)
-        prob = hb.norm(stats.collapse(dev, st, s.branches)) ** 2
-        assert prob == exact_prob(dev, s)
+        prep, branches = (("A", "g1"),), (("A", 0, math.pi / 8 + math.pi / 2),)
+        st = stats.prepare(dev, prep)
+        prob = hb.norm(stats.collapse(dev, st, branches)) ** 2
+        assert prob == exact_prob(dev, prep + branches)
 
     def test_collapse_norm_is_branch_prob(self):
         dev = dv.honest_device()
-        s = epr_setting(0.0, math.pi / 8, fb=1)
-        st = stats.collapse(dev, dev.source, s.branches)
-        assert hb.norm(st) ** 2 == pytest.approx(exact_prob(dev, s), abs=0)
-        assert s.branches == (("A", 0, 0.0), ("B", 0, math.pi / 8 + math.pi / 2))
+        ops = with_flips(epr_ops(0.0, math.pi / 8), (0, 1))
+        st = stats.collapse(dev, dev.source, ops)
+        assert hb.norm(st) ** 2 == pytest.approx(exact_prob(dev, ops), abs=0)
+        assert ops == (("A", 0, 0.0), ("B", 0, math.pi / 8 + math.pi / 2))
 
     def test_no_branches_leave_state_alone(self):
         dev = dv.honest_device()
@@ -159,65 +198,58 @@ class TestIdealProb:
     pair, tomography blocks, and products over wires."""
 
     def test_conspiracy_single_wire(self):
-        p = ideal_prob(None, epr_setting(math.pi / 4, 0.0))
+        p = ideal_prob(None, epr_ops(math.pi / 4, 0.0))
         assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_tomography_of_h(self):
-        s = stats.Setting(
-            prep=(("A", "g1"),), measured=(("A", 0, 0.0, 0), ("B", 0, 0.0, 0))
-        )
-        assert ideal_prob(h_circuit(), s) == pytest.approx(0.25, abs=1e-12)
+        ops = (("A", "g1"),) + epr_ops(0.0, 0.0)
+        assert ideal_prob(h_circuit(), ops) == pytest.approx(0.25, abs=1e-12)
 
     def test_tomography_of_identity_orthogonal(self):
         circ = dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), np.eye(2)),), "0")
-        s = stats.Setting(
-            prep=(("A", "g1"),),
-            measured=(("A", 0, 0.0, 0), ("B", 0, math.pi / 2, 0)),
-        )
-        assert ideal_prob(circ, s) == pytest.approx(0.0, abs=1e-12)
+        ops = (("A", "g1"),) + epr_ops(0.0, math.pi / 2)
+        assert ideal_prob(circ, ops) == pytest.approx(0.0, abs=1e-12)
 
     def test_conspiracy_two_wires_multiplies(self):
         circ = dv.IdealCircuit(
             2, (dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),), "00"
         )
-        s = stats.Setting(
-            measured=(
-                ("A", 0, 0.0, 0),
-                ("B", 0, math.pi / 8, 0),
-                ("A", 1, math.pi / 4, 0),
-                ("B", 1, math.pi / 4, 0),
-            )
+        ops = (
+            ("A", 0, 0.0),
+            ("B", 0, math.pi / 8),
+            ("A", 1, math.pi / 4),
+            ("B", 1, math.pi / 4),
         )
         want = HALF_COS8 * 0.5
-        assert ideal_prob(circ, s) == pytest.approx(want, abs=1e-12)
+        assert ideal_prob(circ, ops) == pytest.approx(want, abs=1e-12)
 
 
 class TestSampling:
     def test_law_of_large_numbers(self):
         dev = dv.honest_device()
         rng = stats.record_rng(7, 0)
-        p = exact_prob(dev, epr_setting(0.0, math.pi / 8))
+        p = exact_prob(dev, epr_ops(0.0, math.pi / 8))
         est = stats.sample_prob(p, 10**6, rng)
         assert abs(est - HALF_COS8) < 0.01
 
     def test_deterministic_setting_always_one(self):
-        # a setting with no projectors has probability exactly 1
+        # an op list with no projectors has probability exactly 1
         dev = dv.honest_device()
         rng = stats.record_rng(3, 1)
-        assert stats.sample_prob(exact_prob(dev, stats.Setting()), 5, rng) == 1.0
+        assert stats.sample_prob(exact_prob(dev, ()), 5, rng) == 1.0
 
     def test_seed_reproducibility(self):
         dev = dv.honest_device()
-        s = epr_setting(0.0, math.pi / 8)
-        a = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 5))
-        b = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 5))
+        ops = epr_ops(0.0, math.pi / 8)
+        a = stats.sample_prob(exact_prob(dev, ops), 1000, stats.record_rng(42, 5))
+        b = stats.sample_prob(exact_prob(dev, ops), 1000, stats.record_rng(42, 5))
         assert a == b
 
     def test_streams_differ_by_index(self):
         dev = dv.honest_device()
-        s = epr_setting(0.0, math.pi / 8)
-        a = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 0))
-        b = stats.sample_prob(exact_prob(dev, s), 1000, stats.record_rng(42, 1))
+        ops = epr_ops(0.0, math.pi / 8)
+        a = stats.sample_prob(exact_prob(dev, ops), 1000, stats.record_rng(42, 0))
+        b = stats.sample_prob(exact_prob(dev, ops), 1000, stats.record_rng(42, 1))
         assert a != b  # astronomically unlikely to collide
 
     def test_bad_count_rejected(self):
@@ -333,24 +365,24 @@ class TestBranchSums:
     @pytest.mark.parametrize(
         "measured",
         [
-            (("A", 0, 0.0, 0),),
-            (("A", 0, math.pi / 8, 0), ("B", 0, math.pi / 4, 0)),
+            (("A", 0, 0.0),),
+            (("A", 0, math.pi / 8), ("B", 0, math.pi / 4)),
         ],
     )
     def test_exact_branches_sum_to_one(self, measured):
         dev = dv.honest_device(h_circuit())
-        s = stats.Setting(prep=(("A", "g1"),), measured=measured)
-        total = sum(branch_probabilities(dev, s))
+        ops = (("A", "g1"),) + measured
+        total = sum(branch_probabilities(dev, ops, len(measured)))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_sampled_branches_sum_within_tolerance(self):
         eps = 0.05
         dev = dv.honest_device()
-        s = stats.Setting(measured=(("A", 0, math.pi / 8, 0),))
+        ops = (("A", 0, math.pi / 8),)
         n = stats.sample_size(eps, 0.05, 2)
         total = sum(
             stats.sample_prob(
-                exact_prob(dev, with_flips(s, (f,))), n, stats.record_rng(11, f)
+                exact_prob(dev, with_flips(ops, (f,))), n, stats.record_rng(11, f)
             )
             for f in (0, 1)
         )
@@ -363,8 +395,7 @@ class TestBranchSums:
     )
     def test_pair_branch_sum_any_angles(self, a, b):
         dev = dv.honest_device()
-        s = epr_setting(a, b)
-        total = sum(branch_probabilities(dev, s))
+        total = sum(branch_probabilities(dev, epr_ops(a, b), 2))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -398,8 +429,26 @@ class TestDiagnostics:
 
 class TestRecordsAndReport:
     def test_record_bounds(self):
-        s = epr_setting(0.0, 0.0)
-        r = stats.StatRecord(s, 0.5, 0.45, n_samples=200)
-        assert r.deviation == pytest.approx(0.05)
-        with pytest.raises(ValidationError, match="outside"):
-            stats.StatRecord(s, 1.2, 0.5)
+        exp = conspiracy((0,), [[0, 0], [0, 1]])
+        r = pr.Records((exp,), [0.5, 1 + 1e-12], [0.45, 1.0], n_samples=200)
+        assert len(r) == 2
+        assert r.deviation.tolist() == [abs(0.45 - 0.5), abs(1.0 - (1 + 1e-12))]
+        assert r.experiment.tolist() == [0, 0]
+        for ideal, est, name in (
+            ([1.2, 0.5], [0.5, 0.5], "ideal_p=1.2"),
+            ([0.5, 0.5], [0.5, -1e-11], "est_p=-1e-11"),
+            ([0.5, 0.5], [0.5, math.nan], "est_p=nan"),
+        ):
+            with pytest.raises(ValidationError, match=f"{name} outside"):
+                pr.Records((exp,), ideal, est)
+        with pytest.raises(ValidationError, match="one value per setting"):
+            pr.Records((exp,), [0.5], [0.5])
+
+    def test_verdict_flag_must_match_deviations(self):
+        exp = conspiracy((0,), [[0, 0], [0, 1]])
+        recs = pr.Records((exp,), [0.5, 0.5], [0.5, 0.45])
+        for accepted, eps in ((True, 0.01), (False, 0.1)):
+            with pytest.raises(ValidationError, match="inconsistent"):
+                pr.Verdict(accepted, 0.05, eps, np.array([1]), recs, ("x",))
+        v = pr.Verdict(False, 0.05, 0.01, np.array([1]), recs, ("x",))
+        assert v.to_json()["failing_records"] == [v.to_json()["records"][1]]

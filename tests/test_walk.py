@@ -38,6 +38,11 @@ def per_record_estimate(p, n, seed, index):
     return float(rng.binomial(n, min(max(p, 0.0), 1.0))) / n
 
 
+def op_lists(schedule):
+    """The op list of each record of the schedule, in record order."""
+    return [exp.prep + b for exp in schedule.experiments for b in exp.branches]
+
+
 def circuit(n, gates):
     steps = tuple(
         dv.CircuitGate(f"g{i + 1}", wires, dv.builtin_gate(name))
@@ -78,13 +83,15 @@ def test_evaluate_schedule(case, mode, seed):
     schedule = pr.build_schedule(circ, "0" * circ.n, y)
     verdict = pr.evaluate_schedule(device, schedule, mode, seed)
     reference = dv.honest_device(circ)
-    n = verdict.records[0].n_samples
+    recs = verdict.records
+    n = recs.n_samples
     assert (n == 0) == (mode == "exact")
-    for idx, rec in enumerate(verdict.records):
-        ops = rec.setting.ops
-        assert rec.ideal_p == per_record(reference, reference.source, ops)
+    ops_lists = op_lists(schedule)
+    assert len(ops_lists) == len(recs)
+    for idx, (ops, ideal, est) in enumerate(zip(ops_lists, recs.ideal_p, recs.est_p)):
+        assert ideal == per_record(reference, reference.source, ops)
         p = per_record(device, device.source, ops)
-        assert rec.est_p == per_record_estimate(p, n, seed, idx)
+        assert est == per_record_estimate(p, n, seed, idx)
 
 
 @pytest.mark.parametrize("mode, seed", [("exact", 0), ("sampled", 3)])
@@ -92,10 +99,12 @@ def test_epr_test(case, mode, seed):
     device, circ = case
     for wire in range(device.n_wires):
         verdict = pr.epr_test(device, wire, mode=mode, seed=seed)
-        n = verdict.records[0].n_samples
-        for idx, rec in enumerate(verdict.records):
-            p = per_record(device, device.source, rec.setting.branches)
-            assert rec.est_p == per_record_estimate(p, n, seed, idx)
+        recs = verdict.records
+        (exp,) = recs.experiments
+        assert len(exp.branches) == len(recs) == 36
+        for idx, (ops, est) in enumerate(zip(exp.branches, recs.est_p)):
+            p = per_record(device, device.source, ops)
+            assert est == per_record_estimate(p, recs.n_samples, seed, idx)
 
 
 def test_side_readouts(case):
@@ -148,7 +157,7 @@ def mixed_op_lists(device, circ, rng):
     gate), empty lists, repeats and side readouts, in a random order."""
     n = circ.n
     schedule = pr.build_schedule(circ, "0" * n, "1" + "0" * (n - 1))
-    lists = [s.ops for exp in schedule.experiments for s in exp.settings]
+    lists = op_lists(schedule)
     lists += [ops[: rng.integers(len(ops) + 1)] for ops in lists[::7]]
     lists += [(), (), lists[3], lists[3]]
     lists += [tuple(pr._readout(side, format(c, f"0{n}b")))
@@ -195,7 +204,7 @@ def test_walk_keeps_only_the_states_later_lists_restart_from():
     circ = circuit(3, gates)
     device = dv.noisy_source_device(circ, p=0.05)
     schedule = pr.build_schedule(circ, "000", "111")
-    lists = [s.ops for exp in schedule.experiments for s in exp.settings]
+    lists = op_lists(schedule)
     state_bytes = device.source.vec.nbytes  # 64 KiB: hidden dims 4 per wire
     tracemalloc.start()
     try:
@@ -280,9 +289,10 @@ def test_loaded_honest_device_walked_once(tmp_path, monkeypatch):
     device = dv.load_device(str(path))
     schedule = pr.build_schedule(circ, "0", "0")
     assert count_applies(monkeypatch, device, schedule) == ONE_WALK
-    assert pr.evaluate_schedule(device, schedule) == pr.evaluate_schedule(
-        dv.honest_device(circ), schedule
-    )
+    got = pr.evaluate_schedule(device, schedule).records
+    want = pr.evaluate_schedule(dv.honest_device(circ), schedule).records
+    assert got.ideal_p.tolist() == want.ideal_p.tolist()
+    assert got.est_p.tolist() == want.est_p.tolist()
 
 
 def nudged(circ, part):
@@ -315,8 +325,8 @@ def test_nudged_device_walked_twice(part, monkeypatch):
     circ = CIRCUITS["fig1"]
     device = nudged(circ, part)
     reference = dv.honest_device(circ)
-    verdict = pr.evaluate_schedule(device, pr.build_schedule(circ, "00", "10"))
-    for rec in verdict.records:
-        ops = rec.setting.ops
-        assert rec.ideal_p == per_record(reference, reference.source, ops)
-        assert rec.est_p == per_record(device, device.source, ops)
+    schedule = pr.build_schedule(circ, "00", "10")
+    recs = pr.evaluate_schedule(device, schedule).records
+    for ops, ideal, est in zip(op_lists(schedule), recs.ideal_p, recs.est_p, strict=True):
+        assert ideal == per_record(reference, reference.source, ops)
+        assert est == per_record(device, device.source, ops)
