@@ -12,6 +12,7 @@ is byte-identical between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -108,6 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("gallery", help="list built-in devices")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then shared by every
+    later one. parse_args leaves it as it was, so no call sees another's."""
+    return build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -466,8 +474,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         return _RUNNERS[cfg.command](cfg)

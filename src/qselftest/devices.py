@@ -9,6 +9,7 @@ All statistics consumed elsewhere flow through these objects.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -477,8 +478,10 @@ def _assemble_source(layout: RegisterLayout, per_wire: Sequence[np.ndarray]) -> 
     return hb.permute_subsystems(inter, perm)
 
 
+@functools.cache
 def _qubit_frame(side: str, wire: int) -> MeasurementFrame:
-    """The ideal qubit frame: the angle projectors themselves."""
+    """The ideal qubit frame: the angle projectors themselves. Built and
+    checked once per (side, wire), then shared: a frame is read-only."""
     return MeasurementFrame(
         side, wire, {a: hb.projector_angle(a).matrix for a in BASE_ANGLES}
     )
@@ -506,19 +509,31 @@ def not_gate(wire: int) -> CircuitGate:
     return CircuitGate(f"not{wire}", (wire,), _X)
 
 
+def _honest_gates(g: CircuitGate) -> tuple[DeviceGate, DeviceGate]:
+    """The honest A and B gates for g. The B-side partner is the complex
+    conjugate (equal to the matrix itself for real gates); that is the
+    unique choice restoring the shared pairs after both sides step."""
+    return DeviceGate("A", g.wires, g.matrix), DeviceGate("B", g.wires, np.conj(g.matrix))
+
+
+@functools.cache
+def _honest_not(wire: int) -> tuple[str, tuple[DeviceGate, DeviceGate]]:
+    """The label and honest gates of the NOT on wire: built and checked
+    once, then shared, since a gate is read-only."""
+    g = not_gate(wire)
+    return g.label, _honest_gates(g)
+
+
 def _circuit_gates(
     circuit: IdealCircuit | None, n: int
-) -> dict[tuple[str, str], tuple[tuple[int, ...], np.ndarray]]:
-    """Honest gate table: circuit gates plus per-wire NOTs, both sides.
-
-    The B-side partner is the complex conjugate (equal to the matrix itself
-    for real gates); that is the unique choice restoring the shared pairs
-    after both sides step."""
-    table: dict[tuple[str, str], tuple[tuple[int, ...], np.ndarray]] = {}
+) -> dict[tuple[str, str], DeviceGate]:
+    """Honest gate table: circuit gates plus per-wire NOTs, both sides."""
     gates = circuit.gates if circuit is not None else ()
-    for g in gates + tuple(not_gate(w) for w in range(n)):
-        table[("A", g.label)] = (g.wires, g.matrix)
-        table[("B", g.label)] = (g.wires, np.conj(g.matrix))
+    pairs = [(g.label, _honest_gates(g)) for g in gates]
+    table: dict[tuple[str, str], DeviceGate] = {}
+    for label, (a, b) in pairs + [_honest_not(w) for w in range(n)]:
+        table["A", label] = a
+        table["B", label] = b
     return table
 
 
@@ -532,11 +547,7 @@ def honest_device(circuit: IdealCircuit | None = None, n: int | None = None) -> 
     source = _assemble_source(
         layout, [_epr_wire(2, 2, 1) for _ in range(n)]
     )
-    gates = {
-        key: DeviceGate(key[0], wires, m)
-        for key, (wires, m) in _circuit_gates(circuit, n).items()
-    }
-    return DeviceModel(layout, source, gates, _qubit_frames(layout))
+    return DeviceModel(layout, source, _circuit_gates(circuit, n), _qubit_frames(layout))
 
 
 def van_dam_device() -> DeviceModel:
@@ -606,12 +617,17 @@ def rotated_device(
         per_wire.append(w @ _epr_wire(2, 2, 1))
     source = _assemble_source(base.layout, per_wire)
 
+    conj = {}  # (side, wires) -> the conjugation w and w^dagger, built once
+
     def conj_gate(g: DeviceGate) -> DeviceGate:
-        vs = v_a if g.side == "A" else v_b
-        w = np.array([[1.0 + 0j]])
-        for wi in g.wires:
-            w = np.kron(w, vs[wi])
-        return DeviceGate(g.side, g.wires, w @ g.matrix @ w.conj().T)
+        if (g.side, g.wires) not in conj:
+            vs = v_a if g.side == "A" else v_b
+            w = np.array([[1.0 + 0j]])
+            for wi in g.wires:
+                w = np.kron(w, vs[wi])
+            conj[g.side, g.wires] = (w, w.conj().T)
+        w, wh = conj[g.side, g.wires]
+        return DeviceGate(g.side, g.wires, w @ g.matrix @ wh)
 
     gates = {k: conj_gate(g) for k, g in base.gates.items()}
     frames = {}

@@ -468,12 +468,12 @@ def circuit_test(
         # refuse an eps or gamma too small to sample before any walk: the
         # count grows with the records, and no y gives fewer than y = x
         stx.sample_size(eps, gamma, max(_min_records(circuit), 1))
+    if force_y is not None and (len(force_y) != n or set(force_y) - {"0", "1"}):
+        raise ValidationError(f"forced y must be {n} bits, got {force_y!r}")
 
     # step 2: one B-side reading fixes y
     y_dist = _measure_side_distribution(device, device.source, "B", n)
     if force_y is not None:
-        if len(force_y) != n or set(force_y) - {"0", "1"}:
-            raise ValidationError(f"forced y must be {n} bits, got {force_y!r}")
         y = force_y
         if y_dist[y] <= 0.0:
             raise ValidationError(f"forced outcome {y!r} has zero probability")

@@ -369,6 +369,63 @@ class TestConfigErrors:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["epr-test", "extract", "tomo", "circuit-test"])
+    def test_non_projector_device_file(self, command, h_circuit_file, tmp_path, capsys):
+        # the ideal qubit frames are checked once and shared; a loaded frame
+        # is still checked, also after an honest run has built the shared ones
+        assert cli.main(["epr-test", "--device", "builtin:honest"]) == 0
+        dev = write_json(tmp_path, "half.json", {"layout": ONE_WIRE,
+                                                 "frames": a_frames(0.5 * np.eye(2))})
+        argv = [command, "--device", dev]
+        if command == "circuit-test":
+            argv += ["--circuit", h_circuit_file, "--x", "0"]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert "not idempotent" in capsys.readouterr().err
+
+
+class TestInProcess:
+    def test_calls_leave_no_state_for_the_next(
+        self, bell_circuit_file, tmp_path, monkeypatch, capsys
+    ):
+        # main shares one parser, and devices share their ideal parts, across
+        # calls in one process; each call must still print, write and exit
+        # as the same command does in a fresh interpreter
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        device = ["--device", "builtin:rotated?theta=0.5"]
+        circuit_test = ["circuit-test", *device, "--circuit", bell_circuit_file,
+                        "--x", "00"]
+        extract = ["extract", *device, "--circuit", bell_circuit_file, "--gate-index", "2"]
+        out = tmp_path / "r.json"
+        written = ["--out", str(out)]
+        steps = [circuit_test + written, ["circuit-test", "--x"], ["--version"],
+                 extract + written, circuit_test + written]
+        src = str(Path(qselftest.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+        def report():
+            data = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return data
+
+        fresh = {}
+        for argv in steps:
+            if tuple(argv) not in fresh:
+                run = subprocess.run(
+                    [sys.executable, "-m", "qselftest.cli", *argv],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                fresh[tuple(argv)] = (run.returncode, run.stdout, run.stderr, report())
+        assert [fresh[tuple(argv)][0] for argv in steps] == [0, 2, 0, 0, 0]
+        for argv in steps:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            assert (code, got.out, got.err, report()) == fresh[tuple(argv)], argv
+
 
 class TestReports:
     def test_report_shape_and_version(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Device model construction, validation, builtins, and JSON loading."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,18 @@ def bell_vec(n):
     v = np.zeros(d * d)
     v[(d + 1) * np.arange(d)] = 1 / math.sqrt(d)
     return v
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's rotated-device angles and circuits
+WL = _perfbench_workloads()
 
 
 def single_h_circuit():
@@ -203,6 +218,32 @@ class TestHonestDevice:
             dv.honest_device().gate_operator("A", "g9")
 
 
+class TestSharedParts:
+    def test_ideal_frames_and_nots_are_shared(self):
+        one = dv.honest_device(single_h_circuit())
+        two = dv.honest_device(dv.load_circuit(WL.FIXED_CIRCUITS["fig1.json"]))
+        noisy = dv.noisy_source_device(n=2, p=0.1)
+        for side in ("A", "B"):
+            assert one.frames[(side, 0)] is two.frames[(side, 0)]
+            assert one.gates[(side, "not0")] is two.gates[(side, "not0")]
+            assert noisy.frames[(side, 1)] is two.frames[(side, 1)]
+            assert noisy.gates[(side, "not1")] is two.gates[(side, "not1")]
+        loaded = dv.load_device({"layout": {"n_wires": 1, "a_dims": [2], "b_dims": [2]}})
+        assert loaded.frames[("A", 0)] is one.frames[("A", 0)]
+
+    def test_shared_matrices_are_read_only(self):
+        dev = dv.honest_device(n=2)
+        frame = dev.frames[("A", 1)]
+        with pytest.raises(ValueError, match="read-only"):
+            frame.base[0.0][0, 0] = 0.0
+        with pytest.raises(TypeError):
+            frame.base[0.0] = np.eye(2)
+        with pytest.raises(ValueError, match="read-only"):
+            dev.gates[("B", "not1")].matrix[0, 0] = 1.0
+        assert np.array_equal(dv.honest_device(n=2).frames[("A", 1)].base[0.0],
+                              hb.projector_angle(0.0).matrix)
+
+
 class TestValidation:
     def test_separability_cut_rejects_cross_wire_entanglement(self):
         lay = dv.RegisterLayout(2, (2, 2), (2, 2))
@@ -293,7 +334,58 @@ class TestVanDam:
         assert np.trace(p0).real == pytest.approx(2.0)
 
 
+def toffoli_circuit():
+    tof = np.eye(8)
+    tof[6:, 6:] = [[0, 1], [1, 0]]
+    return dv.load_circuit({"n": 3, "input": "000", "gates": [
+        {"label": "g1", "wires": [0], "builtin": "H"},
+        {"label": "g2", "wires": [0, 1, 2], "matrix": tof.tolist()},
+        {"label": "g3", "wires": [2, 0], "builtin": "CNOT"},
+    ]})
+
+
+ROTATED_CIRCUITS = {
+    "fig1": lambda: dv.load_circuit(WL.FIXED_CIRCUITS["fig1.json"]),
+    "chain": lambda: dv.load_circuit(WL.chain_circuit(
+        np.random.default_rng([WL.CHAIN_POOL, 0]), WL.CHAIN_WIRES, WL.CHAIN_GATES)),
+    "toffoli": toffoli_circuit,
+}
+
+
+def reference_rotated(circuit, theta):
+    """rotated_device's gate and frame matrices, built as one kron chain per
+    gate and one conjugation per frame projector."""
+    base = dv.honest_device(circuit)
+    v = np.asarray(dv.rotation(theta), dtype=np.complex128)
+    gates = {}
+    for key, g in base.gates.items():
+        w = np.array([[1.0 + 0j]])
+        for _ in g.wires:
+            w = np.kron(w, v)
+        gates[key] = w @ g.matrix @ w.conj().T
+    frames = {
+        (key, a): v @ m @ v.conj().T
+        for key, f in base.frames.items()
+        for a, m in f.base.items()
+    }
+    return gates, frames
+
+
 class TestRotatedAndNoisy:
+    @pytest.mark.parametrize("theta", WL.THETAS)
+    @pytest.mark.parametrize("name", sorted(ROTATED_CIRCUITS))
+    def test_rotated_matrices_match_per_gate_conjugation(self, name, theta):
+        circ = ROTATED_CIRCUITS[name]()
+        dev = dv.rotated_device(circ, theta=theta)
+        gates, frames = reference_rotated(circ, theta)
+        assert dev.gates.keys() == gates.keys()
+        for key, m in gates.items():
+            assert dev.gates[key].matrix.tobytes() == m.tobytes(), key
+        got = {(key, a): m for key, f in dev.frames.items() for a, m in f.base.items()}
+        assert got.keys() == frames.keys()
+        for key, m in frames.items():
+            assert got[key].tobytes() == m.tobytes(), key
+
     def test_rotated_statistics_match_honest_exactly(self):
         circ = single_h_circuit()
         hon = dv.honest_device(circ)

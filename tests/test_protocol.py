@@ -404,6 +404,16 @@ class TestCircuitTest:
                 dv.honest_device(circ), circ, "00", eps=1e-10, seed=0, mode="sampled"
             )
 
+    @pytest.mark.parametrize("force_y", ["0", "012", "0x", ""])
+    def test_malformed_force_y_refused_before_any_walk(self, force_y, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(stx, "walk", walk)
+        circ = bell_circuit()
+        with pytest.raises(ValidationError, match="forced y must be 2 bits"):
+            pr.circuit_test(dv.honest_device(circ), circ, "00", force_y=force_y)
+
     @pytest.mark.parametrize(
         "gates",
         [
