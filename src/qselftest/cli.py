@@ -16,6 +16,7 @@ import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -200,25 +201,19 @@ def _verdict_rows(verdict: pr.Verdict):
     return rows, len(recs) - shown, int(np.count_nonzero(verdict.failing >= shown))
 
 
-def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+def _dumps(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, as the text
+    of a value at depth: each line after the first is indented by depth more
+    levels.
 
     One pass appends the text to one list of parts, joined once at the end.
     Exact str, int and finite float values are written inline; subclasses
     such as bool and np.float64 take the generic path. A dict key that is
-    not a str raises TypeError: every report key is one. Two memos live for
-    one call:
-    - a tuple's text per depth, keyed on its id (obj keeps every tuple
-      alive, so no id is reused): all settings of an experiment share one
-      prep tuple, and records that measure alike one measured tuple, which
-      the report repeats in every record;
-    - a dict's keys in sorted order, each with the text before its value,
-      per (key tuple, depth): every record has the same keys.
+    not a str raises TypeError: every report key is one. A _RecordList
+    writes its own text, as its list of records would encode.
     """
     parts: list[str] = []
     put = parts.append
-    tuples: dict[tuple[int, int], str] = {}
-    shapes: dict[tuple[tuple, int], tuple] = {}
     layouts: list[tuple[str, str, str]] = []
 
     def layout(depth: int) -> tuple[str, str, str]:
@@ -232,16 +227,10 @@ def _dumps(obj) -> str:
     def enc(o, depth: int) -> None:
         if isinstance(o, dict):
             enc_dict(o, depth)
-        elif isinstance(o, tuple):
-            text = tuples.get((id(o), depth))
-            if text is None:
-                start = len(parts)
-                enc_list(o, depth)
-                text = tuples[id(o), depth] = "".join(parts[start:])
-                del parts[start:]
-            put(text)
-        elif isinstance(o, list):
+        elif isinstance(o, (list, tuple)):
             enc_list(o, depth)
+        elif isinstance(o, _RecordList):
+            o.write(parts, depth)
         else:
             text = _scalar(o)
             if text is None:
@@ -249,6 +238,17 @@ def _dumps(obj) -> str:
                     f"Object of type {type(o).__name__} is not JSON serializable"
                 )
             put(text)
+
+    def enc_value(v, depth: int) -> None:
+        t = type(v)
+        if t is str:
+            put(encode_basestring_ascii(v))
+        elif t is float and -_INF < v < _INF:
+            put(float.__repr__(v))
+        elif t is int:
+            put(int.__repr__(v))
+        else:
+            enc(v, depth)
 
     def enc_list(o, depth: int) -> None:
         if not o:
@@ -258,17 +258,7 @@ def _dumps(obj) -> str:
         start = len(parts)
         for v in o:
             put(sep)
-            t = type(v)
-            if t is str:
-                put(encode_basestring_ascii(v))
-            elif t is float and -_INF < v < _INF:
-                put(float.__repr__(v))
-            elif t is int:
-                put(int.__repr__(v))
-            elif t is dict:
-                enc_dict(v, depth + 1)
-            else:
-                enc(v, depth + 1)
+            enc_value(v, depth + 1)
         parts[start] = "[" + sep[1:]
         put(close)
 
@@ -276,36 +266,147 @@ def _dumps(obj) -> str:
         if not o:
             put("{}")
             return
-        keys = tuple(o)
-        shape = shapes.get((keys, depth))
-        if shape is None:
-            for k in keys:
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-            sep, _, close = layout(depth)
-            order = sorted(keys)
-            heads = [sep + encode_basestring_ascii(k) + ": " for k in order]
-            heads[0] = "{" + heads[0][1:]
-            shape = shapes[keys, depth] = (tuple(zip(order, heads)), close)
-        pairs, close = shape
-        for k, head in pairs:
-            put(head)
-            v = o[k]
-            t = type(v)
-            if t is str:
-                put(encode_basestring_ascii(v))
-            elif t is float and -_INF < v < _INF:
-                put(float.__repr__(v))
-            elif t is int:
-                put(int.__repr__(v))
-            elif t is dict:
-                enc_dict(v, depth + 1)
-            else:
-                enc(v, depth + 1)
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        sep, _, close = layout(depth)
+        start = len(parts)
+        for k in sorted(o):
+            put(sep + encode_basestring_ascii(k) + ": ")
+            enc_value(o[k], depth + 1)
+        parts[start] = "{" + parts[start][1:]
         put(close)
 
-    enc(obj, 0)
+    enc(obj, depth)
     return "".join(parts)
+
+
+# a placeholder value: in the text of a blank record or list, its text,
+# "\u0000", marks where a record's or an entry's own text goes
+_BLANK = "\0"
+_BLANK_TEXT = encode_basestring_ascii(_BLANK)
+
+
+class _RecordText:
+    """A verdict's records as report text, built from its record columns and
+    experiments in pieces that its records and failing_records lists share.
+
+    Per record the text is a fixed head, then the deviation, est_p and
+    ideal_p, each between fixed key texts, then the measured list, which is
+    built once per setting of each experiment shape (wires and settings),
+    and the rest of the record from the prep on, built once per experiment.
+    Records holds only finite values (checked), so float.__repr__ is their
+    JSON text.
+    """
+
+    def __init__(self, verdict: pr.Verdict):
+        self.verdict = verdict
+        self._pieces: dict[int, tuple] = {}  # per depth of the list
+
+    def pieces(self, depth: int) -> tuple:
+        """(head, est key, ideal key, measured key, close, columns) for a list
+        of records at depth: the head holds the separator before a record;
+        columns are the per-record deviation, est_p, ideal_p, measured and
+        rest texts."""
+        got = self._pieces.get(depth)
+        if got is None:
+            got = self._pieces[depth] = self._build(depth)
+        return got
+
+    def _build(self, depth: int) -> tuple:
+        recs = self.verdict.records
+        blank = {
+            "deviation": _BLANK,
+            "est_p": _BLANK,
+            "ideal_p": _BLANK,
+            "n_samples": recs.n_samples,
+            "setting": {"measured": _BLANK, "prep": _BLANK},
+        }
+        first, est_key, ideal_key, measured_key, prep_key, end = _dumps(
+            blank, depth + 1
+        ).split(_BLANK_TEXT)
+        inner = depth + 3  # the list, a record, its setting, then its values
+        # a measured list or a prep is a list at inner: its text is made of
+        # the texts of its entries, each encoded once
+        start, sep, close = _dumps([_BLANK, _BLANK], inner).split(_BLANK_TEXT)
+
+        def list_text(as_json):
+            done: dict[tuple, str] = {}
+
+            def text(items) -> str:
+                if not items:
+                    return "[]"
+                texts = []
+                for item in items:
+                    t = done.get(item)
+                    if t is None:
+                        t = done[item] = _dumps(as_json(item), inner + 1)
+                    texts.append(t)
+                return start + sep.join(texts) + close
+
+            return text
+
+        measured_text = list_text(
+            lambda b: {"side": b[0], "wire": b[1], "angle": b[2], "flip": 0}
+        )
+        prep_text = list_text(list)
+        shapes: dict[tuple, list[str]] = {}
+        measured: list[str] = []
+        rest: list[str] = []
+        for exp in recs.experiments:
+            key = (exp.wires, exp.settings.tobytes())
+            texts = shapes.get(key)
+            if texts is None:
+                texts = shapes[key] = [measured_text(b) for b in exp.branches]
+            measured += texts
+            rest += [prep_key + prep_text(exp.prep) + end] * len(texts)
+        floats = [
+            list(map(float.__repr__, c.tolist()))
+            for c in (recs.deviation, recs.est_p, recs.ideal_p)
+        ]
+        indent = "\n" + "  " * depth
+        head = "," + indent + "  " + first
+        columns = (*floats, measured, rest)
+        return head, est_key, ideal_key, measured_key, indent + "]", columns
+
+
+@dataclass(frozen=True, eq=False)
+class _RecordList:
+    """A verdict report's records, or its failing records when rows holds
+    their indices: _dumps has it write its own text (write), so no object
+    is built per record."""
+
+    text: _RecordText
+    rows: list[int] | None = None
+
+    def write(self, parts: list[str], depth: int) -> None:
+        """Append the list's text at depth to parts."""
+        head, est_key, ideal_key, measured_key, close, columns = self.text.pieces(depth)
+        if self.rows is not None:
+            columns = [list(map(c.__getitem__, self.rows)) for c in columns]
+        devs, ests, ideals, measured, rest = columns
+        if not devs:
+            parts.append("[]")
+            return
+        start = len(parts)
+        parts += chain.from_iterable(
+            zip(
+                repeat(head), devs, repeat(est_key), ests, repeat(ideal_key), ideals,
+                repeat(measured_key), measured, rest,
+            )
+        )
+        parts[start] = "[" + head[1:]
+        parts.append(close)
+
+
+def _verdict_result(verdict: pr.Verdict) -> dict:
+    """verdict.to_json(), with its records and failing records as lists
+    that write their own text."""
+    text = _RecordText(verdict)
+    result = verdict.summary_json()
+    result["failing_records"] = _RecordList(text, verdict.failing.tolist())
+    result["records"] = _RecordList(text)
+    return result
 
 
 def _scalar(o) -> str | None:
@@ -360,7 +461,7 @@ def _run_epr_test(cfg: RunConfig) -> int:
         f"verdict: {'accept' if verdict.accepted else 'reject'}  "
         f"max_deviation={verdict.max_deviation:.6f}  eps={verdict.eps}"
     )
-    _emit(cfg, verdict.to_json())
+    _emit(cfg, _verdict_result(verdict))
     return 0 if verdict.accepted else 1
 
 
@@ -384,7 +485,7 @@ def _run_circuit_test(cfg: RunConfig) -> int:
         f"max_deviation={verdict.max_deviation:.6f}  eps={verdict.eps}"
     )
     print(f"computation: y={verdict.y}  tv={verdict.tv_distance:.6f}  outcomes={hist}")
-    _emit(cfg, verdict.to_json())
+    _emit(cfg, _verdict_result(verdict))
     return 0 if verdict.accepted else 1
 
 

@@ -537,17 +537,26 @@ def _circuit_gates(
     return table
 
 
-def honest_device(circuit: IdealCircuit | None = None, n: int | None = None) -> DeviceModel:
-    """Ideal implementation: fresh EPR pairs, the circuit's own gates, ideal frames."""
+def _honest_parts(
+    circuit: IdealCircuit | None, n: int | None
+) -> tuple[RegisterLayout, dict, dict]:
+    """The layout, gate table and frames of honest_device(circuit, n=n),
+    without building or checking its source."""
     if circuit is not None:
         n = circuit.n
     elif n is None:
         n = 1
     layout = RegisterLayout(n, (2,) * n, (2,) * n)
+    return layout, _circuit_gates(circuit, n), _qubit_frames(layout)
+
+
+def honest_device(circuit: IdealCircuit | None = None, n: int | None = None) -> DeviceModel:
+    """Ideal implementation: fresh EPR pairs, the circuit's own gates, ideal frames."""
+    layout, gates, frames = _honest_parts(circuit, n)
     source = _assemble_source(
-        layout, [_epr_wire(2, 2, 1) for _ in range(n)]
+        layout, [_epr_wire(2, 2, 1) for _ in range(layout.n_wires)]
     )
-    return DeviceModel(layout, source, _circuit_gates(circuit, n), _qubit_frames(layout))
+    return DeviceModel(layout, source, gates, frames)
 
 
 def van_dam_device() -> DeviceModel:
@@ -600,8 +609,8 @@ def rotated_device(
     Every statistic matches the honest device exactly; only the frame of
     reference differs.
     """
-    base = honest_device(circuit, n=n)
-    nw = base.n_wires
+    layout, honest_gates, honest_frames = _honest_parts(circuit, n)
+    nw = layout.n_wires
     if theta is None and v_a is None:
         theta = 0.0
     if v_a is None:
@@ -615,7 +624,7 @@ def rotated_device(
     for i in range(nw):
         w = np.kron(np.kron(v_a[i], v_b[i]), np.eye(1))
         per_wire.append(w @ _epr_wire(2, 2, 1))
-    source = _assemble_source(base.layout, per_wire)
+    source = _assemble_source(layout, per_wire)
 
     conj = {}  # (side, wires) -> the conjugation w and w^dagger, built once
 
@@ -629,13 +638,13 @@ def rotated_device(
         w, wh = conj[g.side, g.wires]
         return DeviceGate(g.side, g.wires, w @ g.matrix @ wh)
 
-    gates = {k: conj_gate(g) for k, g in base.gates.items()}
+    gates = {k: conj_gate(g) for k, g in honest_gates.items()}
     frames = {}
-    for (side, wire), f in base.frames.items():
+    for (side, wire), f in honest_frames.items():
         v = v_a[wire] if side == "A" else v_b[wire]
         newbase = {a: v @ m @ v.conj().T for a, m in f.base.items()}
         frames[(side, wire)] = MeasurementFrame(side, wire, newbase)
-    return DeviceModel(base.layout, source, gates, frames)
+    return DeviceModel(layout, source, gates, frames)
 
 
 _BELL_BASIS = (
@@ -666,12 +675,12 @@ def noisy_source_device(
     Each wire shares (1-p)|pair><pair| + p Id/4, purified against a 4-level
     environment stored in the device's environment register.
     """
-    base = honest_device(circuit, n=n)
-    nw = base.n_wires
+    honest_layout, gates, frames = _honest_parts(circuit, n)
+    nw = honest_layout.n_wires
     layout = RegisterLayout(nw, (2,) * nw, (2,) * nw, (4,) * nw)
     wire = _depolarized_wire(p)
     source = _assemble_source(layout, [wire.copy() for _ in range(nw)])
-    return DeviceModel(layout, source, base.gates, base.frames)
+    return DeviceModel(layout, source, gates, frames)
 
 
 # ---------------------------------------------------------------------------

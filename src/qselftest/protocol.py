@@ -182,41 +182,37 @@ class Verdict:
             )
 
     def to_json(self) -> dict:
+        """The report's result as plain JSON values: summary_json, then one
+        dict per record; a failing record's entry is its records entry."""
         recs = self.records
-        # settings that measure alike share one measured tuple, as the
-        # settings of an experiment share one prep, so the report encoder
-        # writes each once; experiments with the same wires and settings
-        # share the list of them
-        measured: dict = {}
-        tables: dict = {}
-        settings = []
-        for exp in recs.experiments:
-            key = (exp.wires, exp.settings.tobytes())
-            entries = tables.get(key)
-            if entries is None:
-                entries = tables[key] = []
-                for b in exp.branches:
-                    m = measured.get(b)
-                    if m is None:
-                        m = measured[b] = tuple(
-                            {"side": s, "wire": w, "angle": a, "flip": 0} for s, w, a in b
-                        )
-                    entries.append(m)
-            settings += [{"prep": exp.prep, "measured": m} for m in entries]
         n = recs.n_samples
+        settings = [
+            {
+                "prep": exp.prep,
+                "measured": [
+                    {"side": s, "wire": w, "angle": a, "flip": 0} for s, w, a in b
+                ],
+            }
+            for exp in recs.experiments
+            for b in exp.branches
+        ]
         columns = (recs.ideal_p.tolist(), recs.est_p.tolist(), recs.deviation.tolist())
         records = [
             {"setting": s, "ideal_p": i, "est_p": e, "n_samples": n, "deviation": d}
             for s, i, e, d in zip(settings, *columns)
         ]
+        out = self.summary_json()
+        out["failing_records"] = [records[i] for i in self.failing.tolist()]
+        out["records"] = records
+        return out
+
+    def summary_json(self) -> dict:
+        """to_json without its records and failing_records."""
         out = {
             "accepted": self.accepted,
             "max_deviation": self.max_deviation,
             "eps": self.eps,
-            "n_records": len(records),
-            # a failing record's entry is the very dict of its records entry
-            "failing_records": [records[i] for i in self.failing.tolist()],
-            "records": records,
+            "n_records": len(self.records),
         }
         if self.computation_outcome_histogram is not None:
             out["computation_outcome_histogram"] = dict(

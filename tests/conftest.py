@@ -16,7 +16,9 @@ def pinned_pool(tmp_path, monkeypatch, capsys):
     """(workloads, failures): the benchmark's `perfbench/workloads.py`, with
     the pool's circuit files written into a temporary working directory, and
     a function that runs commands through `cli.main --out` and returns why
-    each one fails `workloads.check` against `perfbench/pinned.json`."""
+    each one fails `workloads.check` against `perfbench/pinned.json`. Every
+    report it reads must be the stdlib's `json.dumps(sort_keys=True,
+    indent=2)` text of its own content, plus a newline."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     wl = importlib.import_module("workloads")
     pins = json.loads((PERFBENCH / "pinned.json").read_text())
@@ -30,7 +32,10 @@ def pinned_pool(tmp_path, monkeypatch, capsys):
             capsys.readouterr()
             data = Path("report.json").read_bytes()
             Path("report.json").unlink()
-            error = wl.check(cmd, rc, data, json.loads(data), pins)
+            report = json.loads(data)
+            canonical = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            assert data == canonical.encode(), f"{cmd.key}: report is not canonical"
+            error = wl.check(cmd, rc, data, report, pins)
             if error is not None:
                 found.append(f"{cmd.key}: {error}")
         return found

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -707,3 +708,95 @@ class TestReportEncoder:
         with pytest.raises(TypeError):
             cli._dumps(value)
 
+
+# gate labels that json must escape, and floats whose shortest repr is long
+_AWKWARD = '"\\\x00\x01\x1f\x7f\u00e9\u2028\U0001f600 g1'
+_probabilities = st.sampled_from(
+    [0.0, 1.0, 0.5, 5e-324, 1e-17, 0.9999999999999999]
+) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _experiments(draw):
+    k = draw(st.integers(1, 3))
+    wires = tuple(draw(st.permutations(range(3)))[:k])
+    kind = draw(st.sampled_from(["conspiracy", "tomography"]))
+    angle = st.integers(0, len(dv.TEST_ANGLES) - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "tomography":
+            rows.append([draw(angle) for _ in range(2 * k)])
+        else:
+            row = [-1] * (2 * k)
+            w = draw(st.integers(0, k - 1))
+            row[2 * w], row[2 * w + 1] = draw(angle), draw(angle)
+            rows.append(row)
+    label = st.text(_AWKWARD, min_size=1, max_size=3)
+    prep = draw(st.lists(st.tuples(st.sampled_from("AB"), label), max_size=3))
+    return pr.Experiment(kind, draw(st.integers(0, 5)), wires, prep, np.array(rows))
+
+
+@st.composite
+def _synthetic_verdicts(draw):
+    # exact (n_samples 0) or sampled; no, some or every record failing;
+    # an epr-test verdict or a circuit-test one with its computation fields
+    exps = tuple(draw(st.lists(_experiments(), min_size=1, max_size=4)))
+    size = sum(len(e.settings) for e in exps)
+    column = st.lists(_probabilities, min_size=size, max_size=size).map(np.array)
+    n = draw(st.sampled_from([0, 1, 12116, 2**62]))
+    records = pr.Records(exps, draw(column), draw(column), n)
+    dev = records.deviation
+    failing = draw(st.sampled_from(["none", "some", "all"]))
+    eps = {"none": 1.0, "some": float(np.median(dev)), "all": -1.0}[failing]
+    bad = np.flatnonzero(dev > eps)
+    labels = tuple(f"{e.kind}@{e.j}" for e in exps)
+    v = pr.Verdict(not bad.size, float(dev.max()), eps, bad, records, labels)
+    if draw(st.booleans()):
+        bits = st.text("01", min_size=2, max_size=2)
+        v = replace(
+            v,
+            computation_outcome_histogram=draw(st.dictionaries(bits, _probabilities)),
+            tv_distance=draw(_probabilities),
+            y=draw(bits),
+        )
+    return v
+
+
+def _fig1():
+    return dv.load_circuit({"n": 2, "input": "00", "gates": [
+        {"label": "g1", "wires": [0], "builtin": "H"},
+        {"label": "g2", "wires": [0, 1], "builtin": "CNOT"},
+        {"label": "g3", "wires": [1], "builtin": "X"},
+    ]})
+
+
+# whole runs of the library, each made when drawn
+_RUNS = [
+    lambda: pr.epr_test(dv.honest_device()),
+    lambda: pr.epr_test(dv.noisy_source_device(p=0.3), 0, 0.05, "sampled", seed=3),
+    lambda: pr.circuit_test(
+        dv.van_dam_device(), dv.load_circuit({"n": 1, "input": "0", "gates": [
+            {"label": "g1", "wires": [0], "builtin": "H"}]}),
+        "0", eps=0.05, force_y="0",
+    ),
+    lambda: pr.circuit_test(
+        dv.rotated_device(_fig1(), theta=0.5), _fig1(), "00", mode="sampled", seed=7
+    ),
+    lambda: pr.circuit_test(
+        dv.noisy_source_device(_fig1(), p=0.2), _fig1(), "01", eps=0.05, seed=1
+    ),
+]
+
+
+class TestRecordWriter:
+    """The CLI writes a verdict's records from its columns; its report text
+    must be the stdlib's text of the report that to_json gives."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(_RUNS).map(lambda run: run()) | _synthetic_verdicts())
+    def test_matches_json_dumps_of_to_json(self, verdict):
+        def report(result):
+            return {"command": "circuit-test", "config": {"eps": 0.1}, "result": result}
+
+        got = cli._dumps(report(cli._verdict_result(verdict)))
+        assert got == oracle(report(verdict.to_json()))

@@ -386,6 +386,39 @@ class TestRotatedAndNoisy:
         for key, m in frames.items():
             assert got[key].tobytes() == m.tobytes(), key
 
+    @pytest.mark.parametrize("name", [None, *sorted(ROTATED_CIRCUITS)])
+    def test_builders_build_no_honest_device(self, name, monkeypatch):
+        # rotated and depolarized devices take the honest layout, gates and
+        # frames without building (and checking) an honest source
+        circ = ROTATED_CIRCUITS[name]() if name else None
+        honest = dv.honest_device(circ)
+        gates, frames = reference_rotated(circ, 0.5)
+        want = [dv.rotated_device(circ, theta=0.5), dv.noisy_source_device(circ, p=0.05)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("honest_device called")
+
+        monkeypatch.setattr(dv, "honest_device", refuse)
+        rot = dv.rotated_device(circ, theta=0.5)
+        noisy = dv.noisy_source_device(circ, p=0.05)
+        for dev, old in zip((rot, noisy), want):
+            assert dev.layout == old.layout
+            assert dev.source.vec.tobytes() == old.source.vec.tobytes()
+        assert rot.gates.keys() == gates.keys()
+        for key, m in gates.items():
+            assert rot.gates[key].matrix.tobytes() == m.tobytes(), key
+        got = {(key, a): m for key, f in rot.frames.items() for a, m in f.base.items()}
+        assert got.keys() == frames.keys()
+        for key, m in frames.items():
+            assert got[key].tobytes() == m.tobytes(), key
+        assert noisy.layout.a_dims == honest.layout.a_dims
+        assert noisy.gates.keys() == honest.gates.keys()
+        for key, g in honest.gates.items():
+            assert noisy.gates[key].wires == g.wires
+            assert noisy.gates[key].matrix.tobytes() == g.matrix.tobytes(), key
+        assert noisy.frames.keys() == honest.frames.keys()
+        assert all(noisy.frames[k] is f for k, f in honest.frames.items())
+
     def test_rotated_statistics_match_honest_exactly(self):
         circ = single_h_circuit()
         hon = dv.honest_device(circ)

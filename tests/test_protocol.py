@@ -144,8 +144,8 @@ class TestBuildSchedule:
         assert tomo.prep == (("A", "g1"),)
 
     def test_settings_of_an_experiment_share_one_prep(self):
-        # one prep object per experiment, handed to the report as is for
-        # every setting, so its JSON is encoded once per experiment
+        # one prep object per experiment, handed to every setting's entry
+        # as is
         circ = bell_circuit()
         sch = pr.build_schedule(circ, "00", "10")
         js = pr.evaluate_schedule(dv.honest_device(circ), sch).to_json()
@@ -153,32 +153,6 @@ class TestBuildSchedule:
         assert len(preps) == len(js["records"])
         assert all(r["setting"]["prep"] is p for r, p in zip(js["records"], preps))
         assert max(len(exp.prep) for exp in sch.experiments) == 6
-
-    def test_records_that_measure_alike_share_one_measured_tuple(self):
-        # equal measured lists across experiments get one tuple in the
-        # report, so the encoder writes each distinct list once
-        circ = bell_circuit()
-        v = pr.circuit_test(dv.honest_device(circ), circ, "00", eps=0.1)
-        js = v.to_json()
-        measured = [
-            tuple(
-                ("AB"[c % 2], exp.wires[c // 2], dv.TEST_ANGLES[i])
-                for c, i in enumerate(row)
-                if i >= 0
-            )
-            for exp in v.records.experiments
-            for row in exp.settings.tolist()
-        ]
-        by_measured = {}
-        for key, entry in zip(measured, js["records"], strict=True):
-            got = entry["setting"]["measured"]
-            assert type(got) is tuple
-            assert got is by_measured.setdefault(key, got)
-            assert list(got) == [
-                {"side": side, "wire": w, "angle": a, "flip": 0} for side, w, a in key
-            ]
-        assert len({id(t) for t in by_measured.values()}) == len(by_measured)
-        assert len(by_measured) < len(v.records)
 
     def test_setting_normalizes_other_preps(self):
         exp = pr.Experiment(
