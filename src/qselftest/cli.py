@@ -528,8 +528,8 @@ def _run_extract(cfg: RunConfig) -> int:
 def _run_tomo(cfg: RunConfig) -> int:
     device = dv.resolve_device(cfg.device)
     keys = [(a, b) for a in ex.TOMO_ANGLES for b in ex.TOMO_ANGLES]
-    branches = [(("A", cfg.wire, a), ("B", cfg.wire, b)) for a, b in keys]
-    probs = stx.probabilities(device, device.source, branches)
+    slots = [("A", cfg.wire, ex.TOMO_ANGLES), ("B", cfg.wire, ex.TOMO_ANGLES)]
+    probs = stx.probabilities(device, device.source, slots)
     rho = ex.tomo_reconstruct(dict(zip(keys, probs)), 2)
     ideal = np.zeros((4, 4), dtype=np.complex128)
     for i in (0, 3):

@@ -394,6 +394,9 @@ class DeviceModel:
         object.__setattr__(self, "gates", MappingProxyType(dict(self.gates)))
         object.__setattr__(self, "frames", MappingProxyType(dict(self.frames)))
         self.validate()
+        # branch projectors by (side, wire, angle), each built on first use:
+        # the frames are fixed, so one operator serves every later call
+        object.__setattr__(self, "_branch_ops", {})
 
     def validate(self) -> None:
         lay = self.layout
@@ -447,15 +450,19 @@ class DeviceModel:
 
     def frame_operator(self, side: str, wire: int, angle: float) -> LocalOperator:
         """Full-layout branch projector for a measurement angle."""
-        try:
-            f = self.frames[(side, wire)]
-        except KeyError:
-            raise DeviceValidationError(
-                f"device has no frame on side {side} wire {wire}"
-            ) from None
-        return LocalOperator.projector(
-            (self.layout.side_index(side, wire),), f.projector(angle)
-        )
+        op = self._branch_ops.get((side, wire, angle))
+        if op is None:
+            try:
+                f = self.frames[(side, wire)]
+            except KeyError:
+                raise DeviceValidationError(
+                    f"device has no frame on side {side} wire {wire}"
+                ) from None
+            op = LocalOperator.projector(
+                (self.layout.side_index(side, wire),), f.projector(angle)
+            )
+            self._branch_ops[(side, wire, angle)] = op
+        return op
 
 
 def _assemble_source(layout: RegisterLayout, per_wire: Sequence[np.ndarray]) -> PhysState:

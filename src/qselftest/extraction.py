@@ -146,16 +146,14 @@ def _span_generators(
     symmetric 2x2 matrices span only three dimensions. The slots act on
     distinct subsystems, so the products of the kept operators span the same
     S: from 9^k generators on real qubit frames, and from up to 16^k on
-    others. Generators come in itertools.product order over the (wire, side)
-    slots, and each shared prefix of projectors is applied once.
+    others. Generators come in product order over the (wire, side) slots.
     """
-    slots = [(side, w) for w in wires for side in ("A", "B")]
-    choices = [(None,) + _independent_angles(device, side, w) for side, w in slots]
-    branches = [
-        [(side, w, a) for (side, w), a in zip(slots, angles) if a is not None]
-        for angles in itertools.product(*choices)
+    slots = [
+        (side, w, (None,) + _independent_angles(device, side, w))
+        for w in wires
+        for side in ("A", "B")
     ]
-    return list(stx.walk(device, source, branches))
+    return [st for block in stx.branch_states(device, source, slots) for st in block.states()]
 
 
 def _independent_angles(device: DeviceModel, side: str, wire: int) -> tuple[float, ...]:

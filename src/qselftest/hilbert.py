@@ -30,6 +30,7 @@ __all__ = [
     "LocalOperator",
     "PhysState",
     "SubspaceBasis",
+    "StateBlock",
     "SubsystemDims",
     "angle_state",
     "apply_operator",
@@ -155,9 +156,40 @@ def tensor(*parts: PhysState) -> PhysState:
     return PhysState._wrap(layout, np.ascontiguousarray(vec))
 
 
+@dataclass(frozen=True)
+class StateBlock:
+    """m states over one layout, as the rows of one (m, total) array: the
+    form in which apply_operator acts on many states at once. Rows may be
+    unnormalized."""
+
+    layout: SubsystemDims
+    rows: np.ndarray
+
+    def __post_init__(self):
+        total = self.layout.total
+        r = np.array(self.rows, dtype=np.complex128, copy=True)
+        if r.ndim != 2 or r.shape[1] != total:
+            raise DimensionError(
+                f"a block needs rows of length {total}, got shape {r.shape}"
+            )
+        object.__setattr__(self, "rows", _frozen(r))
+
+    @classmethod
+    def _wrap(cls, layout: SubsystemDims, rows: np.ndarray) -> "StateBlock":
+        # internal fast path for arrays we own; skips the defensive copy
+        self = object.__new__(cls)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "rows", _frozen(rows))
+        return self
+
+    def states(self) -> tuple[PhysState, ...]:
+        """Each row as a state, in order; the rows are shared, not copied."""
+        return tuple([PhysState._wrap(self.layout, row) for row in self.rows])
+
+
 def apply_operator(
-    op: LocalOperator | Sequence[LocalOperator], state: PhysState
-) -> PhysState | tuple[PhysState, ...]:
+    op: LocalOperator | Sequence[LocalOperator], state: PhysState | StateBlock
+) -> PhysState | tuple[PhysState, ...] | StateBlock:
     """Apply a local operator to a state by index arithmetic.
 
     The matrix acts on the targets in their listed order; the other
@@ -168,6 +200,12 @@ def apply_operator(
     act as one (k*d x d) stack in one matmul; each output element comes from
     its own row of the stack, so every state has the bits of its operator
     applied alone. A single operator is the k = 1 case.
+
+    Given a block of m states, returns the block of their m*k results,
+    parent-major: row i*k + j is operator j applied to row i. The block is
+    gathered once and the stack acts on it in one batched matmul, which
+    runs one product per parent with that parent's own shapes and strides,
+    so every row has the bits of its operator applied to its parent alone.
     """
     single = isinstance(op, LocalOperator)
     ops = (op,) if single else tuple(op)
@@ -183,11 +221,18 @@ def apply_operator(
                 f"{tuple(dims[t] for t in targets)}"
             )
     k = len(ops)
-    t = state.vec.reshape(dims).transpose(perm)
+    total = state.layout.total
+    block = isinstance(state, StateBlock)
+    rows = state.rows if block else state.vec
+    m = len(rows) if block else 1
+    t = rows.reshape((m,) + dims).transpose(perm)
     stack = op.matrix if single else np.concatenate([o.matrix for o in ops])
-    out = stack @ t.reshape(d, -1)
-    # each row back in natural order, as one contiguous (k, total) copy
-    out = out.reshape((k,) + t.shape).transpose(inv).reshape(k, -1)
+    # one state's product stays 2-D, which NumPy dispatches faster
+    out = stack @ t.reshape((m, d, total // d) if block else (d, total // d))
+    # each row back in natural order, as one contiguous (m * k, total) copy
+    out = out.reshape((m, k) + t.shape[1:]).transpose(inv).reshape(m * k, total)
+    if block:
+        return StateBlock._wrap(state.layout, out)
     if single:
         return PhysState._wrap(state.layout, out[0])
     return tuple([PhysState._wrap(state.layout, row) for row in out])
@@ -197,12 +242,13 @@ def apply_operator(
 def _plan(
     targets: tuple[int, ...], dims: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The axis order that brings targets to the front, the inverse that
-    takes a stack of such arrays (the stack index first) back, and the
-    targets' dimension.
+    """The axis order that brings targets to the front of each array of a
+    block (the block index stays first), the inverse that takes a block of
+    stacks (block index, then stack index) back, and the targets' dimension.
 
-    The first is the transpose np.moveaxis(t, targets, range(k)) builds, so
-    the views and copies, and hence every float, are the same.
+    Past the block index, the first is the transpose
+    np.moveaxis(t, targets, range(k)) builds, so the views and copies, and
+    hence every float, are the same.
     """
     ndim = len(dims)
     if max(targets) >= ndim:
@@ -210,10 +256,10 @@ def _plan(
             f"operator targets {targets} out of range for layout {dims}"
         )
     perm = targets + tuple(i for i in range(ndim) if i not in targets)
-    inv = [0] * (ndim + 1)
+    inv = [0, 1] + [0] * ndim
     for pos, axis in enumerate(perm):
-        inv[axis + 1] = pos + 1
-    return perm, tuple(inv), math.prod(dims[t] for t in targets)
+        inv[axis + 2] = pos + 2
+    return (0,) + tuple(p + 1 for p in perm), tuple(inv), math.prod(dims[t] for t in targets)
 
 
 def angle_state(a: float) -> PhysState:

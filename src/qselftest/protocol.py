@@ -247,8 +247,8 @@ def epr_test(
         raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
     exp = Experiment("conspiracy", 0, (wire,), (), _conspiracy_settings(1))
     n = stx.sample_size(eps, gamma, len(exp.settings)) if mode == "sampled" else 0
-    probs = stx.probabilities(device, device.source, exp.branches)
-    ests = stx.estimates(probs, n, seed) if n else probs
+    probs = _experiment_probabilities(device, device.source, exp)
+    ests = stx.estimates(probs.tolist(), n, seed) if n else probs
     pair = np.array([[0.5 * math.cos(a - b) ** 2 for b in TEST_ANGLES]
                      for a in TEST_ANGLES])
     ideal = pair[exp.settings[:, 0], exp.settings[:, 1]]
@@ -337,8 +337,8 @@ def build_schedule(
 # Evaluation
 
 def _same_bits(device: DeviceModel, reference: DeviceModel) -> bool:
-    """Whether walk sees the same device in both: the same layout, and the
-    same bits in the source, in every gate (its wires and matrix) and in
+    """Whether evaluation sees the same device in both: the same layout, and
+    the same bits in the source, in every gate (its wires and matrix) and in
     every frame's base projectors (every frame holds all of BASE_ANGLES).
     Arrays compare by bytes, so a NaN never matches, and by strides, since
     a matmul may read a matrix stored in another order differently."""
@@ -364,6 +364,63 @@ def _same_bits(device: DeviceModel, reference: DeviceModel) -> bool:
     )
 
 
+def _experiment_probabilities(
+    device: DeviceModel, state: PhysState, exp: Experiment
+) -> np.ndarray:
+    """The exact probability of each of exp's settings on its prepared state.
+
+    The settings that measure the same columns are one product of branches
+    over those columns, A_w before B_w and wire by wire, as a setting lists
+    them: a conspiracy experiment's settings measure one wire each, a
+    tomography experiment's every wire. A column's slot runs over the tested
+    angles up to the largest one it uses, and the product's grid is read
+    into record order.
+    """
+    s = exp.settings
+    width = s.shape[1]
+    if exp.kind == "conspiracy":
+        groups = [(np.flatnonzero(s[:, c] >= 0), range(c, c + 2)) for c in range(0, width, 2)]
+    else:
+        groups = [(np.arange(len(s)), range(width))]
+    out = np.empty(len(s))
+    for rows, cols in groups:
+        if not rows.size:
+            continue
+        grid = s[rows][:, cols]
+        dims = grid.max(axis=0) + 1
+        slots = [
+            ("AB"[c % 2], exp.wires[c // 2], TEST_ANGLES[:d])
+            for c, d in zip(cols, dims.tolist())
+        ]
+        probs = stx.probabilities(device, state, slots)
+        out[rows] = np.take(probs, np.ravel_multi_index(grid.T, dims))
+    return out
+
+
+def _schedule_probabilities(
+    device: DeviceModel, experiments: tuple[Experiment, ...]
+) -> np.ndarray:
+    """Each record's exact probability on device, in record order.
+
+    An experiment's prep extends the longer of the last two prepared states
+    it starts with (or the source), one gate at a time, and only the last
+    two states are kept. A schedule's preps form one chain along its steps,
+    each step's A gate then its B gate, so each gate of it is applied once.
+    """
+    kept: list[tuple[tuple, PhysState]] = []
+    out = []
+    for exp in experiments:
+        prep, state = max(
+            [((), device.source)] + [k for k in kept if exp.prep[: len(k[0])] == k[0]],
+            key=lambda k: len(k[0]),
+        )
+        for i in range(len(prep), len(exp.prep)):
+            state = hb.apply_operator(device.gate_operator(*exp.prep[i]), state)
+            kept = kept[-1:] + [(exp.prep[: i + 1], state)]
+        out.append(_experiment_probabilities(device, state, exp))
+    return np.concatenate(out)
+
+
 def evaluate_schedule(
     device: DeviceModel,
     schedule: ExperimentSchedule,
@@ -373,10 +430,10 @@ def evaluate_schedule(
     """Step 6: estimate every scheduled statistic and compare to its ideal,
     the same setting run on the circuit's honest implementation.
 
-    The device is walked first. The honest implementation is walked only
-    when the device differs from it (see `_same_bits`); a device that is it
-    bit for bit has the ideals as its own probabilities, since the walk is
-    deterministic and reads nothing else.
+    The device is evaluated first. The honest implementation is evaluated
+    only when the device differs from it (see `_same_bits`); a device that
+    is it bit for bit has the ideals as its own probabilities, since
+    evaluation is deterministic and reads nothing else.
 
     Sampled mode draws sample_size(eps, gamma, total records) outcomes per
     record from a stream keyed by (seed, global record index), so evaluation
@@ -391,13 +448,12 @@ def evaluate_schedule(
     reference = honest_device(schedule.circuit)
     m = schedule.n_records
     n_samples = stx.sample_size(schedule.eps, schedule.gamma, m) if mode == "sampled" else 0
-    ops = [exp.prep + b for exp in schedule.experiments for b in exp.branches]
-    probs = stx.probabilities(device, device.source, ops)
+    probs = _schedule_probabilities(device, schedule.experiments)
     if _same_bits(device, reference):
         ideals = probs
     else:
-        ideals = stx.probabilities(reference, reference.source, ops)
-    ests = stx.estimates(probs, n_samples, seed) if n_samples else probs
+        ideals = _schedule_probabilities(reference, schedule.experiments)
+    ests = stx.estimates(probs.tolist(), n_samples, seed) if n_samples else probs
     records = Records(schedule.experiments, ideals, ests, n_samples)
     labels = tuple(f"{exp.kind}@{exp.j}" for exp in schedule.experiments)
     return _make_verdict(records, schedule.eps, labels)
@@ -414,9 +470,11 @@ def _readout(side: str, bits: str) -> list[tuple[str, int, float]]:
 def _measure_side_distribution(
     device: DeviceModel, state: PhysState, side: str, n: int
 ) -> dict[str, float]:
+    """Each n-bit outcome of reading side's wires in the computational basis;
+    wire 0 is the first bit."""
     outcomes = [format(code, f"0{n}b") for code in range(1 << n)]
-    readouts = [_readout(side, bits) for bits in outcomes]
-    return dict(zip(outcomes, stx.probabilities(device, state, readouts)))
+    slots = [(side, w, COMP_ANGLES) for w in range(n)]
+    return dict(zip(outcomes, stx.probabilities(device, state, slots)))
 
 
 def _ideal_computation_distribution(

@@ -1,18 +1,19 @@
 """Outcome statistics: exact branch probabilities, seeded sampling, sample sizing.
 
-An op list names what the device is asked to do: ordered one-sided gate
-applications (side, label), then one projector branch (side, wire, angle)
-per measured wire. This module turns op lists into probabilities, either
-exactly or through reproducible Monte-Carlo estimates sized by a Hoeffding
-bound. `walk` is the package's one path from a device to a collapsed state
-and its branch probability: it evaluates a sequence of op lists, applies
-each prefix they share once, applies the sibling branches of one parent
-state as one stack, and keeps only the states a later list restarts from;
-`prepare`, `collapse` and `probabilities` are built on it.
+A statistic is the probability of a product of branch projectors, one per
+measured (side, wire), on a prepared state. A slot (side, wire, angles)
+names one measured side and wire and the angles it is read at; an angle of
+None applies no projector there. `branch_states` evaluates every product of
+a list of slots at once, one slot per kernel call over a whole block of
+parent states, and `probabilities` takes their squared norms: this is the
+package's one path from a device to a branch probability. `prepare` and
+`collapse` apply gates and projectors one at a time. Sampling draws
+reproducible Monte-Carlo estimates, sized by a Hoeffding bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Iterable, Iterator, Sequence
@@ -24,6 +25,7 @@ from .devices import DeviceModel
 from .errors import ValidationError
 
 __all__ = [
+    "branch_states",
     "collapse",
     "estimates",
     "prepare",
@@ -31,110 +33,105 @@ __all__ = [
     "record_rng",
     "sample_prob",
     "sample_size",
-    "walk",
 ]
 
+Slot = tuple[str, int, Sequence["float | None"]]
 
-def walk(
-    device: DeviceModel, state: hb.PhysState, op_lists: Sequence[Sequence[tuple]]
-) -> Iterator[hb.PhysState]:
-    """The state after each op list, applied in order to state.
+# amplitudes a block may hold after a kernel call: while a level's block of
+# children stays within it, all its parents are applied in one call; past
+# it, parents go one at a time, and above the last slot so do their children
+_BLOCK_AMPS = 1 << 12
 
-    An op is a one-sided gate (side, label) or a branch projector
-    (side, wire, angle). Each list starts from the state of the longest
-    prefix it shares with the list before it, so a shared prefix is applied
-    once. Siblings, consecutive lists that differ only in a last branch on
-    one (side, wire), go to apply_operator as one stack of projectors on
-    their shared parent state. Of the states on the path, only those that a
-    later list restarts from are kept. Every state has the bits of its list
-    applied alone, one operator at a time: the same operators act on the
-    same inputs in the same order, and a stacked row is computed as its
-    operator alone would be.
+
+def branch_states(
+    device: DeviceModel, state: hb.PhysState, slots: Sequence[Slot]
+) -> Iterator[hb.StateBlock]:
+    """The state after each product of the slots' branches, as consecutive
+    blocks of rows in product order: the first slot varies slowest.
+
+    Every row has the bits of its branch projectors applied to state alone,
+    one at a time in slot order, and each projector is built once. One slot
+    is applied to all the parents of a level in one kernel call while their
+    children fit in _BLOCK_AMPS amplitudes. Past that the slots are taken
+    depth first, holding one state per slot and one parent's last children.
     """
-    lists = [tuple(ops) for ops in op_lists]
-    n = len(lists)
-    # restart[j]: the length of the prefix list j shares with list j - 1
-    restart = [0] * n
-    for j in range(1, n):
-        before, ops = lists[j - 1], lists[j]
-        k, common = 0, min(len(before), len(ops))
-        while k < common and before[k] == ops[k]:
-            k += 1
-        restart[j] = k
-    # shallower[j]: the first list after j that restarts below restart[j]
-    shallower = [n] * n
-    later: list[int] = []
-    for j in range(n - 1, 0, -1):
-        while later and restart[later[-1]] >= restart[j]:
-            later.pop()
-        if later:
-            shallower[j] = later[-1]
-        later.append(j)
+    levels = [
+        tuple(None if a is None else device.frame_operator(side, wire, a) for a in angles)
+        for side, wire, angles in slots
+    ]
+    return _leaves(levels, hb.StateBlock._wrap(state.layout, state.vec[None]))
 
-    def needed(j: int) -> set[int]:
-        # the depths that lists j, j + 1, ... restart from: the running
-        # minima of restart[j:], as a shallower restart drops deeper states
-        depths = set()
-        while j < n:
-            depths.add(restart[j])
-            j = shallower[j]
-        return depths
 
-    operators: dict = {}
+def _leaves(levels: Sequence[tuple], block: hb.StateBlock) -> Iterator[hb.StateBlock]:
+    """The rows below each parent of block, under levels of operators (None
+    for no projector), in product order."""
+    if not levels:
+        yield block
+        return
+    level, rest = levels[0], levels[1:]
+    m, total = block.rows.shape
+    if m * len(level) * total <= _BLOCK_AMPS:
+        yield from _leaves(rest, _children(level, block))
+    elif m > 1:
+        for i in range(m):
+            yield from _leaves(levels, hb.StateBlock._wrap(block.layout, block.rows[i : i + 1]))
+    elif rest:
+        for op in level:
+            yield from _leaves(rest, block if op is None else hb.apply_operator(op, block))
+    else:
+        # one parent's last branches: each run of projectors as one stack,
+        # and a None as the parent itself
+        for none, run in itertools.groupby(level, lambda op: op is None):
+            if none:
+                yield from itertools.repeat(block, len(list(run)))
+            else:
+                yield hb.apply_operator(list(run), block)
 
-    def operator(op: tuple) -> hb.LocalOperator:
-        if op not in operators:
-            build = device.gate_operator if len(op) == 2 else device.frame_operator
-            operators[op] = build(*op)
-        return operators[op]
 
-    path = {0: state}  # depth -> state after that many ops of the current list
-    i = 0
-    while i < n:
-        ops, depth = lists[i], restart[i]
-        end, stem = i + 1, len(ops)
-        if depth < stem and len(ops[-1]) == 3:
-            stem -= 1  # a branch; its siblings share the stem before it
-            while (
-                end < n
-                and restart[end] == stem
-                and len(lists[end]) == len(ops)
-                and len(lists[end][-1]) == 3
-                and lists[end][-1][:2] == ops[-1][:2]
-            ):
-                end += 1
-        need = needed(end)
-        states = (path[depth],)
-        path = {d: s for d, s in path.items() if d in need}
-        for depth in range(depth, stem):
-            states = (hb.apply_operator(operator(ops[depth]), states[0]),)
-            if depth + 1 in need:
-                path[depth + 1] = states[0]
-        if stem < len(ops):
-            branches = [operator(other[-1]) for other in lists[i:end]]
-            states = hb.apply_operator(branches, states[0])
-            if len(ops) in need:
-                path[len(ops)] = states[-1]
-        yield from states
-        i = end
+def _children(level: tuple, block: hb.StateBlock) -> hb.StateBlock:
+    """Every parent's children under one slot, parent-major; a None branch
+    is its parent, copied."""
+    ops = [op for op in level if op is not None]
+    if ops and len(ops) == len(level):
+        return hb.apply_operator(ops, block)
+    m, total = block.rows.shape
+    out = np.empty((m, len(level), total), dtype=np.complex128)
+    out[:, [i for i, op in enumerate(level) if op is None]] = block.rows[:, None]
+    if ops:
+        applied = hb.apply_operator(ops, block).rows.reshape(m, len(ops), total)
+        out[:, [i for i, op in enumerate(level) if op is not None]] = applied
+    return hb.StateBlock._wrap(block.layout, out.reshape(m * len(level), total))
 
 
 def probabilities(
-    device: DeviceModel, state: hb.PhysState, op_lists: Sequence[Sequence[tuple]]
+    device: DeviceModel, state: hb.PhysState, slots: Sequence[Slot]
 ) -> list[float]:
-    """Squared norm of the state after each op list (see walk)."""
-    # map lets go of each state before walk builds the next stack of
-    # siblings, so a stack is freed before the next one is allocated
-    return list(map(_squared_norm, walk(device, state, op_lists)))
+    """Squared norm of each row of branch_states, in product order.
+
+    Each is hb.norm(row) ** 2 bit for bit: the same strided dot products,
+    taken for a whole block in one batched matmul, then squared in Python.
+    """
+    out: list[float] = []
+    # map lets go of each block before the next one is built
+    for norms in map(_squared_norms, branch_states(device, state, slots)):
+        out += norms
+    return out
 
 
-def _squared_norm(st: hb.PhysState) -> float:
-    return hb.norm(st) ** 2
+def _squared_norms(block: hb.StateBlock) -> list[float]:
+    re, im = block.rows.real, block.rows.imag
+    s = np.matmul(re[:, None], re[:, :, None]) + np.matmul(im[:, None], im[:, :, None])
+    # the square of hb.norm's root, as Python's float ** rounds it: NumPy's
+    # power rounds some of these squares differently
+    return [math.sqrt(x) ** 2 for x in s.ravel().tolist()]
 
 
 def prepare(device: DeviceModel, prep: Iterable[tuple[str, str]]) -> hb.PhysState:
     """The device's source after its one-sided gates (side, label), in order."""
-    return next(walk(device, device.source, (prep,)))
+    state = device.source
+    for side, label in prep:
+        state = hb.apply_operator(device.gate_operator(side, label), state)
+    return state
 
 
 def collapse(
@@ -147,7 +144,9 @@ def collapse(
     Each branch is (side, wire, angle); its squared norm is the probability
     that every listed branch occurs.
     """
-    return next(walk(device, state, (branches,)))
+    for side, wire, angle in branches:
+        state = hb.apply_operator(device.frame_operator(side, wire, angle), state)
+    return state
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), fixed by its

@@ -711,53 +711,72 @@ class TestReportEncoder:
 
 # gate labels that json must escape, and floats whose shortest repr is long
 _AWKWARD = '"\\\x00\x01\x1f\x7f\u00e9\u2028\U0001f600 g1'
-_probabilities = st.sampled_from(
-    [0.0, 1.0, 0.5, 5e-324, 1e-17, 0.9999999999999999]
-) | st.floats(0.0, 1.0)
+_SPECIAL_PROBABILITIES = (0.0, 1.0, 0.5, 5e-324, 1e-17, 0.9999999999999999)
 
 
-@st.composite
-def _experiments(draw):
-    k = draw(st.integers(1, 3))
-    wires = tuple(draw(st.permutations(range(3)))[:k])
-    kind = draw(st.sampled_from(["conspiracy", "tomography"]))
-    angle = st.integers(0, len(dv.TEST_ANGLES) - 1)
+def _probability(rng):
+    """A special probability, a uniform one, or one scaled down by up to
+    2**-1074, so that reprs of every length and exponent occur."""
+    pick = rng.integers(3)
+    if pick == 0:
+        return _SPECIAL_PROBABILITIES[rng.integers(len(_SPECIAL_PROBABILITIES))]
+    scale = 1.0 if pick == 1 else 2.0 ** -int(rng.integers(1075))
+    return float(rng.random()) * scale
+
+
+def _label(rng):
+    # indices, not rng.choice: a NumPy string drops a trailing NUL
+    return "".join(_AWKWARD[i] for i in rng.integers(len(_AWKWARD), size=rng.integers(1, 4)))
+
+
+def _experiment(rng):
+    """An experiment on 1-3 of three wires with 1-3 settings and a prep of
+    0-3 steps with awkward labels."""
+    k = int(rng.integers(1, 4))
+    wires = tuple(rng.permutation(3)[:k].tolist())
+    kind = ("conspiracy", "tomography")[rng.integers(2)]
+    m = len(dv.TEST_ANGLES)
     rows = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(rng.integers(1, 4)):
         if kind == "tomography":
-            rows.append([draw(angle) for _ in range(2 * k)])
+            rows.append(rng.integers(m, size=2 * k).tolist())
         else:
             row = [-1] * (2 * k)
-            w = draw(st.integers(0, k - 1))
-            row[2 * w], row[2 * w + 1] = draw(angle), draw(angle)
+            w = rng.integers(k)
+            row[2 * w : 2 * w + 2] = rng.integers(m, size=2).tolist()
             rows.append(row)
-    label = st.text(_AWKWARD, min_size=1, max_size=3)
-    prep = draw(st.lists(st.tuples(st.sampled_from("AB"), label), max_size=3))
-    return pr.Experiment(kind, draw(st.integers(0, 5)), wires, prep, np.array(rows))
+    prep = [("AB"[rng.integers(2)], _label(rng)) for _ in range(rng.integers(4))]
+    return pr.Experiment(kind, int(rng.integers(6)), wires, prep, np.array(rows))
 
 
 @st.composite
 def _synthetic_verdicts(draw):
-    # exact (n_samples 0) or sampled; no, some or every record failing;
-    # an epr-test verdict or a circuit-test one with its computation fields
-    exps = tuple(draw(st.lists(_experiments(), min_size=1, max_size=4)))
-    size = sum(len(e.settings) for e in exps)
-    column = st.lists(_probabilities, min_size=size, max_size=size).map(np.array)
+    # a few coarse draws: the number of experiments; exact (n_samples 0)
+    # or sampled; no, some or every record failing; an epr-test verdict or
+    # a circuit-test one with its computation fields; and one seed for the
+    # rest, so that a failing verdict shrinks in a few steps
+    n_exps = draw(st.integers(1, 4))
     n = draw(st.sampled_from([0, 1, 12116, 2**62]))
-    records = pr.Records(exps, draw(column), draw(column), n)
-    dev = records.deviation
     failing = draw(st.sampled_from(["none", "some", "all"]))
+    computation = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exps = tuple(_experiment(rng) for _ in range(n_exps))
+    size = sum(len(e.settings) for e in exps)
+    ideal, est = ([_probability(rng) for _ in range(size)] for _ in range(2))
+    records = pr.Records(exps, np.array(ideal), np.array(est), n)
+    dev = records.deviation
     eps = {"none": 1.0, "some": float(np.median(dev)), "all": -1.0}[failing]
     bad = np.flatnonzero(dev > eps)
     labels = tuple(f"{e.kind}@{e.j}" for e in exps)
     v = pr.Verdict(not bad.size, float(dev.max()), eps, bad, records, labels)
-    if draw(st.booleans()):
-        bits = st.text("01", min_size=2, max_size=2)
+    if computation:
+        bits = ["00", "01", "10", "11"]
+        keys = rng.permutation(bits)[: rng.integers(5)].tolist()
         v = replace(
             v,
-            computation_outcome_histogram=draw(st.dictionaries(bits, _probabilities)),
-            tv_distance=draw(_probabilities),
-            y=draw(bits),
+            computation_outcome_histogram={k: _probability(rng) for k in keys},
+            tv_distance=_probability(rng),
+            y=bits[rng.integers(4)],
         )
     return v
 
@@ -799,4 +818,9 @@ class TestRecordWriter:
             return {"command": "circuit-test", "config": {"eps": 0.1}, "result": result}
 
         got = cli._dumps(report(cli._verdict_result(verdict)))
-        assert got == oracle(report(verdict.to_json()))
+        want = oracle(report(verdict.to_json()))
+        if got != want:
+            # a short message: pytest's diff of two long reports takes
+            # seconds, once per failing example that hypothesis shrinks
+            i = next(i for i, (a, b) in enumerate(zip(got + "\0", want)) if a != b)
+            pytest.fail(f"text differs at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")

@@ -200,6 +200,61 @@ class TestTensorAndApply:
             )
             assert hb.norm(row) == hb.norm(want)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=5).flatmap(
+            lambda dims: st.tuples(
+                st.just(tuple(dims)),
+                st.permutations(range(len(dims))).flatmap(
+                    lambda order: st.integers(1, min(3, len(dims))).map(
+                        lambda k: tuple(order[:k])
+                    )
+                ),
+                st.integers(1, 7),
+                st.integers(0, 12),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @example(((4,), (0,), 3, 5, 1))  # nothing left over (one column per parent)
+    @example(((2, 3), (1, 0), 2, 0, 2))  # an empty block
+    def test_block_rows_bitwise_equal_single_applies(self, case):
+        # a block of m parents: row i*k + j is operator j applied to parent i
+        # alone, bit for bit, and a single operator gives the block of m
+        dims, targets, k, m, seed = case
+        rng = np.random.default_rng(seed)
+        d = int(np.prod([dims[t] for t in targets]))
+        layout = hb.SubsystemDims(dims)
+        rows = rng.normal(size=(m, layout.total)) + 1j * rng.normal(size=(m, layout.total))
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+        block = hb.StateBlock(layout, rows)
+        ops = [
+            hb.LocalOperator(targets, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            for _ in range(k)
+        ]
+        out = hb.apply_operator(ops, block)
+        first = hb.apply_operator(ops[0], block)
+        assert out.layout == layout and out.rows.shape == (m * k, layout.total)
+        assert first.rows.shape == (m, layout.total)
+        for i, parent in enumerate(block.states()):
+            for j, op in enumerate(ops):
+                want = hb.apply_operator(op, parent).vec
+                assert out.rows[i * k + j].tobytes() == want.tobytes()
+            assert first.rows[i].tobytes() == hb.apply_operator(ops[0], parent).vec.tobytes()
+
+    def test_block_holds_read_only_rows_of_its_layout(self):
+        layout = hb.SubsystemDims((2, 3))
+        rows = np.ones((2, 6))
+        block = hb.StateBlock(layout, rows)
+        rows[0, 0] = 5.0  # the block holds its own copy
+        assert block.rows.dtype == np.complex128 and block.rows[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            block.rows[0, 0] = 2.0
+        assert [s.vec.tolist() for s in block.states()] == [[1.0] * 6] * 2
+        for bad in (np.ones(6), np.ones((2, 5))):
+            with pytest.raises(DimensionError, match="rows of length 6"):
+                hb.StateBlock(layout, bad)
+
     def test_stack_must_share_targets(self):
         layout = hb.SubsystemDims((2, 2))
         ops = [hb.LocalOperator((0,), np.eye(2)), hb.LocalOperator((1,), np.eye(2))]

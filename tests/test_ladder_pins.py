@@ -1,0 +1,38 @@
+"""Seed-7 ladder-exact reports against their pinned bytes.
+
+The benchmark checks a ladder-exact report only by its exit code and
+max_deviation, so a change that moves the bits of a record passes it. This
+pins the sha256 of each seed-7 report, as the op-list walker that batched
+branch evaluation replaced wrote them, for every rung up to n = 6. Those
+rungs write the same bytes under one BLAS thread and under several; the
+n = 8 rung does not, as its large products are split across threads.
+"""
+
+import hashlib
+from pathlib import Path
+
+from qselftest import cli
+
+PINS = {
+    "ladder_n2_t4.json": "89486fad551bf4bc79749d2b07235b9a48f7c903c76e71b06b933f0bdf68de15",
+    "ladder_n2_t8.json": "7d51c67041410b09f59e2a4a600d25de9839dd961d4b7e83396d634734868393",
+    "ladder_n2_t16.json": "e2bdfde6b50cc1262bf68706e8440cb554180985133995340c0c3365d3fc6d4f",
+    "ladder_n2_t32.json": "59f7b9758658d51515dc4273c1f1d1c2685955d1147854565f222cdaab02bc4d",
+    "ladder_n4_t4.json": "e85cd36c50d5b4f0609465a6743e852455a3555e86c04b71eda8e27806dc761a",
+    "ladder_n6_t4.json": "317da15947c465f0fd6ed4717a78ec47f6d7744c6913090e7bb1cee6b2e9c7ec",
+    "ladder_depolarized_n3_t4.json": (
+        "912a052aafea48a1375ee7bc5d138d0003b0f567f7c584730769a44787be995c"
+    ),
+}
+
+
+def test_seed_7_ladder_reports_match_their_pins(pinned_pool, capsys):
+    wl, _ = pinned_pool
+    cmds = {cmd.argv[cmd.argv.index("--circuit") + 1]: cmd for cmd in wl.build("ladder-exact", 7)}
+    assert set(cmds) == set(PINS) | {"ladder_n8_t4.json"}
+    got = {}
+    for name in PINS:
+        assert cli.main(list(cmds[name].argv) + ["--out", "report.json"]) == 0
+        capsys.readouterr()
+        got[name] = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
+    assert got == PINS

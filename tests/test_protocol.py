@@ -225,36 +225,51 @@ SCHEDULES = {
 }
 
 
-def recorded_op_lists(monkeypatch, run):
-    """run() and the op lists it hands to stats.probabilities, call by call."""
-    calls = []
-    real = stx.probabilities
+def random_frame_device(circ, seed):
+    """The circuit's honest device with every base projector of every frame
+    replaced by a random complex rank-1 one, so that no two settings share a
+    probability by symmetry and a record out of order shows."""
+    dev = dv.honest_device(circ)
+    rng = np.random.default_rng(seed)
+    frames = {}
+    for (side, wire), f in dev.frames.items():
+        base = {}
+        for a in dv.BASE_ANGLES:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            base[a] = np.outer(v, v.conj())
+        frames[(side, wire)] = dv.MeasurementFrame(side, wire, base)
+    return dv.DeviceModel(dev.layout, dev.source, dev.gates, frames)
 
-    def recording(device, state, op_lists):
-        calls.append(list(op_lists))
-        return real(device, state, calls[-1])
 
-    monkeypatch.setattr(stx, "probabilities", recording)
-    return run(), calls
+def chain_prob(device, ops):
+    """Probability of one op list on the device's source, one operator at a
+    time: a gate (side, label) or a branch (side, wire, angle)."""
+    st = device.source
+    for op in ops:
+        build = device.gate_operator if len(op) == 2 else device.frame_operator
+        st = hb.apply_operator(build(*op), st)
+    return hb.norm(st) ** 2
 
 
 class TestScheduleAgainstNestedLoops:
     """The columnar schedule against a per-record builder written here."""
 
     @pytest.mark.parametrize("name", list(SCHEDULES))
-    def test_op_lists_order_and_measured_json(self, name, monkeypatch):
+    def test_op_lists_order_and_measured_json(self, name):
         make, x, y = SCHEDULES[name]
         circ = make()
         want = nested_loop_schedule(circ, x, y)
         sch = pr.build_schedule(circ, x, y)
-        # a device that is not the honest one: the reference is walked too,
-        # on the same op lists
-        device = dv.rotated_device(circ, theta=0.4)
-        v, calls = recorded_op_lists(
-            monkeypatch, lambda: pr.evaluate_schedule(device, sch, "sampled", 3)
-        )
+        # a device that is not the honest one, so the reference is evaluated
+        # too; each record's probability, on both, is its op list's, in the
+        # builder's order
+        device = random_frame_device(circ, 3)
+        reference = dv.honest_device(circ)
+        v = pr.evaluate_schedule(device, sch)
         ops = [prep + measured for _, prep, measured in want]
-        assert calls == [ops, ops]
+        assert v.records.est_p.tolist() == [chain_prob(device, o) for o in ops]
+        assert v.records.ideal_p.tolist() == [chain_prob(reference, o) for o in ops]
         assert [v.labels[e] for e in v.records.experiment.tolist()] == [
             label for label, _, _ in want
         ]
@@ -270,12 +285,14 @@ class TestScheduleAgainstNestedLoops:
             for _, prep, measured in want
         ]
 
-    def test_epr_op_lists(self, monkeypatch):
-        _, calls = recorded_op_lists(
-            monkeypatch, lambda: pr.epr_test(dv.rotated_device(theta=0.4), wire=0)
-        )
+    def test_epr_op_lists(self):
+        device = random_frame_device(h_circuit(), 5)
+        v = pr.epr_test(device, wire=0)
         source_test = nested_loop_schedule(h_circuit(), "0", "0")[:36]
-        assert calls == [[measured for _, _, measured in source_test]]
+        assert v.records.est_p.tolist() == [
+            chain_prob(device, measured) for _, _, measured in source_test
+        ]
+        assert v.records.experiments[0].branches == [m for _, _, m in source_test]
 
 
 class TestCircuitTest:
@@ -368,10 +385,10 @@ class TestCircuitTest:
             pr.circuit_test(dv.van_dam_device(), bell_circuit(), "00")
 
     def test_unsampleable_eps_refused_before_any_walk(self, monkeypatch):
-        def walk(*args):
-            raise AssertionError("walked")
+        def apply_operator(*args):
+            raise AssertionError("a state was evolved")
 
-        monkeypatch.setattr(stx, "walk", walk)
+        monkeypatch.setattr(hb, "apply_operator", apply_operator)
         circ = bell_circuit()
         with pytest.raises(ValidationError, match="samples per statistic"):
             pr.circuit_test(
@@ -380,10 +397,10 @@ class TestCircuitTest:
 
     @pytest.mark.parametrize("force_y", ["0", "012", "0x", ""])
     def test_malformed_force_y_refused_before_any_walk(self, force_y, monkeypatch):
-        def walk(*args):
-            raise AssertionError("walked")
+        def apply_operator(*args):
+            raise AssertionError("a state was evolved")
 
-        monkeypatch.setattr(stx, "walk", walk)
+        monkeypatch.setattr(hb, "apply_operator", apply_operator)
         circ = bell_circuit()
         with pytest.raises(ValidationError, match="forced y must be 2 bits"):
             pr.circuit_test(dv.honest_device(circ), circ, "00", force_y=force_y)
@@ -454,7 +471,9 @@ def input_deviation(dev, y):
     the B side reads y and the basis state |y> circuit_test computes on."""
     st = hb.normalized(stx.collapse(dev, dev.source, pr._readout("B", y)))
     wire_angles = [(w, a) for w in range(len(y)) for a in dv.TEST_ANGLES]
-    probs = stx.probabilities(dev, st, ((("A", w, a),) for w, a in wire_angles))
+    probs = [
+        p for w in range(len(y)) for p in stx.probabilities(dev, st, [("A", w, dv.TEST_ANGLES)])
+    ]
     return max(
         abs(p - (math.cos(a) if y[w] == "0" else math.sin(a)) ** 2)
         for (w, a), p in zip(wire_angles, probs)
@@ -520,7 +539,7 @@ class TestStability:
         worsts = []
         for dev in devs:
             worst = max(
-                abs(stx.probabilities(dev, dev.source, ((("A", 0, a), ("B", 0, a)),))[0] - 0.5)
+                abs(stx.probabilities(dev, dev.source, [("A", 0, (a,)), ("B", 0, (a,))])[0] - 0.5)
                 for a in dv.TEST_ANGLES
             )
             worsts.append(worst)

@@ -1,4 +1,4 @@
-"""Op-list evaluation, experiment settings, sampling determinism, and sample sizing."""
+"""Branch probabilities, experiment settings, sampling determinism, and sample sizing."""
 
 import itertools
 import math
@@ -26,9 +26,17 @@ def h_circuit():
     return dv.IdealCircuit(1, (dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),), "0")
 
 
+def split(ops):
+    """An op list's gates (side, label) and its branches (side, wire, angle)."""
+    return tuple(op for op in ops if len(op) == 2), tuple(op for op in ops if len(op) == 3)
+
+
 def exact_prob(dev, ops):
-    """Probability of the op list's outcome branch on the device."""
-    return stats.probabilities(dev, dev.source, (ops,))[0]
+    """Probability of the op list's outcome branch on the device: its gates
+    prepare a state, and each branch is a slot of one angle."""
+    prep, branches = split(ops)
+    slots = [(side, w, (a,)) for side, w, a in branches]
+    return stats.probabilities(dev, stats.prepare(dev, prep), slots)[0]
 
 
 def ideal_prob(circuit, ops):
@@ -47,9 +55,15 @@ def with_flips(ops, flips):
 
 def branch_probabilities(dev, ops, k):
     """Exact probability of every outcome branch of the op list's last k
-    branches."""
+    branches, flips in itertools.product order: one product of slots, each
+    of the last k at its angle and its complement."""
+    prep, branches = split(ops)
+    slots = [(side, w, (a,)) for side, w, a in branches[:-k]]
+    slots += [(side, w, (a, a + math.pi / 2)) for side, w, a in branches[-k:]]
+    probs = stats.probabilities(dev, stats.prepare(dev, prep), slots)
     flips = itertools.product((0, 1), repeat=k)
-    return stats.probabilities(dev, dev.source, (with_flips(ops, f) for f in flips))
+    assert probs == [exact_prob(dev, with_flips(ops, f)) for f in flips]
+    return probs
 
 
 def conspiracy(wires, rows, prep=()):
@@ -58,7 +72,7 @@ def conspiracy(wires, rows, prep=()):
 
 class TestSetting:
     """An experiment's settings are angle indices, checked once when the
-    experiment is built; its branches are walk's op lists for them. A
+    experiment is built; its branches name them as (side, wire, angle). A
     branch angle names a frame projector modulo pi."""
 
     def test_angle_canonicalized(self):

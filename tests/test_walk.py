@@ -1,15 +1,19 @@
-"""The shared-prefix walker against a per-record loop, float for float.
+"""Batched branch evaluation against a per-record loop, float for float.
 
 Every probability the protocol, the CLI and the extraction diagnostics
-evaluate through `stats.walk` must equal, with `==`, the one computed by
-applying its op list alone to the source, one operator at a time.
+evaluate through `stats.branch_states` must equal, with `==`, the one
+computed by applying its op list alone to the source, one operator at a time.
 """
 
+import functools
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qselftest import cli
 from qselftest import devices as dv
@@ -152,48 +156,69 @@ def test_tomo(spec, tmp_path):
     assert result["rho"] == dv.matrix_to_json(rho)
 
 
-def mixed_op_lists(device, circ, rng):
-    """A schedule's op lists with prefixes cut at random (some end in a
-    gate), empty lists, repeats and side readouts, in a random order."""
+def shuffled_slots(circ, rng, order):
+    """(prep, slots) for every experiment of a schedule: its measured
+    columns as slots, in a random or sorted order, each at a random subset
+    of the tested angles in a random order, some with None."""
     n = circ.n
     schedule = pr.build_schedule(circ, "0" * n, "1" + "0" * (n - 1))
-    lists = op_lists(schedule)
-    lists += [ops[: rng.integers(len(ops) + 1)] for ops in lists[::7]]
-    lists += [(), (), lists[3], lists[3]]
-    lists += [tuple(pr._readout(side, format(c, f"0{n}b")))
-              for side in ("A", "B") for c in range(1 << n)]
-    return [lists[i] for i in rng.permutation(len(lists))]
+    out = []
+    for exp in schedule.experiments:
+        slots = []
+        for w in exp.wires:
+            for side in ("A", "B"):
+                choices = list(dv.TEST_ANGLES) + [None]
+                pick = rng.permutation(len(choices))[: rng.integers(1, 4)]
+                slots.append((side, w, tuple(choices[i] for i in pick)))
+        if order == "sorted":
+            slots.sort(key=repr)
+        else:
+            slots = [slots[i] for i in rng.permutation(len(slots))]
+        out.append((exp.prep, slots))
+    return out
+
+
+def product_op_lists(prep, slots):
+    """The op list of each product of the slots' branches, first slot
+    slowest; a None branch adds no op."""
+    return [
+        prep + tuple((side, w, a) for (side, w, _), a in zip(slots, angles) if a is not None)
+        for angles in itertools.product(*(angles for _, _, angles in slots))
+    ]
 
 
 @pytest.mark.parametrize("order", ["shuffled", "sorted"])
 def test_probabilities_over_any_order(case, order):
-    # each list restarts from wherever the list before it left off, so the
-    # states a later list restarts from must survive every shallower or
-    # deeper list in between; sorting makes long runs of siblings
+    # any order of slots, any angles and None at any place: each product's
+    # probability is that of its op list applied alone
     device, circ = case
     rng = np.random.default_rng(2005)
-    lists = mixed_op_lists(device, circ, rng)
-    if order == "sorted":
-        lists.sort(key=repr)
-    got = stats.probabilities(device, device.source, lists)
-    assert got == [per_record(device, device.source, ops) for ops in lists]
+    for prep, slots in shuffled_slots(circ, rng, order):
+        got = stats.probabilities(device, stats.prepare(device, prep), slots)
+        want = [per_record(device, device.source, ops) for ops in product_op_lists(prep, slots)]
+        assert got == want
 
 
 def test_siblings_extended_by_the_next_list():
-    # the last sibling's state is where a list that extends it restarts
+    # a slot's children are each extended by the next slot, whose first
+    # branch is None: the child itself, before its projected siblings
     device = dv.honest_device(CIRCUITS["fig1"])
-    a = [("A", 0, x) for x in (0.0, np.pi / 8, np.pi / 4)]
-    lists = [[("A", "g1"), op] for op in a]
-    lists += [lists[-1] + [("B", 1, np.pi / 8)], [("A", "g1")], lists[0]]
-    got = stats.probabilities(device, device.source, lists)
-    assert got == [per_record(device, device.source, ops) for ops in lists]
+    prep = (("A", "g1"),)
+    slots = [("A", 0, (0.0, np.pi / 8, np.pi / 4)), ("B", 1, (None, np.pi / 8, 0.0))]
+    got = stats.probabilities(device, stats.prepare(device, prep), slots)
+    want = [per_record(device, device.source, ops) for ops in product_op_lists(prep, slots)]
+    assert got == want
 
 
 def test_walk_keeps_only_the_states_later_lists_restart_from():
-    # 19 compensated steps deep: the longest list has 41 ops. Keeping the
-    # whole path of the current list peaked at 45 state sizes; keeping only
-    # the few states that later lists restart from, next to one stack of
-    # six siblings and its scatter copy, peaks at 18
+    # 19 compensated steps deep: the longest prep has 38 gates. Keeping the
+    # whole prep path peaked at 45 state sizes; the op-list walker, which
+    # kept only the states later lists restarted from, at 18. The prep chain
+    # keeps two prepared states, and every experiment is taken depth first
+    # next to them (a block of state-sized rows is not batched). That peaks
+    # at 15 state sizes plus the record lists: the two kept states, one
+    # (A a) child of a conspiracy wire, and the six (B b) children of it as
+    # the matmul's output next to their scatter copy
     gates = []
     for i in range(16):
         w = i // 2 % 3
@@ -204,56 +229,62 @@ def test_walk_keeps_only_the_states_later_lists_restart_from():
     circ = circuit(3, gates)
     device = dv.noisy_source_device(circ, p=0.05)
     schedule = pr.build_schedule(circ, "000", "111")
-    lists = op_lists(schedule)
     state_bytes = device.source.vec.nbytes  # 64 KiB: hidden dims 4 per wire
     tracemalloc.start()
     try:
-        stats.probabilities(device, device.source, lists)
+        pr._schedule_probabilities(device, schedule.experiments)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * state_bytes, peak / state_bytes
+    assert peak < 17 * state_bytes, peak / state_bytes
 
 
 def count_applies(monkeypatch, device, schedule):
-    """(single applies, sorted stack sizes) of one evaluate_schedule call."""
+    """(single-state applies, sorted (operators, parents) of each block
+    apply) of one evaluate_schedule call."""
     calls = []
     real = hb.apply_operator
 
     def counting(op, state):
-        calls.append(op)
+        calls.append((op, state))
         return real(op, state)
 
     monkeypatch.setattr(hb, "apply_operator", counting)
     pr.evaluate_schedule(device, schedule)
     monkeypatch.undo()
-    stacks = [op for op in calls if not isinstance(op, hb.LocalOperator)]
-    return len(calls) - len(stacks), sorted(len(s) for s in stacks)
+    blocks = [
+        (1 if isinstance(op, hb.LocalOperator) else len(op), len(st.rows))
+        for op, st in calls
+        if isinstance(st, hb.StateBlock)
+    ]
+    return len(calls) - len(blocks), sorted(blocks)
 
 
-# H circuit, y = x = "0": steps (g1,). A stacked call, the sibling branches
-# of one parent applied at once, counts as one. Per walk, conspiracy@0 has
-# 36 settings (A a)(B b) in a-major order: per a, one single (A a) and one
-# stack of the six (B b), so 6 + 6; conspiracy@1 adds its prep (A g1)(B g1)
-# once: 2 singles, then 6 + 6 again; tomography@1 keeps (A g1) from the list
-# before and has three (A a), each with a stack of three (B b): 3 + 3. That
-# is 17 singles and 15 stacks (building the reference applies nothing). One
-# operator at a time, shared prefixes once, it took 98; one record at a
-# time, 165.
-ONE_WALK = (17, [3] * 3 + [6] * 12)
-TWO_WALKS = (2 * 17, [3] * 6 + [6] * 24)
+# H circuit, y = x = "0": steps (g1,), 4-amplitude states, so every level of
+# every product goes to the kernel as one block. Per evaluation,
+# conspiracy@0 is the product (A0 x B0) over the six tested angles: the six
+# (A a) of the source as one block call (6 operators, 1 parent), then the
+# six (B b) of those six as one (6, 6); conspiracy@1 extends the prep chain
+# by (A g1) and (B g1), 2 single applies, then (6, 1) and (6, 6) again;
+# tomography@1 reads the kept (A g1) state, no apply, and is the product
+# over the three base angles: (3, 1) then (3, 3). That is 2 singles and 6
+# block calls (building the reference applies nothing). The op-list walker
+# took 17 singles and 15 stacks; one operator at a time, shared prefixes
+# once, 98; one record at a time, 165.
+ONE_WALK = (2, [(3, 1), (3, 3), (6, 1), (6, 1), (6, 6), (6, 6)])
+TWO_WALKS = (2 * 2, sorted(ONE_WALK[1] * 2))
 
 
 def test_walk_applies_each_shared_prefix_once(monkeypatch):
     # the device is the honest one bit for bit, so its probabilities are
-    # the ideals and the reference is not walked: 17 + 15 applies
+    # the ideals and the reference is not evaluated: 2 + 6 applies
     circ = CIRCUITS["h"]
     schedule = pr.build_schedule(circ, "0", "0")
     assert count_applies(monkeypatch, dv.honest_device(circ), schedule) == ONE_WALK
 
 
 def test_device_and_reference_walked_when_they_differ(monkeypatch):
-    # device and reference: 2 * (17 + 15) applies
+    # device and reference: 2 * (2 + 6) applies
     circ = CIRCUITS["h"]
     schedule = pr.build_schedule(circ, "0", "0")
     device = dv.rotated_device(circ, theta=0.4)
@@ -330,3 +361,127 @@ def test_nudged_device_walked_twice(part, monkeypatch):
     for ops, ideal, est in zip(op_lists(schedule), recs.ideal_p, recs.est_p, strict=True):
         assert ideal == per_record(reference, reference.source, ops)
         assert est == per_record(device, device.source, ops)
+
+
+def random_frames(device, seed):
+    """The device with every base projector replaced by a random complex
+    projector of half its frame's dimension."""
+    rng = np.random.default_rng(seed)
+    frames = {}
+    for (side, wire), f in device.frames.items():
+        base = {}
+        for a in dv.BASE_ANGLES:
+            z = rng.normal(size=(f.dim, f.dim)) + 1j * rng.normal(size=(f.dim, f.dim))
+            v = np.linalg.qr(z)[0][:, : f.dim // 2]
+            base[a] = v @ v.conj().T
+        frames[(side, wire)] = dv.MeasurementFrame(side, wire, base)
+    return dv.DeviceModel(device.layout, device.source, device.gates, frames)
+
+
+def hidden_device(e_dims):
+    """Qubit wires with hidden environment dims e_dims, a product source
+    and the ideal frames."""
+    n = len(e_dims)
+    layout = dv.RegisterLayout(n, (2,) * n, (2,) * n, e_dims)
+    frames = dv.honest_device(n=n).frames
+    return dv.DeviceModel(layout, hb.basis_state(layout.full, 0), {}, frames)
+
+
+# 4 to 4,096 amplitudes: the small ones are batched at every level, the
+# middle ones at some levels and split into parents at others, and the
+# largest go depth first
+PROPERTY_DEVICES = {
+    "honest-1": lambda: dv.honest_device(n=1),
+    "rotated-2": lambda: dv.rotated_device(n=2, theta=0.4),
+    "depolarized-2": lambda: dv.noisy_source_device(n=2, p=0.05),
+    "depolarized-3": lambda: dv.noisy_source_device(n=3, p=0.05),
+    "vandam": dv.van_dam_device,
+    "hidden-3": lambda: hidden_device((3, 1, 4)),
+}
+
+
+@functools.cache
+def property_device(name):
+    return PROPERTY_DEVICES[name]()
+
+
+def test_property_devices_straddle_the_batching_rule():
+    totals = [property_device(name).layout.full.total for name in PROPERTY_DEVICES]
+    # the largest product below (four slots of four branches) fits one block
+    # on the smallest state, and two branches of one parent do not on the
+    # largest
+    assert 4**4 * min(totals) <= stats._BLOCK_AMPS < 2 * max(totals)
+
+
+_angles = st.lists(st.sampled_from(dv.TEST_ANGLES + (None,)), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(list(PROPERTY_DEVICES)),
+    frames_seed=st.none() | st.integers(0, 2**32 - 1),
+    state_seed=st.integers(0, 2**32 - 1),
+    raw_slots=st.lists(
+        st.tuples(st.sampled_from("AB"), st.integers(0, 2), _angles), max_size=4
+    ),
+)
+@example(  # an empty slot: no product, no row
+    name="honest-1", frames_seed=None, state_seed=0,
+    raw_slots=[("A", 0, [0.0, None]), ("B", 0, []), ("A", 0, [0.0])],
+)
+def test_rows_and_probabilities_match_single_state_chains(
+    name, frames_seed, state_seed, raw_slots
+):
+    # every row of branch_states and every probability equals, bit for bit,
+    # its branches applied to the state one single-state call at a time
+    device = property_device(name)
+    if frames_seed is not None:
+        device = random_frames(device, frames_seed)
+    layout = device.layout.full
+    rng = np.random.default_rng(state_seed)
+    state = hb.PhysState(layout, rng.normal(size=layout.total) + 1j * rng.normal(size=layout.total))
+    slots = [(side, w % device.n_wires, tuple(a)) for side, w, a in raw_slots]
+    rows = [row for block in stats.branch_states(device, state, slots) for row in block.rows]
+    probs = stats.probabilities(device, state, slots)
+    products = list(itertools.product(*(angles for _, _, angles in slots)))
+    assert len(rows) == len(probs) == len(products)
+    for row, p, angles in zip(rows, probs, products):
+        st_ = state
+        for (side, w, _), a in zip(slots, angles):
+            if a is not None:
+                st_ = hb.apply_operator(device.frame_operator(side, w, a), st_)
+        assert row.tobytes() == st_.vec.tobytes()
+        assert p.hex() == (hb.norm(st_) ** 2).hex()
+
+
+# the op-list walker's tracemalloc peak on each product below, in state
+# sizes, on the 2**16-amplitude state: the states on its path, one parent's
+# stack of branches as the matmul's output and its scatter copy, and, for
+# the span generators, every generator, as they are all kept
+WALK_PEAKS = {"tomography-2": 9, "conspiracy": 13, "span": 18, "readout": 7}
+
+
+@pytest.mark.parametrize("product", list(WALK_PEAKS))
+def test_large_state_holds_no_more_states_than_the_walker(product):
+    device = dv.noisy_source_device(n=4, p=0.05)
+    state_bytes = device.source.vec.nbytes
+    assert device.source.vec.size == 2**16
+    base = dv.BASE_ANGLES
+    slots = {
+        "tomography-2": [("A", 0, base), ("B", 0, base), ("A", 1, base), ("B", 1, base)],
+        "conspiracy": [("A", 2, dv.TEST_ANGLES), ("B", 2, dv.TEST_ANGLES)],
+        "span": [("A", 0, (None,) + base), ("B", 0, (None,) + base)],
+        "readout": [("A", w, dv.COMP_ANGLES) for w in range(4)],
+    }[product]
+    tracemalloc.start()
+    try:
+        if product == "span":
+            kept = [s for b in stats.branch_states(device, device.source, slots) for s in b.states()]
+            assert len(kept) == 16
+            del kept
+        else:
+            stats.probabilities(device, device.source, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (WALK_PEAKS[product] + 0.5) * state_bytes, peak / state_bytes
