@@ -5,8 +5,10 @@ the pair statistics of one wire, `circuit-test` runs the full protocol,
 `extract` certifies state or gate equivalence, `tomo` reconstructs the
 pair state a wire presents through its own frames, and `gallery` lists
 the built-in devices. Exit code 0 means accept, 1 reject, 2 bad usage
-or configuration. With identical configuration and seed the JSON report
-is byte-identical between runs.
+or configuration. With identical configuration, seed and BLAS thread
+count the JSON report is byte-identical between runs. One encoder writes
+every report; a verdict's record lists are written from its columns and
+spliced into the report's text, not encoded as values.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class RunConfig:
             raise ConfigError("--seed is required when --mode sampled")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError(f"--seed must be a 64-bit value, got {self.seed}")
+        if self.out is not None and "\0" in self.out:
+            # open() would raise ValueError, which is not a config error
+            raise ConfigError(f"--out must not contain a NUL character, got {self.out!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,21 +144,13 @@ def _print_table(
     hidden: int = 0,
     hidden_failing: int = 0,
 ) -> None:
-    """The first _MAX_TABLE_ROWS rows, in columns as wide as they need. The
-    rows past them, and the hidden rows the caller only counted, print as
-    one line: their count and how many of them fail."""
+    """The rows, in columns as wide as they need, then the hidden rows the
+    caller only counted as one line: their count and how many of them fail."""
     header = ("experiment", "setting", "ideal", "estimated", "deviation", "pass")
-    shown = rows[:_MAX_TABLE_ROWS]
-    hidden += len(rows) - len(shown)
-    hidden_failing += sum(1 for r in rows[_MAX_TABLE_ROWS:] if not r[5])
-    widths = [
-        max(len(header[0]), *(len(r[0]) for r in shown)) if shown else len(header[0]),
-        max(len(header[1]), *(len(r[1]) for r in shown)) if shown else len(header[1]),
-        10, 10, 10, 4,
-    ]
-    fmt = "{:<%d}  {:<%d}  {:>%d}  {:>%d}  {:>%d}  {}" % tuple(widths[:5])
+    widths = [max([len(header[i])] + [len(r[i]) for r in rows]) for i in (0, 1)]
+    fmt = "{:<%d}  {:<%d}  {:>10}  {:>10}  {:>10}  {}" % tuple(widths)
     print(fmt.format(*header))
-    for row in shown:
+    for row in rows:
         print(
             fmt.format(
                 row[0],
@@ -173,9 +170,9 @@ def _setting_text(branches) -> str:
 
 
 def _verdict_rows(verdict: pr.Verdict):
-    """Table rows of the records _print_table shows, then the count of the
-    other records and of the failing ones among them. Only the shown rows
-    get their setting text, made once per distinct measured list."""
+    """Table rows of the first _MAX_TABLE_ROWS records, then the count of
+    the other records and of the failing ones among them. Only the shown
+    rows get their setting text, made once per distinct measured list."""
     recs = verdict.records
     shown = min(len(recs), _MAX_TABLE_ROWS)
     texts: dict[tuple, str] = {}
@@ -209,8 +206,7 @@ def _dumps(obj, depth: int = 0) -> str:
     One pass appends the text to one list of parts, joined once at the end.
     Exact str, int and finite float values are written inline; subclasses
     such as bool and np.float64 take the generic path. A dict key that is
-    not a str raises TypeError: every report key is one. A _RecordList
-    writes its own text, as its list of records would encode.
+    not a str raises TypeError: every report key is one.
     """
     parts: list[str] = []
     put = parts.append
@@ -229,8 +225,6 @@ def _dumps(obj, depth: int = 0) -> str:
             enc_dict(o, depth)
         elif isinstance(o, (list, tuple)):
             enc_list(o, depth)
-        elif isinstance(o, _RecordList):
-            o.write(parts, depth)
         else:
             text = _scalar(o)
             if text is None:
@@ -287,125 +281,98 @@ _BLANK = "\0"
 _BLANK_TEXT = encode_basestring_ascii(_BLANK)
 
 
-class _RecordText:
-    """A verdict's records as report text, built from its record columns and
-    experiments in pieces that its records and failing_records lists share.
+def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
+    """The text of a verdict report's failing_records and records lists, as
+    parts to join, built from its record columns and experiments.
 
-    Per record the text is a fixed head, then the deviation, est_p and
-    ideal_p, each between fixed key texts, then the measured list, which is
-    built once per setting of each experiment shape (wires and settings),
-    and the rest of the record from the prep on, built once per experiment.
-    Records holds only finite values (checked), so float.__repr__ is their
-    JSON text.
+    Both lists sit at one depth: report, result, then the list. Per record
+    the text is a fixed head, then the deviation, est_p and ideal_p, each
+    between fixed key texts, then the measured list, which is built once per
+    setting of each experiment shape (wires and settings), and the rest of
+    the record from the prep on, built once per experiment. Records holds
+    only finite values (checked), so float.__repr__ is their JSON text.
     """
+    recs = verdict.records
+    depth = 2
+    blank = {
+        "deviation": _BLANK,
+        "est_p": _BLANK,
+        "ideal_p": _BLANK,
+        "n_samples": recs.n_samples,
+        "setting": {"measured": _BLANK, "prep": _BLANK},
+    }
+    first, est_key, ideal_key, measured_key, prep_key, end = _dumps(
+        blank, depth + 1
+    ).split(_BLANK_TEXT)
+    inner = depth + 3  # the list, a record, its setting, then its values
+    # a measured list or a prep is a list at inner: its text is made of
+    # the texts of its entries, each encoded once
+    start, sep, close = _dumps([_BLANK, _BLANK], inner).split(_BLANK_TEXT)
 
-    def __init__(self, verdict: pr.Verdict):
-        self.verdict = verdict
-        self._pieces: dict[int, tuple] = {}  # per depth of the list
+    def list_text(as_json):
+        done: dict[tuple, str] = {}
 
-    def pieces(self, depth: int) -> tuple:
-        """(head, est key, ideal key, measured key, close, columns) for a list
-        of records at depth: the head holds the separator before a record;
-        columns are the per-record deviation, est_p, ideal_p, measured and
-        rest texts."""
-        got = self._pieces.get(depth)
-        if got is None:
-            got = self._pieces[depth] = self._build(depth)
-        return got
+        def text(items) -> str:
+            if not items:
+                return "[]"
+            texts = []
+            for item in items:
+                t = done.get(item)
+                if t is None:
+                    t = done[item] = _dumps(as_json(item), inner + 1)
+                texts.append(t)
+            return start + sep.join(texts) + close
 
-    def _build(self, depth: int) -> tuple:
-        recs = self.verdict.records
-        blank = {
-            "deviation": _BLANK,
-            "est_p": _BLANK,
-            "ideal_p": _BLANK,
-            "n_samples": recs.n_samples,
-            "setting": {"measured": _BLANK, "prep": _BLANK},
-        }
-        first, est_key, ideal_key, measured_key, prep_key, end = _dumps(
-            blank, depth + 1
-        ).split(_BLANK_TEXT)
-        inner = depth + 3  # the list, a record, its setting, then its values
-        # a measured list or a prep is a list at inner: its text is made of
-        # the texts of its entries, each encoded once
-        start, sep, close = _dumps([_BLANK, _BLANK], inner).split(_BLANK_TEXT)
+        return text
 
-        def list_text(as_json):
-            done: dict[tuple, str] = {}
+    measured_text = list_text(
+        lambda b: {"side": b[0], "wire": b[1], "angle": b[2], "flip": 0}
+    )
+    prep_text = list_text(list)
+    shapes: dict[tuple, list[str]] = {}
+    measured: list[str] = []
+    rest: list[str] = []
+    for exp in recs.experiments:
+        key = (exp.wires, exp.settings.tobytes())
+        texts = shapes.get(key)
+        if texts is None:
+            texts = shapes[key] = [measured_text(b) for b in exp.branches]
+        measured += texts
+        rest += [prep_key + prep_text(exp.prep) + end] * len(texts)
+    floats = [
+        list(map(float.__repr__, c.tolist()))
+        for c in (recs.deviation, recs.est_p, recs.ideal_p)
+    ]
+    indent = "\n" + "  " * depth
+    head = "," + indent + "  " + first
+    columns = (*floats, measured, rest)
 
-            def text(items) -> str:
-                if not items:
-                    return "[]"
-                texts = []
-                for item in items:
-                    t = done.get(item)
-                    if t is None:
-                        t = done[item] = _dumps(as_json(item), inner + 1)
-                    texts.append(t)
-                return start + sep.join(texts) + close
-
-            return text
-
-        measured_text = list_text(
-            lambda b: {"side": b[0], "wire": b[1], "angle": b[2], "flip": 0}
+    def parts(rows: list[int] | None) -> list[str]:
+        devs, ests, ideals, measured, rest = (
+            columns if rows is None else [list(map(c.__getitem__, rows)) for c in columns]
         )
-        prep_text = list_text(list)
-        shapes: dict[tuple, list[str]] = {}
-        measured: list[str] = []
-        rest: list[str] = []
-        for exp in recs.experiments:
-            key = (exp.wires, exp.settings.tobytes())
-            texts = shapes.get(key)
-            if texts is None:
-                texts = shapes[key] = [measured_text(b) for b in exp.branches]
-            measured += texts
-            rest += [prep_key + prep_text(exp.prep) + end] * len(texts)
-        floats = [
-            list(map(float.__repr__, c.tolist()))
-            for c in (recs.deviation, recs.est_p, recs.ideal_p)
-        ]
-        indent = "\n" + "  " * depth
-        head = "," + indent + "  " + first
-        columns = (*floats, measured, rest)
-        return head, est_key, ideal_key, measured_key, indent + "]", columns
-
-
-@dataclass(frozen=True, eq=False)
-class _RecordList:
-    """A verdict report's records, or its failing records when rows holds
-    their indices: _dumps has it write its own text (write), so no object
-    is built per record."""
-
-    text: _RecordText
-    rows: list[int] | None = None
-
-    def write(self, parts: list[str], depth: int) -> None:
-        """Append the list's text at depth to parts."""
-        head, est_key, ideal_key, measured_key, close, columns = self.text.pieces(depth)
-        if self.rows is not None:
-            columns = [list(map(c.__getitem__, self.rows)) for c in columns]
-        devs, ests, ideals, measured, rest = columns
         if not devs:
-            parts.append("[]")
-            return
-        start = len(parts)
-        parts += chain.from_iterable(
-            zip(
-                repeat(head), devs, repeat(est_key), ests, repeat(ideal_key), ideals,
-                repeat(measured_key), measured, rest,
+            return ["[]"]
+        out = list(
+            chain.from_iterable(
+                zip(
+                    repeat(head), devs, repeat(est_key), ests, repeat(ideal_key), ideals,
+                    repeat(measured_key), measured, rest,
+                )
             )
         )
-        parts[start] = "[" + head[1:]
-        parts.append(close)
+        out[0] = "[" + head[1:]
+        out.append(indent + "]")
+        return out
+
+    return parts(verdict.failing.tolist()), parts(None)
 
 
 def _verdict_result(verdict: pr.Verdict) -> dict:
-    """verdict.to_json(), with its records and failing records as lists
-    that write their own text."""
-    text = _RecordText(verdict)
+    """verdict.to_json(), with a placeholder where its failing_records and
+    its records go: _report_text writes them from _record_parts."""
     result = verdict.summary_json()
-    result["failing_records"] = _RecordList(text, verdict.failing.tolist())
-    result["records"] = _RecordList(text)
+    result["failing_records"] = result["records"] = _BLANK
     return result
 
 
@@ -430,9 +397,14 @@ def _scalar(o) -> str | None:
     return None
 
 
-def _emit(cfg: RunConfig, result: dict) -> None:
-    if cfg.out is None:
-        return
+def _report_text(
+    cfg: RunConfig, result: dict, verdict: pr.Verdict | None = None
+) -> str:
+    """The JSON text of the report of a run with result. Given the verdict
+    that _verdict_result made result from, its record lists go in at the
+    last two placeholders: only command and config sort before result, and
+    in result no free string follows failing_records, so those two are the
+    lists' own whatever a config string holds."""
     config = asdict(cfg)
     config.pop("out")  # where the report lands must not change its bytes
     report = {
@@ -442,6 +414,18 @@ def _emit(cfg: RunConfig, result: dict) -> None:
         "result": result,
     }
     text = _dumps(report)
+    if verdict is None:
+        return text
+    head, middle, tail = text.rsplit(_BLANK_TEXT, 2)
+    failing, records = _record_parts(verdict)
+    # one join: adding the parts as strings would copy the text again
+    return "".join([head, *failing, middle, *records, tail])
+
+
+def _emit(cfg: RunConfig, result: dict, verdict: pr.Verdict | None = None) -> None:
+    if cfg.out is None:
+        return
+    text = _report_text(cfg, result, verdict)
     with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")  # apart from text, which is not copied to append it
@@ -461,7 +445,7 @@ def _run_epr_test(cfg: RunConfig) -> int:
         f"verdict: {'accept' if verdict.accepted else 'reject'}  "
         f"max_deviation={verdict.max_deviation:.6f}  eps={verdict.eps}"
     )
-    _emit(cfg, _verdict_result(verdict))
+    _emit(cfg, _verdict_result(verdict), verdict)
     return 0 if verdict.accepted else 1
 
 
@@ -485,7 +469,7 @@ def _run_circuit_test(cfg: RunConfig) -> int:
         f"max_deviation={verdict.max_deviation:.6f}  eps={verdict.eps}"
     )
     print(f"computation: y={verdict.y}  tv={verdict.tv_distance:.6f}  outcomes={hist}")
-    _emit(cfg, _verdict_result(verdict))
+    _emit(cfg, _verdict_result(verdict), verdict)
     return 0 if verdict.accepted else 1
 
 

@@ -2,8 +2,10 @@
 
 Everything is a plain complex vector or small matrix tagged with subsystem
 dimensions. Operators act on an explicit subset of subsystems and are applied
-by index arithmetic; full-space matrices are never materialized. Values are
-immutable and all operations are pure.
+by index arithmetic, along one product path: a state is a block of one row,
+and stacked operators act on a block in one batched matmul. Full-space
+matrices are never materialized. Values are immutable and all operations
+are pure.
 
 Matrices are checked for structure (unitary, projector, orthogonal, unit
 norm) once, in the device or circuit constructor they enter through, with
@@ -189,23 +191,21 @@ class StateBlock:
 
 def apply_operator(
     op: LocalOperator | Sequence[LocalOperator], state: PhysState | StateBlock
-) -> PhysState | tuple[PhysState, ...] | StateBlock:
-    """Apply a local operator to a state by index arithmetic.
+) -> PhysState | StateBlock:
+    """Apply local operators to states by index arithmetic.
 
     The matrix acts on the targets in their listed order; the other
     subsystems are untouched and the full-space matrix is never formed.
 
-    Given a sequence of k operators on the same targets, returns the k
-    states, one per operator. The state is gathered once and the k matrices
-    act as one (k*d x d) stack in one matmul; each output element comes from
-    its own row of the stack, so every state has the bits of its operator
-    applied alone. A single operator is the k = 1 case.
-
-    Given a block of m states, returns the block of their m*k results,
-    parent-major: row i*k + j is operator j applied to row i. The block is
-    gathered once and the stack acts on it in one batched matmul, which
-    runs one product per parent with that parent's own shapes and strides,
-    so every row has the bits of its operator applied to its parent alone.
+    A state is the block of its one row. Given a block of m states and a
+    sequence of k operators on the same targets, returns the block of the
+    m*k results, parent-major: row i*k + j is operator j applied to row i.
+    The block is gathered once, the k matrices act as one (k*d x d) stack,
+    and the stack acts on it in one batched matmul, which runs one product
+    per parent with that parent's own shapes and strides; each output
+    element comes from its own row of the stack, so every row has the bits
+    of its operator applied to its parent alone. A single operator is the
+    k = 1 case; on a state, it returns a state.
     """
     single = isinstance(op, LocalOperator)
     ops = (op,) if single else tuple(op)
@@ -223,19 +223,16 @@ def apply_operator(
     k = len(ops)
     total = state.layout.total
     block = isinstance(state, StateBlock)
-    rows = state.rows if block else state.vec
-    m = len(rows) if block else 1
+    rows = state.rows if block else state.vec[None]
+    m = len(rows)
     t = rows.reshape((m,) + dims).transpose(perm)
     stack = op.matrix if single else np.concatenate([o.matrix for o in ops])
-    # one state's product stays 2-D, which NumPy dispatches faster
-    out = stack @ t.reshape((m, d, total // d) if block else (d, total // d))
+    out = stack @ t.reshape(m, d, total // d)
     # each row back in natural order, as one contiguous (m * k, total) copy
     out = out.reshape((m, k) + t.shape[1:]).transpose(inv).reshape(m * k, total)
-    if block:
-        return StateBlock._wrap(state.layout, out)
-    if single:
+    if single and not block:
         return PhysState._wrap(state.layout, out[0])
-    return tuple([PhysState._wrap(state.layout, row) for row in out])
+    return StateBlock._wrap(state.layout, out)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -294,6 +294,17 @@ class TestConfigErrors:
         assert cli.main(["epr-test", "--device", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["epr-test", "circuit-test", "extract", "tomo"])
+    def test_out_path_with_nul_exits_two(self, command, h_circuit_file, tmp_path, capsys):
+        # open() refuses it with ValueError, which main would not catch
+        argv = [command, "--device", "builtin:honest", "--out", str(tmp_path / "a\0b")]
+        if command == "circuit-test":
+            argv += ["--circuit", h_circuit_file, "--x", "0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --out must not contain a NUL character")
+
     @pytest.mark.parametrize(
         "kind, content",
         [
@@ -571,15 +582,14 @@ class TestReports:
 
 class TestTable:
     def test_columns_fit_the_printed_rows(self, capsys):
-        # rows past the printed 400 are only counted; they do not widen
-        # the columns
+        # rows the caller only counted are printed as their count; they do
+        # not widen the columns
         rows = [("short", "A0@0", 0.5, 0.5, 0.0, True)] * cli._MAX_TABLE_ROWS
-        rows += [("a-much-longer-label", "A0@0 B0@pi/8 A1@0 B1@pi/8", 0.5, 0.0, 0.5, False)]
-        cli._print_table(rows)
+        cli._print_table(rows, hidden=3, hidden_failing=1)
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("experiment  setting  ")
-        assert lines[1].startswith("short       A0@0     ")
-        assert lines[-1] == "... 1 more rows (1 failing)"
+        assert lines[0] == "experiment  setting       ideal   estimated   deviation  pass"
+        assert lines[1] == "short       A0@0       0.500000    0.500000    0.000000  ok"
+        assert lines[-1] == "... 3 more rows (1 failing)"
         assert len(lines) == cli._MAX_TABLE_ROWS + 2
 
     def test_hidden_rows_get_no_setting_text(self):
@@ -808,19 +818,38 @@ _RUNS = [
 
 
 class TestRecordWriter:
-    """The CLI writes a verdict's records from its columns; its report text
-    must be the stdlib's text of the report that to_json gives."""
+    """The CLI writes a verdict's records from its columns and splices them
+    into the report text; that text must be the stdlib's text of the report
+    that to_json gives."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.sampled_from(_RUNS).map(lambda run: run()) | _synthetic_verdicts())
-    def test_matches_json_dumps_of_to_json(self, verdict):
-        def report(result):
-            return {"command": "circuit-test", "config": {"eps": 0.1}, "result": result}
-
-        got = cli._dumps(report(cli._verdict_result(verdict)))
-        want = oracle(report(verdict.to_json()))
+    @staticmethod
+    def check(cfg, verdict):
+        got = cli._report_text(cfg, cli._verdict_result(verdict), verdict)
+        config = asdict(cfg)
+        del config["out"]
+        want = oracle({
+            "command": cfg.command,
+            "version": __version__,
+            "config": config,
+            "result": verdict.to_json(),
+        })
         if got != want:
             # a short message: pytest's diff of two long reports takes
             # seconds, once per failing example that hypothesis shrinks
             i = next(i for i, (a, b) in enumerate(zip(got + "\0", want)) if a != b)
             pytest.fail(f"text differs at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(_RUNS).map(lambda run: run()) | _synthetic_verdicts())
+    def test_matches_json_dumps_of_to_json(self, verdict):
+        self.check(cli.RunConfig("circuit-test", eps=0.1, out="report.json"), verdict)
+
+    @pytest.mark.parametrize("run", _RUNS[:3])
+    def test_config_strings_holding_the_placeholder(self, run):
+        # a NUL encodes as the placeholder's own text, and so does a string
+        # that ends in a quote and a NUL; the literal text \u0000 encodes as
+        # an escaped backslash. Only the last two placeholders are the lists'
+        for device, circuit in [("\0", "\\u0000"), ('x"\0', "\0\\u0000\0")]:
+            cfg = cli.RunConfig("circuit-test", device=device, circuit=circuit, x="0")
+            assert cli._BLANK_TEXT in cli._dumps(asdict(cfg))
+            self.check(cfg, run())

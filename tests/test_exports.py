@@ -1,8 +1,10 @@
 """Every name a module lists in __all__ exists and is used, and so is every
-public method and property of a package class: a deletion cannot leave a
-stale export, and no public helper exists only for the tests."""
+public method and property of a package class and every private top-level
+name: a deletion cannot leave a stale export or helper, and no public
+helper exists only for the tests."""
 
 import ast
+import functools
 import importlib
 import pkgutil
 import re
@@ -20,18 +22,29 @@ SRC = Path(qselftest.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _references() -> set[tuple[str, str]]:
-    """(module, name) pairs that some file under src/qselftest uses.
+@functools.cache
+def _trees() -> dict[str, ast.Module]:
+    """The parsed source of each module under src/qselftest, by short name
+    ("qselftest" for the package's __init__)."""
+    return {
+        "qselftest" if path.stem == "__init__" else path.stem: ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _uses() -> list[tuple[str, str, ast.AST]]:
+    """(module, name, node) for each node of a file under src/qselftest that
+    uses a name of a module.
 
     A use is a Name load in the defining module, a `from .mod import name`,
     or `alias.name` where alias is bound to the module by
     `from . import mod [as alias]`. Definitions and the strings of __all__
     are not loads, so they never count.
     """
-    refs = set()
-    for path in SRC.glob("*.py"):
-        here = "qselftest" if path.stem == "__init__" else path.stem
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = []
+    for here, tree in _trees().items():
         aliases = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -39,17 +52,22 @@ def _references() -> set[tuple[str, str]]:
                     if node.module is None and a.name in SUBMODULES:
                         aliases[a.asname or a.name] = a.name
                     else:
-                        refs.add((node.module or "qselftest", a.name))
+                        uses.append((node.module or "qselftest", a.name, node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.add((here, node.id))
+                uses.append((here, node.id, node))
             elif (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in aliases
             ):
-                refs.add((aliases[node.value.id], node.attr))
-    return refs
+                uses.append((aliases[node.value.id], node.attr, node))
+    return uses
+
+
+def _references() -> set[tuple[str, str]]:
+    """(module, name) pairs that some file under src/qselftest uses."""
+    return {(mod, name) for mod, name, _ in _uses()}
 
 
 def _python_api_section() -> str:
@@ -91,12 +109,12 @@ def _attributes_read() -> set[str]:
 
     The check is by name: which class `x.name` reaches is not known
     statically, so any read of `.name` counts for every class."""
-    names = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
+    return {
+        node.attr
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def _public_members() -> list[tuple[str, str, str]]:
@@ -104,11 +122,11 @@ def _public_members() -> list[tuple[str, str, str]]:
     in the body of a class under src/qselftest; dataclass fields are data,
     not members."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
-        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+    for here, tree in _trees().items():
+        for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
                 out += [
-                    (path.stem, cls.name, f.name)
+                    (here, cls.name, f.name)
                     for f in cls.body
                     if isinstance(f, ast.FunctionDef)
                     and not f.name.startswith("_")
@@ -126,4 +144,40 @@ def test_every_public_member_is_read_or_documented():
         for mod, cls, name in _public_members()
         if name not in read and not re.search(rf"\.{re.escape(name)}\b", api)
     ]
+    assert not unused
+
+
+def _private_definitions() -> list[tuple[str, str, ast.stmt]]:
+    """(module, name, statement) for every private function, class and
+    constant defined at the top level of a module under src/qselftest."""
+    out = []
+    for here, tree in _trees().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out += [
+                (here, name, node)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    return out
+
+
+def test_every_private_name_is_used_in_src():
+    # a private helper that only its own body (a recursive call) or the
+    # tests use is left over from a path that is gone
+    uses = {}
+    for mod, name, node in _uses():
+        uses.setdefault((mod, name), []).append(node)
+    unused = []
+    for mod, name, node in _private_definitions():
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(u) in inside for u in uses.get((mod, name), ())):
+            unused.append(f"{mod}.{name}")
     assert not unused
