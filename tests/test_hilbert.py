@@ -166,6 +166,51 @@ class TestTensorAndApply:
                     )
                 ),
                 st.integers(1, 8),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @example(((3, 1, 4, 2), (2, 0), 8, 1))  # dim-1 and dim-3 wires, permuted
+    @example(((2, 3), (1, 0), 5, 2))  # every subsystem a target, permuted
+    @example(((4,), (0,), 8, 3))  # nothing left over (one column)
+    @example(((1,), (0,), 3, 4))  # 1 x 1 matrices
+    @example(((2, 2, 2, 2), (3, 0, 2), 7, 5))
+    def test_stacked_rows_bitwise_equal_single_applies(self, case):
+        # k operators on one state act as one (k*d x d) stack and give the
+        # block of k rows: each row, scattered back to natural order, must
+        # carry the bits of its operator applied alone
+        dims, targets, k, seed = case
+        rng = np.random.default_rng(seed)
+        d = int(np.prod([dims[t] for t in targets]))
+        total = int(np.prod(dims))
+        vec = rng.normal(size=total) + 1j * rng.normal(size=total)
+        vec[rng.random(total) < 0.2] = -0.0
+        state = hb.PhysState(hb.SubsystemDims(dims), vec)
+        ops = []
+        for _ in range(k):
+            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            mat[rng.random((d, d)) < 0.2] = 0.0
+            ops.append(hb.LocalOperator(targets, mat))
+        stacked = hb.apply_operator(ops, state)
+        assert isinstance(stacked, hb.StateBlock) and stacked.layout == state.layout
+        assert stacked.rows.shape == (k, total)
+        for op, row in zip(ops, stacked.states()):
+            want = hb.apply_operator(op, state)
+            assert isinstance(want, hb.PhysState)
+            assert row.vec.tobytes() == want.vec.tobytes()
+            assert hb.norm(row) == hb.norm(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=6).flatmap(
+            lambda dims: st.tuples(
+                st.just(tuple(dims)),
+                st.permutations(range(len(dims))).flatmap(
+                    lambda order: st.integers(1, min(3, len(dims))).map(
+                        lambda k: tuple(order[:k])
+                    )
+                ),
+                st.integers(1, 8),
                 st.integers(0, 12),
                 st.integers(0, 2**32 - 1),
             )
@@ -180,8 +225,7 @@ class TestTensorAndApply:
     @example(((2, 3), (1, 0), 2, 0, 2))  # an empty block
     def test_block_rows_bitwise_equal_single_applies(self, case):
         # a block of m parents: row i*k + j is operator j applied to parent i
-        # alone, bit for bit, and a single operator gives the block of m; the
-        # k operators on one parent state give the block of its k rows
+        # alone, bit for bit, and a single operator gives the block of m
         dims, targets, k, m, seed = case
         rng = np.random.default_rng(seed)
         d = int(np.prod([dims[t] for t in targets]))
@@ -199,15 +243,10 @@ class TestTensorAndApply:
         assert out.layout == layout and out.rows.shape == (m * k, layout.total)
         assert first.rows.shape == (m, layout.total)
         for i, parent in enumerate(block.states()):
-            stacked = hb.apply_operator(ops, parent)
-            assert isinstance(stacked, hb.StateBlock) and stacked.layout == layout
-            assert stacked.rows.shape == (k, layout.total)
-            for j, (op, row) in enumerate(zip(ops, stacked.states())):
+            for j, op in enumerate(ops):
                 want = hb.apply_operator(op, parent)
                 assert isinstance(want, hb.PhysState)
                 assert out.rows[i * k + j].tobytes() == want.vec.tobytes()
-                assert row.vec.tobytes() == want.vec.tobytes()
-                assert hb.norm(row) == hb.norm(want)
             assert first.rows[i].tobytes() == hb.apply_operator(ops[0], parent).vec.tobytes()
 
     def test_block_holds_read_only_rows_of_its_layout(self):
