@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -62,9 +63,18 @@ class RunConfig:
             raise ConfigError("--seed is required when --mode sampled")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError(f"--seed must be a 64-bit value, got {self.seed}")
-        if self.out is not None and "\0" in self.out:
-            # open() would raise ValueError, which is not a config error
-            raise ConfigError(f"--out must not contain a NUL character, got {self.out!r}")
+        if self.out is not None:
+            # open() would raise ValueError on a NUL, and UnicodeEncodeError
+            # on a lone surrogate, only after the run, and neither is a
+            # config error
+            if "\0" in self.out:
+                raise ConfigError(f"--out must not contain a NUL character, got {self.out!r}")
+            try:
+                os.fsencode(self.out)
+            except UnicodeEncodeError:
+                raise ConfigError(
+                    f"--out is not a file name this system can encode, got {self.out!r}"
+                ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

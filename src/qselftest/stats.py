@@ -3,10 +3,11 @@
 A statistic is the probability of a product of branch projectors, one per
 measured (side, wire), on a prepared state. A slot (side, wire, angles)
 names one measured side and wire and the angles it is read at; an angle of
-None applies no projector there. `branch_states` evaluates every product of
-a list of slots at once, one slot per kernel call over a whole block of
-parent states, and `probabilities` takes their squared norms: this is the
-package's one path from a device to a branch probability. `prepare` and
+None applies no projector there. `probabilities` is the package's one path
+from a device to a branch probability. Up to _BLOCK_AMPS amplitudes it
+takes the squared norms of `branch_states`, which evaluates every product
+of a list of slots at once, one slot per kernel call over a whole block of
+parent states; above that it contracts the slots' reduced state. `prepare` and
 `collapse` apply gates and projectors one at a time. Sampling draws
 reproducible Monte-Carlo estimates, sized by a Hoeffding bound.
 """
@@ -55,11 +56,15 @@ def branch_states(
     children fit in _BLOCK_AMPS amplitudes. Past that the slots are taken
     depth first, holding one state per slot and one parent's last children.
     """
-    levels = [
+    return _leaves(_levels(device, slots), hb.StateBlock._wrap(state.layout, state.vec[None]))
+
+
+def _levels(device: DeviceModel, slots: Sequence[Slot]) -> list[tuple]:
+    """Each slot's branch operators, None where it applies no projector."""
+    return [
         tuple(None if a is None else device.frame_operator(side, wire, a) for a in angles)
         for side, wire, angles in slots
     ]
-    return _leaves(levels, hb.StateBlock._wrap(state.layout, state.vec[None]))
 
 
 def _leaves(levels: Sequence[tuple], block: hb.StateBlock) -> Iterator[hb.StateBlock]:
@@ -106,16 +111,58 @@ def _children(level: tuple, block: hb.StateBlock) -> hb.StateBlock:
 def probabilities(
     device: DeviceModel, state: hb.PhysState, slots: Sequence[Slot]
 ) -> list[float]:
-    """Squared norm of each row of branch_states, in product order.
+    """The probability of each product of the slots' branches on state, in
+    product order: the first slot varies slowest.
 
-    Each is hb.norm(row) ** 2 bit for bit: the same strided dot products,
-    taken for a whole block in one batched matmul, then squared in Python.
+    Up to _BLOCK_AMPS amplitudes each is the squared norm of its row of
+    branch_states, hb.norm(row) ** 2 bit for bit: the same strided dot
+    products, taken for a whole block in one batched matmul, then squared
+    in Python. The reports pinned so far hold those bits, and on small
+    states the product tree is also the faster form.
+
+    Above it, where the tree goes depth first one full state at a time, the
+    slots' subsystems are traced out once, when they are distinct and their
+    reduced state rho has no more entries than the state. Each value is then
+    tr((Q_1 x ... x Q_k) rho) with Q = P^dagger P for each slot's operator P
+    (the identity for None), which equals ||(P_1 x ... x P_k) psi||^2 for
+    any operators on distinct subsystems, to rounding. Rounding can take an
+    impossible outcome just below 0, so each value is clipped at 0.0.
     """
+    # the operators first: frame_operator refuses a wire the device lacks
+    levels = _levels(device, slots)
+    total = state.layout.total
+    if total > _BLOCK_AMPS:
+        targets = [device.layout.side_index(side, wire) for side, wire, _ in slots]
+        dims = [state.layout.dims[t] for t in targets]
+        if len(set(targets)) == len(targets) and math.prod(dims) ** 2 <= total:
+            return _reduced_probabilities(levels, dims, hb.partial_trace(state, targets))
     out: list[float] = []
+    block = hb.StateBlock._wrap(state.layout, state.vec[None])
     # map lets go of each block before the next one is built
-    for norms in map(_squared_norms, branch_states(device, state, slots)):
+    for norms in map(_squared_norms, _leaves(levels, block)):
         out += norms
     return out
+
+
+def _reduced_probabilities(
+    levels: Sequence[tuple], dims: Sequence[int], rho: np.ndarray
+) -> list[float]:
+    """tr((Q_1 x ... x Q_k) rho) for each product of the levels' Q = P^dagger P,
+    in product order, clipped at 0.0; rho is over the levels' subsystems."""
+    k = len(levels)
+    r = rho.reshape(tuple(dims) * 2)
+    # slots from the last: before slot j, r's axes are the outcomes of the
+    # slots after it, then the kets and the bras of slots 0..j
+    for j in reversed(range(k)):
+        d = dims[j]
+        mats = [np.eye(d) if op is None else op.matrix for op in levels[j]]
+        p = np.array(mats, dtype=np.complex128).reshape(-1, d, d)
+        q = p.conj().transpose(0, 2, 1) @ p
+        done = k - 1 - j
+        # tr(Q rho) sums Q[a, b] rho[b, a]: Q's column meets rho's ket
+        r = np.tensordot(q, r, axes=([2, 1], [done + j, done + 2 * j + 1]))
+    values = r.real.ravel()
+    return np.where(values <= 0.0, 0.0, values).tolist()
 
 
 def _squared_norms(block: hb.StateBlock) -> list[float]:

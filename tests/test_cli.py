@@ -129,6 +129,23 @@ class TestExitCodes:
         assert "conspiracy@0" in out
         assert "tomography@1" in out
 
+    def test_deviation_between_eps_and_twice_eps_rejects(self, tmp_path, capsys):
+        # fig-1 on a depolarized source deviates by 0.014775, inside
+        # (eps, 2 eps] for eps = 0.01: exit 1, not 0
+        gates = [
+            {"label": "g1", "wires": [0], "builtin": "H"},
+            {"label": "g2", "wires": [0, 1], "builtin": "CNOT"},
+            {"label": "g3", "wires": [1], "builtin": "X"},
+        ]
+        circ = tmp_path / "fig1.json"
+        circ.write_text(json.dumps({"n": 2, "input": "00", "gates": gates}))
+        argv = ["circuit-test", "--device", "builtin:depolarized?p=0.03"]
+        argv += ["--circuit", str(circ), "--x", "00", "--eps", "0.01"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        assert "verdict: reject" in out
+        assert "max_deviation=0.014775" in out
+
     def test_gallery_lists_builtins(self, capsys):
         assert cli.main(["gallery"]) == 0
         out = capsys.readouterr().out
@@ -304,6 +321,20 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: --out must not contain a NUL character")
+
+    @pytest.mark.parametrize("command", ["epr-test", "circuit-test", "extract", "tomo"])
+    def test_out_path_with_lone_surrogate_exits_two(
+        self, command, h_circuit_file, tmp_path, capsys
+    ):
+        # no file system encoding takes it, so open() would raise
+        # UnicodeEncodeError, and only after the whole run
+        argv = [command, "--device", "builtin:honest", "--out", str(tmp_path / "a\ud800")]
+        if command == "circuit-test":
+            argv += ["--circuit", h_circuit_file, "--x", "0"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --out is not a file name this system can encode")
 
     @pytest.mark.parametrize(
         "kind, content",

@@ -2,14 +2,21 @@
 
 The benchmark checks a ladder-exact report only by its exit code and
 max_deviation, so a change that moves the bits of a record passes it. This
-pins the sha256 of each seed-7 report, as the op-list walker that batched
-branch evaluation replaced wrote them, for every rung up to n = 6. Those
-rungs write the same bytes under one BLAS thread and under several; the
-n = 8 rung does not, as its large products are split across threads.
+pins the sha256 of each seed-7 report: for every rung up to n = 6 as the
+op-list walker that batched branch evaluation replaced wrote them, and for
+the n = 8 rung as the reduced-state path writes it. Every rung writes the
+same bytes under one BLAS thread and under two; the n = 8 rung is checked
+under both, each in a process of its own, as the thread count is fixed when
+BLAS loads.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from qselftest import cli
 
@@ -36,3 +43,20 @@ def test_seed_7_ladder_reports_match_their_pins(pinned_pool, capsys):
         capsys.readouterr()
         got[name] = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
     assert got == PINS
+
+
+N8_PIN = "58acabcee630a9b4be1ffc2e14738e742214c24d1c53dbaa64bc3ef4f9efc1a9"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_seed_7_n8_report_matches_its_pin_under_blas_threads(pinned_pool, threads):
+    wl, _ = pinned_pool
+    cmd = next(c for c in wl.build("ladder-exact", 7) if "ladder_n8_t4.json" in c.argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    main = "import sys; from qselftest import cli; sys.exit(cli.main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", main, *cmd.argv, "--out", "report.json"]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == N8_PIN

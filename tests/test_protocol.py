@@ -29,6 +29,18 @@ def bell_circuit():
     )
 
 
+def fig1_circuit():
+    return dv.IdealCircuit(
+        2,
+        (
+            dv.CircuitGate("g1", (0,), dv.builtin_gate("H")),
+            dv.CircuitGate("g2", (0, 1), dv.builtin_gate("CNOT")),
+            dv.CircuitGate("g3", (1,), dv.builtin_gate("X")),
+        ),
+        "00",
+    )
+
+
 def classically_correlated_device():
     """Purified 50/50 mixture of |00><00| and |11><11|: right marginals, no pairing."""
     lay = dv.RegisterLayout(1, (2,), (2,), (2,))
@@ -325,6 +337,18 @@ class TestCircuitTest:
         v = pr.circuit_test(dv.honest_device(circ), circ, "0", eps=0.1)
         assert v.accepted
         assert v.computation_outcome_histogram == {"1": pytest.approx(1.0, abs=1e-12)}
+
+    def test_deviation_between_eps_and_twice_eps_rejected(self):
+        # the other rejection goldens deviate by more than 2 eps; this one
+        # lies in (eps, 2 eps], which a verdict that tolerates up to twice
+        # the threshold would accept
+        circ = fig1_circuit()
+        device = dv.resolve_device("builtin:depolarized?p=0.03", circ)
+        v = pr.circuit_test(device, circ, "00", eps=0.01)
+        assert 0.01 < v.max_deviation <= 0.02
+        assert v.max_deviation == pytest.approx(0.014775, abs=1e-12)
+        assert not v.accepted
+        assert len(v.failing) > 0
 
     def test_van_dam_rejected_golden(self):
         # the cheat computes perfectly but cannot survive the pair statistics

@@ -3,6 +3,8 @@
 Every probability the protocol, the CLI and the extraction diagnostics
 evaluate through `stats.branch_states` must equal, with `==`, the one
 computed by applying its op list alone to the source, one operator at a time.
+`stats.probabilities` does so on states of up to `stats._BLOCK_AMPS`
+amplitudes; `test_reduced.py` checks it on larger ones.
 """
 
 import functools
