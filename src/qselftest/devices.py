@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -115,18 +115,24 @@ def angle_name(a: float) -> str:
     return f"{a:.6f}" if i is None else ANGLE_NAMES[TEST_ANGLES[i]]
 
 
+# each side's block of subsystems in RegisterLayout.full
+_SIDE_BLOCKS = {"A": 0, "B": 1, "E": 2}
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Wire-pair register shape: per-wire A/B dims plus per-wire environments.
 
     The full layout orders subsystems [A_1..A_n, B_1..B_n, E_1..E_n]; a
     device file's single c_dim is the product of the per-wire e_dims.
+    side_index is the one map from a (side, wire) to a subsystem of full.
     """
 
     n_wires: int
     a_dims: tuple[int, ...]
     b_dims: tuple[int, ...]
     e_dims: tuple[int, ...] = ()
+    full: SubsystemDims = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n_wires)
@@ -144,30 +150,21 @@ class RegisterLayout:
         object.__setattr__(self, "a_dims", a)
         object.__setattr__(self, "b_dims", b)
         object.__setattr__(self, "e_dims", e)
-        self.full  # trigger the dimension cap check
-
-    @property
-    def full(self) -> SubsystemDims:
-        return SubsystemDims(self.a_dims + self.b_dims + self.e_dims)
-
-    def a_index(self, wire: int) -> int:
-        return wire
-
-    def b_index(self, wire: int) -> int:
-        return self.n_wires + wire
-
-    def e_index(self, wire: int) -> int:
-        return 2 * self.n_wires + wire
+        object.__setattr__(self, "full", SubsystemDims(a + b + e))  # checks the cap
 
     def side_index(self, side: str, wire: int) -> int:
-        if side == "A":
-            return self.a_index(wire)
-        if side == "B":
-            return self.b_index(wire)
-        raise DeviceValidationError(f"unknown side {side!r}")
+        """The subsystem of full that side ("A", "B" or "E") holds on wire."""
+        block = _SIDE_BLOCKS.get(side)
+        if block is None:
+            raise DeviceValidationError(f"unknown side {side!r}")
+        if not 0 <= wire < self.n_wires:
+            raise DeviceValidationError(
+                f"side {side} has no wire {wire}: the layout has wires 0..{self.n_wires - 1}"
+            )
+        return block * self.n_wires + wire
 
     def side_dim(self, side: str, wire: int) -> int:
-        return (self.a_dims if side == "A" else self.b_dims)[wire]
+        return self.full.dims[self.side_index(side, wire)]
 
 
 @dataclass(frozen=True)
@@ -365,7 +362,7 @@ def _check_source(layout: RegisterLayout, source: PhysState) -> None:
     if layout.n_wires > 1:
         dims = layout.full.dims
         for i in range(layout.n_wires):
-            keep = (layout.a_index(i), layout.b_index(i), layout.e_index(i))
+            keep = tuple(layout.side_index(side, i) for side in "ABE")
             t = np.moveaxis(source.vec.reshape(dims), keep, (0, 1, 2))
             kdim = dims[keep[0]] * dims[keep[1]] * dims[keep[2]]
             sv = np.linalg.svd(t.reshape(kdim, -1), compute_uv=False)
@@ -406,10 +403,6 @@ class DeviceModel:
                 raise DeviceValidationError(
                     f"gate ({side}, {label}): stored side {g.side} disagrees with key"
                 )
-            if min(g.wires) < 0 or max(g.wires) >= lay.n_wires:
-                raise DeviceValidationError(
-                    f"gate ({side}, {label}): wires {g.wires} out of range"
-                )
             want = math.prod(lay.side_dim(side, w) for w in g.wires)
             if g.matrix.shape[0] != want:
                 raise DeviceValidationError(
@@ -421,8 +414,6 @@ class DeviceModel:
                 raise DeviceValidationError(
                     f"frame ({side}, {wire}): stored key disagrees"
                 )
-            if not 0 <= wire < lay.n_wires:
-                raise DeviceValidationError(f"frame ({side}, {wire}): wire out of range")
             if f.dim != lay.side_dim(side, wire):
                 raise DeviceValidationError(
                     f"frame ({side}, {wire}): dim {f.dim} does not match layout "

@@ -235,7 +235,7 @@ def certify_state_equivalence(
     s_basis = hb.orthonormalize(_span_generators(device, source, wires))
     stacked = s_basis.stacked
 
-    sides = [lay.a_index(w) for w in wires] + [lay.b_index(w) for w in wires]
+    sides = [lay.side_index(side, w) for side in "AB" for w in wires]
     bare_a = tuple(build_swap_extraction(device, "A", w) for w in wires)
     bare_b = tuple(build_swap_extraction(device, "B", w) for w in wires)
     v = _apply_all(_placed_swaps(bare_a, bare_b, sides), _extended_zero(source, k))
@@ -307,7 +307,7 @@ def certify_gate_equivalence(
     stacked = base.s_basis.stacked
 
     gate_op = device.gate_operator("A", gate.label)
-    sides = [lay.a_index(w) for w in wires] + [lay.b_index(w) for w in wires]
+    sides = [lay.side_index(side, w) for side in "AB" for w in wires]
     support = tuple(sides) + tuple(t for t in gate_op.targets if t not in sides)
     dims = tuple(stacked.layout.dims[t] for t in support)
     d_sup = math.prod(dims)

@@ -511,6 +511,8 @@ def circuit_test(
     its total-variation distance from the ideal distribution; it does not
     enter the verdict.
     """
+    if mode not in ("exact", "sampled"):
+        raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
     n = circuit.n
     if device.n_wires < n:
         raise DeviceValidationError(

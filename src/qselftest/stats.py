@@ -128,7 +128,6 @@ def probabilities(
     any operators on distinct subsystems, to rounding. Rounding can take an
     impossible outcome just below 0, so each value is clipped at 0.0.
     """
-    # the operators first: frame_operator refuses a wire the device lacks
     levels = _levels(device, slots)
     total = state.layout.total
     if total > _BLOCK_AMPS:

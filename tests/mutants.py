@@ -108,6 +108,27 @@ MUTANTS = (
         "return values.tolist()",
         "an impossible outcome rounds to a negative probability",
     ),
+    Mutant(
+        "no-wire-upper-bound",
+        "devices.py",
+        "if not 0 <= wire < self.n_wires:",
+        "if not 0 <= wire:",
+        "a wire past the last names a subsystem of the next side (A wire n is B_0)",
+    ),
+    Mutant(
+        "no-wire-sign-check",
+        "devices.py",
+        "if not 0 <= wire < self.n_wires:",
+        "if not wire < self.n_wires:",
+        "a negative wire names a subsystem of the previous side (A wire -1 is the last E)",
+    ),
+    Mutant(
+        "e-reads-b-dims",
+        "devices.py",
+        '_SIDE_BLOCKS = {"A": 0, "B": 1, "E": 2}',
+        '_SIDE_BLOCKS = {"A": 0, "B": 1, "E": 1}',
+        "the environment of a wire is mapped to, and sized as, its B subsystem",
+    ),
 )
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qselftest import cli
 from qselftest import devices as dv
 from qselftest import hilbert as hb
 from qselftest.errors import (
@@ -53,11 +54,68 @@ class TestLayout:
     def test_indices_and_dims(self):
         lay = dv.RegisterLayout(2, (2, 2), (2, 2), (4, 1))
         assert lay.full.dims == (2, 2, 2, 2, 4, 1)
-        assert lay.a_index(1) == 1
-        assert lay.b_index(0) == 2
-        assert lay.e_index(1) == 5
+        assert lay.side_index("A", 1) == 1
+        assert lay.side_index("B", 0) == 2
+        assert lay.side_index("E", 1) == 5
         assert math.prod(lay.e_dims) == 4
         assert lay.side_dim("B", 1) == 2
+
+    def test_full_is_built_once(self):
+        lay = dv.RegisterLayout(2, (2, 3), (5, 7), (4, 1))
+        assert lay.full is lay.full
+
+    def test_side_dim_reads_each_side(self):
+        lay = dv.RegisterLayout(2, (2, 3), (5, 7), (4, 1))
+        assert [lay.side_dim(side, w) for side in "ABE" for w in (0, 1)] == [2, 3, 5, 7, 4, 1]
+
+    @pytest.mark.parametrize(
+        "side, wire",
+        [("A", 9), ("A", 7), ("A", -1), ("B", 7), ("B", -1), ("E", 7), ("E", -1)],
+    )
+    def test_wire_outside_the_layout_refused(self, side, wire):
+        # an unchecked wire would name another side's subsystem: A wire 9 of
+        # 7 is B_2, A wire -1 the last E
+        lay = dv.RegisterLayout(7, (2,) * 7, (2,) * 7, (1,) * 6 + (3,))
+        with pytest.raises(DeviceValidationError, match=f"side {side} has no wire {wire}"):
+            lay.side_index(side, wire)
+        with pytest.raises(DeviceValidationError, match=f"side {side} has no wire {wire}"):
+            lay.side_dim(side, wire)
+
+    @pytest.mark.parametrize("side", ["C", "", "a", "AB"])
+    def test_unknown_side_refused(self, side):
+        lay = dv.RegisterLayout(2, (2, 2), (2, 2))
+        with pytest.raises(DeviceValidationError, match="unknown side"):
+            lay.side_index(side, 0)
+        with pytest.raises(DeviceValidationError, match="unknown side"):
+            lay.side_dim(side, 0)
+
+    @pytest.mark.parametrize(
+        "key, side, wires",
+        [
+            ("gates", "A", [2]),
+            ("gates", "B", [-1]),
+            ("gates", "A", [0, 5]),
+            ("frames", "A", [2]),
+            ("frames", "B", [-1]),
+        ],
+    )
+    def test_device_file_wire_outside_the_layout_exits_two(
+        self, key, side, wires, tmp_path, capsys
+    ):
+        eye = np.eye(1 << len(wires))
+        matrix = [[[float(x), 0.0] for x in row] for row in eye]
+        if key == "gates":
+            entry = {"side": side, "label": "g", "wires": wires, "matrix": matrix}
+        else:
+            entry = {"side": side, "wire": wires[0], "angle": "0", "matrix": matrix}
+        layout = {"n_wires": 2, "a_dims": [2, 2], "b_dims": [2, 2]}
+        device = {"layout": layout, key: [entry]}
+        (tmp_path / "d.json").write_text(json.dumps(device))
+        assert cli.main(["epr-test", "--device", str(tmp_path / "d.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "wire" in err
 
     def test_default_environments(self):
         lay = dv.RegisterLayout(3, (2, 2, 2), (2, 2, 2))

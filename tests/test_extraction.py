@@ -538,11 +538,14 @@ class TestRestrictedEquivalences:
         dev = dv.honest_device()
         rep = ex.certify_state_equivalence(dev)
         placed = ex._placed_swaps(
-            rep.u_bar_a, rep.u_bar_b, (dev.layout.a_index(0), dev.layout.b_index(0))
+            rep.u_bar_a,
+            rep.u_bar_b,
+            (dev.layout.side_index("A", 0), dev.layout.side_index("B", 0)),
         )
         # the device's own NOT, 2 P(pi/4) - Id on the A wire
         n_phys = hb.LocalOperator.unitary(
-            (dev.layout.a_index(0),), 2 * dev.frames[("A", 0)].projector(math.pi / 4) - np.eye(2)
+            (dev.layout.side_index("A", 0),),
+            2 * dev.frames[("A", 0)].projector(math.pi / 4) - np.eye(2),
         )
         n_log = hb.LocalOperator.unitary((0,), X)
 

@@ -429,6 +429,15 @@ class TestCircuitTest:
         with pytest.raises(ValidationError, match="forced y must be 2 bits"):
             pr.circuit_test(dv.honest_device(circ), circ, "00", force_y=force_y)
 
+    @pytest.mark.parametrize("mode", ["Sampled", "exact ", ""])
+    def test_unknown_mode_refused_before_any_probability(self, mode, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stx, "probabilities", lambda *args: calls.append(args))
+        circ = bell_circuit()
+        with pytest.raises(ValidationError, match="mode must be exact or sampled"):
+            pr.circuit_test(dv.honest_device(circ), circ, "00", mode=mode)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "gates",
         [
