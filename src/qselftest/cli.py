@@ -77,7 +77,10 @@ class RunConfig:
                 ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then shared by every
+    later one. parse_args leaves it as it was, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="qselftest",
         description="verify untrusted quantum devices from their statistics",
@@ -125,13 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("gallery", help="list built-in devices")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses: built on the first call, then shared by every
-    later one. parse_args leaves it as it was, so no call sees another's."""
-    return build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

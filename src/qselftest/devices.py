@@ -403,7 +403,10 @@ class DeviceModel:
                 raise DeviceValidationError(
                     f"gate ({side}, {label}): stored side {g.side} disagrees with key"
                 )
-            want = math.prod(lay.side_dim(side, w) for w in g.wires)
+            try:
+                want = math.prod(lay.side_dim(side, w) for w in g.wires)
+            except DeviceValidationError as e:
+                raise DeviceValidationError(f"gate ({side}, {label}): {e}") from None
             if g.matrix.shape[0] != want:
                 raise DeviceValidationError(
                     f"gate ({side}, {label}): matrix dim {g.matrix.shape[0]} does "
@@ -548,8 +551,13 @@ def _honest_parts(
     return layout, _circuit_gates(circuit, n), _qubit_frames(layout)
 
 
+@functools.lru_cache(maxsize=1)
 def honest_device(circuit: IdealCircuit | None = None, n: int | None = None) -> DeviceModel:
-    """Ideal implementation: fresh EPR pairs, the circuit's own gates, ideal frames."""
+    """Ideal implementation: fresh EPR pairs, the circuit's own gates, ideal frames.
+
+    Read-only, so shared: a call with the same circuit object as the last
+    call returns the same device, which is how evaluate_schedule knows it.
+    """
     layout, gates, frames = _honest_parts(circuit, n)
     source = _assemble_source(
         layout, [_epr_wire(2, 2, 1) for _ in range(layout.n_wires)]

@@ -336,34 +336,6 @@ def build_schedule(
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _same_bits(device: DeviceModel, reference: DeviceModel) -> bool:
-    """Whether evaluation sees the same device in both: the same layout, and
-    the same bits in the source, in every gate (its wires and matrix) and in
-    every frame's base projectors (every frame holds all of BASE_ANGLES).
-    Arrays compare by bytes, so a NaN never matches, and by strides, since
-    a matmul may read a matrix stored in another order differently."""
-
-    def same(a: np.ndarray, b: np.ndarray) -> bool:
-        return a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
-
-    return (
-        device.layout == reference.layout
-        and same(device.source.vec, reference.source.vec)
-        and device.gates.keys() == reference.gates.keys()
-        and all(
-            g.wires == reference.gates[k].wires
-            and same(g.matrix, reference.gates[k].matrix)
-            for k, g in device.gates.items()
-        )
-        and device.frames.keys() == reference.frames.keys()
-        and all(
-            same(m, reference.frames[k].base[a])
-            for k, f in device.frames.items()
-            for a, m in f.base.items()
-        )
-    )
-
-
 def _experiment_probabilities(
     device: DeviceModel, state: PhysState, exp: Experiment
 ) -> np.ndarray:
@@ -430,10 +402,9 @@ def evaluate_schedule(
     """Step 6: estimate every scheduled statistic and compare to its ideal,
     the same setting run on the circuit's honest implementation.
 
-    The device is evaluated first. The honest implementation is evaluated
-    only when the device differs from it (see `_same_bits`); a device that
-    is it bit for bit has the ideals as its own probabilities, since
-    evaluation is deterministic and reads nothing else.
+    The device is evaluated first. The honest implementation, shared per
+    circuit by `honest_device`, is evaluated only when the device is not
+    that very object; if it is, the ideals are its own probabilities.
 
     Sampled mode draws sample_size(eps, gamma, total records) outcomes per
     record from a stream keyed by (seed, global record index), so evaluation
@@ -449,7 +420,7 @@ def evaluate_schedule(
     m = schedule.n_records
     n_samples = stx.sample_size(schedule.eps, schedule.gamma, m) if mode == "sampled" else 0
     probs = _schedule_probabilities(device, schedule.experiments)
-    if _same_bits(device, reference):
+    if device is reference:
         ideals = probs
     else:
         ideals = _schedule_probabilities(reference, schedule.experiments)

@@ -116,6 +116,8 @@ class TestLayout:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "wire" in err
+        if key == "gates":
+            assert f"gate ({side}, g): " in err
 
     def test_default_environments(self):
         lay = dv.RegisterLayout(3, (2, 2, 2), (2, 2, 2))

@@ -278,8 +278,8 @@ TWO_WALKS = (2 * 2, sorted(ONE_WALK[1] * 2))
 
 
 def test_walk_applies_each_shared_prefix_once(monkeypatch):
-    # the device is the honest one bit for bit, so its probabilities are
-    # the ideals and the reference is not evaluated: 2 + 6 applies
+    # the device is the shared honest device itself, so its probabilities
+    # are the ideals and the reference is not evaluated: 2 + 6 applies
     circ = CIRCUITS["h"]
     schedule = pr.build_schedule(circ, "0", "0")
     assert count_applies(monkeypatch, dv.honest_device(circ), schedule) == ONE_WALK
@@ -316,16 +316,45 @@ def device_json(device):
 
 
 def test_loaded_honest_device_walked_once(tmp_path, monkeypatch):
+    # each walked once: the loaded device equals the honest one bit for bit
+    # but is not the shared honest device, so its reference is evaluated
+    # too, and gives the same records
     circ = CIRCUITS["h"]
     path = tmp_path / "device.json"
     path.write_text(json.dumps(device_json(dv.honest_device(circ))))
     device = dv.load_device(str(path))
     schedule = pr.build_schedule(circ, "0", "0")
-    assert count_applies(monkeypatch, device, schedule) == ONE_WALK
+    assert count_applies(monkeypatch, device, schedule) == TWO_WALKS
     got = pr.evaluate_schedule(device, schedule).records
     want = pr.evaluate_schedule(dv.honest_device(circ), schedule).records
     assert got.ideal_p.tolist() == want.ideal_p.tolist()
     assert got.est_p.tolist() == want.est_p.tolist()
+
+
+def test_builtin_honest_is_the_shared_honest_device():
+    circ = CIRCUITS["fig1"]
+    assert dv.resolve_device("builtin:honest", circ) is dv.honest_device(circ)
+
+
+def test_honest_device_shared_per_circuit_object():
+    circ = CIRCUITS["chain3"]
+    assert dv.honest_device(circ) is dv.honest_device(circ)
+
+
+@pytest.mark.parametrize("mode, seed", [("exact", 0), ("sampled", 5)])
+def test_equal_circuit_gets_its_own_honest_device(mode, seed, monkeypatch):
+    # an equal circuit is another object, so it gets another honest device,
+    # which is walked with its reference and gives the same records
+    circ = CIRCUITS["h"]
+    twin = dv.IdealCircuit(circ.n, circ.gates, circ.input)
+    device = dv.honest_device(circ)
+    other = dv.honest_device(twin)
+    assert other is not device
+    schedule = pr.build_schedule(circ, "0", "0")
+    assert count_applies(monkeypatch, other, schedule) == TWO_WALKS
+    got = pr.evaluate_schedule(other, schedule, mode, seed)
+    want = pr.evaluate_schedule(dv.honest_device(circ), schedule, mode, seed)
+    assert got.to_json() == want.to_json()
 
 
 def nudged(circ, part):
