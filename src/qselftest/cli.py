@@ -18,7 +18,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -111,7 +111,8 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     sampling(p)
     p.add_argument("--circuit", required=True, help="circuit JSON path")
-    p.add_argument("--x", required=True, help="input bit string")
+    p.add_argument("--x", default=None,
+                   help="input bit string (default: the circuit file's input)")
     p.add_argument("--force-y", dest="force_y", default=None,
                    help="pin the drawn collapse outcome (testing aid)")
 
@@ -296,7 +297,8 @@ def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
     between fixed key texts, then the measured list, which is built once per
     setting of each experiment shape (wires and settings), and the rest of
     the record from the prep on, built once per experiment. Records holds
-    only finite values (checked), so float.__repr__ is their JSON text.
+    only finite values (checked), so float.__repr__ is their JSON text,
+    taken once per distinct value: records share most of theirs.
     """
     recs = verdict.records
     depth = 2
@@ -345,10 +347,15 @@ def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
             texts = shapes[key] = [measured_text(b) for b in exp.branches]
         measured += texts
         rest += [prep_key + prep_text(exp.prep) + end] * len(texts)
-    floats = [
-        list(map(float.__repr__, c.tolist()))
-        for c in (recs.deviation, recs.est_p, recs.ideal_p)
-    ]
+    values = np.concatenate((recs.deviation, recs.est_p, recs.ideal_p))
+    # each distinct value keyed by its bits, not by itself: -0.0 == 0.0, and
+    # each has its own text
+    bits = values.view(np.int64).tolist()
+    distinct = dict(zip(bits, values.tolist()))
+    text = dict(zip(distinct, map(float.__repr__, distinct.values())))
+    texts = list(map(text.__getitem__, bits))
+    n = len(recs)
+    floats = [texts[:n], texts[n : 2 * n], texts[2 * n :]]
     indent = "\n" + "  " * depth
     head = "," + indent + "  " + first
     columns = (*floats, measured, rest)
@@ -457,6 +464,8 @@ def _run_epr_test(cfg: RunConfig) -> int:
 
 def _run_circuit_test(cfg: RunConfig) -> int:
     circuit = _load_circuit_arg(cfg)
+    if cfg.x is None:
+        cfg = replace(cfg, x=circuit.input)  # the report names the x that ran
     device = dv.resolve_device(cfg.device, circuit)
     verdict = pr.circuit_test(
         device,

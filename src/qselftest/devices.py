@@ -365,7 +365,8 @@ def _check_source(layout: RegisterLayout, source: PhysState) -> None:
             keep = tuple(layout.side_index(side, i) for side in "ABE")
             t = np.moveaxis(source.vec.reshape(dims), keep, (0, 1, 2))
             kdim = dims[keep[0]] * dims[keep[1]] * dims[keep[2]]
-            sv = np.linalg.svd(t.reshape(kdim, -1), compute_uv=False)
+            # the tall transpose has the same singular values, sooner
+            sv = np.linalg.svd(t.reshape(kdim, -1).T, compute_uv=False)
             rank = int(np.sum(sv > SEPARABILITY_TOL))
             if rank != 1:
                 raise DeviceValidationError(

@@ -4,7 +4,7 @@ A statistic is the probability of a product of branch projectors, one per
 measured (side, wire), on a prepared state. A slot (side, wire, angles)
 names one measured side and wire and the angles it is read at; an angle of
 None applies no projector there. `probabilities` is the package's one path
-from a device to a branch probability. Up to _BLOCK_AMPS amplitudes it
+from a device to a branch probability. Up to _REDUCED_AMPS amplitudes it
 takes the squared norms of `branch_states`, which evaluates every product
 of a list of slots at once, one slot per kernel call over a whole block of
 parent states; above that it contracts the slots' reduced state. `prepare` and
@@ -42,6 +42,12 @@ Slot = tuple[str, int, Sequence["float | None"]]
 # children stays within it, all its parents are applied in one call; past
 # it, parents go one at a time, and above the last slot so do their children
 _BLOCK_AMPS = 1 << 12
+
+# amplitudes above which probabilities contracts the slots' reduced state
+# rather than build every branch state: at or below it the product tree is
+# as fast, and it writes the bits every pinned sampled and certify report
+# holds
+_REDUCED_AMPS = 1 << 8
 
 
 def branch_states(
@@ -114,23 +120,24 @@ def probabilities(
     """The probability of each product of the slots' branches on state, in
     product order: the first slot varies slowest.
 
-    Up to _BLOCK_AMPS amplitudes each is the squared norm of its row of
+    Up to _REDUCED_AMPS amplitudes each is the squared norm of its row of
     branch_states, hb.norm(row) ** 2 bit for bit: the same strided dot
     products, taken for a whole block in one batched matmul, then squared
-    in Python. The reports pinned so far hold those bits, and on small
-    states the product tree is also the faster form.
+    in Python. Every pinned sampled and certify report holds those bits,
+    and on states that small the product tree is as fast.
 
-    Above it, where the tree goes depth first one full state at a time, the
-    slots' subsystems are traced out once, when they are distinct and their
-    reduced state rho has no more entries than the state. Each value is then
-    tr((Q_1 x ... x Q_k) rho) with Q = P^dagger P for each slot's operator P
-    (the identity for None), which equals ||(P_1 x ... x P_k) psi||^2 for
-    any operators on distinct subsystems, to rounding. Rounding can take an
-    impossible outcome just below 0, so each value is clipped at 0.0.
+    Above it, where building every branch state costs more than reading
+    them from a reduced state, the slots' subsystems are traced out once,
+    when they are distinct and their reduced state rho has no more entries
+    than the state. Each value is then tr((Q_1 x ... x Q_k) rho) with
+    Q = P^dagger P for each slot's operator P (the identity for None), which
+    equals ||(P_1 x ... x P_k) psi||^2 for any operators on distinct
+    subsystems, to rounding. Rounding can take an impossible outcome just
+    below 0, so each value is clipped at 0.0.
     """
     levels = _levels(device, slots)
     total = state.layout.total
-    if total > _BLOCK_AMPS:
+    if total > _REDUCED_AMPS:
         targets = [device.layout.side_index(side, wire) for side, wire, _ in slots]
         dims = [state.layout.dims[t] for t in targets]
         if len(set(targets)) == len(targets) and math.prod(dims) ** 2 <= total:

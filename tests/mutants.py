@@ -99,9 +99,17 @@ MUTANTS = (
     Mutant(
         "reduced-at-every-size",
         "stats.py",
-        "    if total > _BLOCK_AMPS:\n",
-        "    if True:\n",
-        "the reduced path on small states moves pinned report bits",
+        "_REDUCED_AMPS = 1 << 8\n",
+        "_REDUCED_AMPS = 0\n",
+        "the reduced path on states of up to 256 amplitudes moves pinned report bits",
+    ),
+    Mutant(
+        "reduced-above-4096",
+        "stats.py",
+        "_REDUCED_AMPS = 1 << 8\n",
+        "_REDUCED_AMPS = 1 << 12\n",
+        "states of 257 to 4,096 amplitudes go back to the product tree, whose bits "
+        "the n=6 and depolarized n=3 ladder pins no longer hold",
     ),
     Mutant(
         "no-clip",

@@ -484,6 +484,21 @@ class TestReports:
         assert report["result"]["accepted"] is True
         assert len(report["result"]["records"]) == 36
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_x_defaults_to_the_circuit_files_input(self, mode, tmp_path, capsys):
+        circuit = write_json(tmp_path, "c.json", {"n": 2, "input": "01", "gates": [
+            {"label": "g1", "wires": [0], "builtin": "H"},
+            {"label": "g2", "wires": [0, 1], "builtin": "CNOT"},
+        ]})
+        argv = ["circuit-test", "--device", "builtin:rotated?theta=0.4", "--circuit", circuit,
+                "--mode", mode, "--seed", "3", "--out", str(tmp_path / "r.json")]
+        runs = []
+        for x in ([], ["--x", "01"]):
+            code = cli.main(argv + x)
+            runs.append((code, capsys.readouterr(), (tmp_path / "r.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][2])["config"]["x"] == "01"
+
     def test_sampled_reports_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -874,6 +889,20 @@ class TestRecordWriter:
     @given(st.sampled_from(_RUNS).map(lambda run: run()) | _synthetic_verdicts())
     def test_matches_json_dumps_of_to_json(self, verdict):
         self.check(cli.RunConfig("circuit-test", eps=0.1, out="report.json"), verdict)
+
+    def test_both_zeros_keep_their_texts(self):
+        # -0.0 == 0.0, so a text shared by equal values would write one as
+        # the other; Records admits values down to -1e-12, both zeros too
+        rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        exp = pr.Experiment("tomography", 1, (0,), [("A", "g1")], rows)
+        records = pr.Records(
+            (exp,), np.array([0.0, -0.0, -0.0, 0.5]), np.array([-0.0, 0.0, 0.0, 0.5])
+        )
+        v = pr.Verdict(True, 0.0, 0.1, np.array([], dtype=np.int64), records, ("tomography@1",))
+        text = oracle(v.to_json())
+        for key in ("ideal_p", "est_p"):
+            assert f'"{key}": 0.0' in text and f'"{key}": -0.0' in text
+        self.check(cli.RunConfig("epr-test", out="report.json"), v)
 
     @pytest.mark.parametrize("run", _RUNS[:3])
     def test_config_strings_holding_the_placeholder(self, run):

@@ -318,6 +318,21 @@ class TestValidation:
         with pytest.raises(DeviceValidationError, match="Schmidt rank"):
             dv.DeviceModel(lay, hb.PhysState(lay.full, v), {}, frames)
 
+    @pytest.mark.parametrize("second", [1e-7, 1e-9])
+    def test_separability_cut_tolerance(self, second):
+        # wire 0's cut has Schmidt coefficients sqrt(1 - second^2) and second:
+        # refused above SEPARABILITY_TOL (1e-8), accepted below it
+        lay = dv.RegisterLayout(2, (2, 2), (2, 2))
+        v = np.zeros(16, dtype=np.complex128)
+        v[0], v[15] = math.sqrt(1 - second**2), second
+        source = hb.PhysState(lay.full, v)
+        frames = dv.honest_device(n=2).frames
+        if second > dv.SEPARABILITY_TOL:
+            with pytest.raises(DeviceValidationError, match="wire 0 cut has Schmidt rank 2"):
+                dv.DeviceModel(lay, source, {}, frames)
+        else:
+            dv.DeviceModel(lay, source, {}, frames)
+
     def test_unnormalized_source_rejected(self):
         dev = dv.honest_device()
         v = dev.source.vec * 2.0
