@@ -6,21 +6,21 @@ the pair statistics of one wire, `circuit-test` runs the full protocol,
 pair state a wire presents through its own frames, and `gallery` lists
 the built-in devices. Exit code 0 means accept, 1 reject, 2 bad usage
 or configuration. With identical configuration, seed and BLAS thread
-count the JSON report is byte-identical between runs. One encoder writes
-every report; a verdict's record lists are written from its columns and
-spliced into the report's text, not encoded as values.
+count the JSON report is byte-identical between runs. One encoder, the
+standard library's, writes every report; a verdict's record lists are
+written from its columns and spliced into the report's text, not encoded
+as values.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
+import json
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from . import stats as stx
 from .errors import ConfigError, QSelfTestError
 
 _MAX_TABLE_ROWS = 400
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -205,87 +204,23 @@ def _verdict_rows(verdict: pr.Verdict):
     return rows, len(recs) - shown, int(np.count_nonzero(verdict.failing >= shown))
 
 
+# json.dumps(obj, sort_keys=True, indent=2) without the checks for cycles:
+# every report is a tree of fresh dicts and lists, built once per run
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
+
+
 def _dumps(obj, depth: int = 0) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, as the text
-    of a value at depth: each line after the first is indented by depth more
-    levels.
-
-    One pass appends the text to one list of parts, joined once at the end.
-    Exact str, int and finite float values are written inline; subclasses
-    such as bool and np.float64 take the generic path. A dict key that is
-    not a str raises TypeError: every report key is one.
-    """
-    parts: list[str] = []
-    put = parts.append
-    layouts: list[tuple[str, str, str]] = []
-
-    def layout(depth: int) -> tuple[str, str, str]:
-        # the separator before an item at depth + 1, and the closing "]"
-        # and "}" at depth
-        while len(layouts) <= depth:
-            inner = "\n" + "  " * (len(layouts) + 1)
-            layouts.append(("," + inner, inner[:-2] + "]", inner[:-2] + "}"))
-        return layouts[depth]
-
-    def enc(o, depth: int) -> None:
-        if isinstance(o, dict):
-            enc_dict(o, depth)
-        elif isinstance(o, (list, tuple)):
-            enc_list(o, depth)
-        else:
-            text = _scalar(o)
-            if text is None:
-                raise TypeError(
-                    f"Object of type {type(o).__name__} is not JSON serializable"
-                )
-            put(text)
-
-    def enc_value(v, depth: int) -> None:
-        t = type(v)
-        if t is str:
-            put(encode_basestring_ascii(v))
-        elif t is float and -_INF < v < _INF:
-            put(float.__repr__(v))
-        elif t is int:
-            put(int.__repr__(v))
-        else:
-            enc(v, depth)
-
-    def enc_list(o, depth: int) -> None:
-        if not o:
-            put("[]")
-            return
-        sep, close, _ = layout(depth)
-        start = len(parts)
-        for v in o:
-            put(sep)
-            enc_value(v, depth + 1)
-        parts[start] = "[" + sep[1:]
-        put(close)
-
-    def enc_dict(o, depth: int) -> None:
-        if not o:
-            put("{}")
-            return
-        for k in o:
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        sep, _, close = layout(depth)
-        start = len(parts)
-        for k in sorted(o):
-            put(sep + encode_basestring_ascii(k) + ": ")
-            enc_value(o[k], depth + 1)
-        parts[start] = "{" + parts[start][1:]
-        put(close)
-
-    enc(obj, depth)
-    return "".join(parts)
+    """The stdlib's JSON text of obj, as the text of a value at depth: each
+    line after the first is indented by depth more levels. JSON escapes
+    every newline inside a string, so each one in the text starts a line."""
+    text = _ENCODER.encode(obj)
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
 # a placeholder value: in the text of a blank record or list, its text,
 # "\u0000", marks where a record's or an entry's own text goes
 _BLANK = "\0"
-_BLANK_TEXT = encode_basestring_ascii(_BLANK)
+_BLANK_TEXT = _ENCODER.encode(_BLANK)
 
 
 def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
@@ -387,27 +322,6 @@ def _verdict_result(verdict: pr.Verdict) -> dict:
     result = verdict.summary_json()
     result["failing_records"] = result["records"] = _BLANK
     return result
-
-
-def _scalar(o) -> str | None:
-    """JSON text of a str, float, None, bool or int; None for anything else."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if math.isinf(o):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    return None
 
 
 def _report_text(

@@ -742,10 +742,10 @@ def _expect(value, kind: type, what: str, error: type[Exception]):
 
 
 def _integer(value, what: str, error: type[Exception]) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what}: must be an integer, got {value!r:.60}") from None
+    """value if it is a JSON integer: an int that is not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what}: must be an integer, got {value!r:.60}")
+    return value
 
 
 def _integers(values, what: str, error: type[Exception]) -> tuple[int, ...]:
@@ -753,10 +753,14 @@ def _integers(values, what: str, error: type[Exception]) -> tuple[int, ...]:
 
 
 def _number(value, what: str, error: type[Exception]) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what}: must be a number, got {value!r:.60}") from None
+    """value as a float if it is a JSON number (an int or a float, not a
+    bool) that a float holds."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the largest float
+            pass
+    raise error(f"{what}: must be a number, got {value!r:.60}")
 
 
 def _entries(data: dict, key: str, fields: str, error: type[Exception]) -> list[dict]:

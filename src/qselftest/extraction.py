@@ -39,12 +39,13 @@ _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-# per-slot weights turning angle-projector probabilities into Pauli traces
-_PAULI_WEIGHTS = {
-    "I": (1.0, 0.0, 1.0),
-    "X": (-1.0, 2.0, -1.0),
-    "Z": (1.0, 0.0, -1.0),
-}
+# per-slot weights turning angle-projector probabilities into Pauli traces:
+# row I, X or Z, column one of TOMO_ANGLES
+_PAULI_WEIGHTS = np.array([
+    [1.0, 0.0, 1.0],
+    [-1.0, 2.0, -1.0],
+    [1.0, 0.0, -1.0],
+])
 
 __all__ = [
     "EquivalenceReport",
@@ -442,20 +443,16 @@ def tomo_reconstruct(stats: Mapping[Sequence[float], float], n: int) -> np.ndarr
     if missing:
         raise ValidationError(f"missing {len(missing)} settings, first {missing[0]}")
 
+    # the trace of each word, in _word_stack(n) order, is its row of the
+    # n-fold Kronecker power of the weights times the probabilities in
+    # tomo_settings(n) order; rho is the sum of trace / 2^n times each word.
+    # Both sums add one term at a time, each over all words at once: a
+    # matmul sums in its own order, which moves the last bits of rho
+    weights = functools.reduce(np.kron, [_PAULI_WEIGHTS] * n)
+    coeffs = sum(table[key] * column for key, column in zip(need, weights.T))
     dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for word in itertools.product("IXZ", repeat=n):
-        coeff = 0.0
-        for key in need:
-            weight = 1.0
-            for letter, angle in zip(word, key):
-                weight *= _PAULI_WEIGHTS[letter][TOMO_ANGLES.index(angle)]
-            if weight:
-                coeff += weight * table[key]
-        mat = np.array([[1.0]], dtype=np.complex128)
-        for letter in word:
-            mat = np.kron(mat, _PAULI[letter])
-        rho += (coeff / dim) * mat
+    rho = sum(c * word for c, word in zip(coeffs / math.sqrt(dim), _word_stack(n)))
+    rho = rho.reshape(dim, dim)
     if n == 1:
         return rho
     pure, resid = _nearest_real_pure(rho, n)

@@ -154,6 +154,20 @@ MUTANTS = (
         "def honest_device(",
         "builtin:honest is never the reference, so its reference is evaluated as well",
     ),
+    Mutant(
+        "reindent-depth",
+        "cli.py",
+        '"  " * depth) if depth',
+        '"  " * (depth + 1)) if depth',
+        "a value's text inside a report is indented one level too deep",
+    ),
+    Mutant(
+        "integer-accepts-bool",
+        "devices.py",
+        "if not isinstance(value, int) or isinstance(value, bool):",
+        "if not isinstance(value, int):",
+        "a device or circuit file's true reads as the integer 1",
+    ),
 )
 
 
