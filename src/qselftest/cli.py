@@ -10,6 +10,12 @@ count the JSON report is byte-identical between runs. One encoder, the
 standard library's, writes every report; a verdict's record lists are
 written from its columns and spliced into the report's text, not encoded
 as values.
+
+Importing this module loads only devices (with hilbert) and errors, which
+every command uses. Each runner imports the library modules it runs when it
+runs: protocol (and with it stats) for `epr-test` and `circuit-test`,
+extraction (and with it stats) for `extract` and `tomo`, none for `gallery`.
+So a process compiles and runs only the source its command needs.
 """
 
 from __future__ import annotations
@@ -21,15 +27,16 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from . import devices as dv
-from . import extraction as ex
-from . import protocol as pr
-from . import stats as stx
 from .errors import ConfigError, QSelfTestError
+
+if TYPE_CHECKING:  # the annotations' names; each runner imports what it runs
+    from . import protocol as pr
 
 _MAX_TABLE_ROWS = 400
 
@@ -363,6 +370,8 @@ def _seed(cfg: RunConfig) -> int:
 
 
 def _run_epr_test(cfg: RunConfig) -> int:
+    from . import protocol as pr
+
     device = dv.resolve_device(cfg.device)
     verdict = pr.epr_test(
         device, cfg.wire, cfg.eps, cfg.mode, gamma=cfg.gamma, seed=_seed(cfg)
@@ -377,6 +386,8 @@ def _run_epr_test(cfg: RunConfig) -> int:
 
 
 def _run_circuit_test(cfg: RunConfig) -> int:
+    from . import protocol as pr
+
     circuit = _load_circuit_arg(cfg)
     if cfg.x is None:
         cfg = replace(cfg, x=circuit.input)  # the report names the x that ran
@@ -403,6 +414,8 @@ def _run_circuit_test(cfg: RunConfig) -> int:
 
 
 def _run_extract(cfg: RunConfig) -> int:
+    from . import extraction as ex
+
     if cfg.gate_index is not None:
         circuit = _load_circuit_arg(cfg)
         device = dv.resolve_device(cfg.device, circuit)
@@ -439,6 +452,9 @@ def _run_extract(cfg: RunConfig) -> int:
 
 
 def _run_tomo(cfg: RunConfig) -> int:
+    from . import extraction as ex
+    from . import stats as stx
+
     device = dv.resolve_device(cfg.device)
     keys = [(a, b) for a in ex.TOMO_ANGLES for b in ex.TOMO_ANGLES]
     slots = [("A", cfg.wire, ex.TOMO_ANGLES), ("B", cfg.wire, ex.TOMO_ANGLES)]

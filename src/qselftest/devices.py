@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -896,6 +897,9 @@ _BUILTIN_PARAMS = {
     "depolarized": ("p",),
 }
 
+# the one syntax a builtin's parameter value takes: a JSON number, as in files
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
 
 def builtin_gallery() -> tuple[tuple[str, str], ...]:
     return _GALLERY
@@ -926,6 +930,10 @@ def resolve_device(spec: str, circuit: IdealCircuit | None = None) -> DeviceMode
                 raise ConfigError(f"bad device parameter {item!r} in {spec!r}") from None
             if not math.isfinite(params[k]):
                 raise ConfigError(f"device parameter {item!r} in {spec!r} is not finite")
+            # float() also reads digit underscores, blanks, a leading + and a
+            # bare point, none of which a JSON number has
+            if not _JSON_NUMBER.fullmatch(v):
+                raise ConfigError(f"bad device parameter {item!r} in {spec!r}")
     for k in _BUILTIN_PARAMS[name]:
         if k not in params:
             raise ConfigError(

@@ -12,15 +12,21 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture()
-def pinned_pool(tmp_path, monkeypatch, capsys):
+def workloads(monkeypatch):
+    """The benchmark's `perfbench/workloads.py`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.fixture()
+def pinned_pool(workloads, tmp_path, monkeypatch, capsys):
     """(workloads, failures): the benchmark's `perfbench/workloads.py`, with
     the pool's circuit files written into a temporary working directory, and
     a function that runs commands through `cli.main --out` and returns why
     each one fails `workloads.check` against `perfbench/pinned.json`. Every
     report it reads must be the stdlib's `json.dumps(sort_keys=True,
     indent=2)` text of its own content, plus a newline."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    wl = importlib.import_module("workloads")
+    wl = workloads
     pins = json.loads((PERFBENCH / "pinned.json").read_text())
     monkeypatch.chdir(tmp_path)
     wl.write_pool_circuits()

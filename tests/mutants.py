@@ -168,6 +168,21 @@ MUTANTS = (
         "if not isinstance(value, int):",
         "a device or circuit file's true reads as the integer 1",
     ),
+    Mutant(
+        "cli-imports-extraction-at-start",
+        "cli.py",
+        "from . import devices as dv\n",
+        "from . import devices as dv\nfrom . import extraction as ex\n",
+        "every command compiles and runs extraction before it starts",
+    ),
+    Mutant(
+        "uri-float-syntax",
+        "devices.py",
+        "if not _JSON_NUMBER.fullmatch(v):",
+        "if False:",
+        "a builtin's parameter takes Python's float syntax, so theta=1_0 runs as "
+        "theta = 10",
+    ),
 )
 
 
@@ -233,17 +248,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.list:
         for m in chosen:
-            print(f"{m.name:28} {m.file:12} {m.reason}")
+            print(f"{m.name:32} {m.file:12} {m.reason}")
         return 0
     failed, line, seconds = run(None, args.tests)
-    print(f"{'FAILED' if failed else 'passed':8} {'(unmutated)':28} {seconds:6.1f} s  {line}")
+    print(f"{'FAILED' if failed else 'passed':8} {'(unmutated)':32} {seconds:6.1f} s  {line}")
     if failed:
         return 2
     survivors = []
     for m in chosen:
         killed, line, seconds = run(m, args.tests)
         verdict = "killed" if killed else "SURVIVED"
-        print(f"{verdict:8} {m.name:28} {seconds:6.1f} s  {line}", flush=True)
+        print(f"{verdict:8} {m.name:32} {seconds:6.1f} s  {line}", flush=True)
         if not killed:
             survivors.append(m.name)
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed")

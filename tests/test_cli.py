@@ -23,6 +23,19 @@ from qselftest import hilbert as hb
 from qselftest import protocol as pr
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of code run by a new interpreter that imports this
+    checkout's qselftest."""
+    src = str(Path(qselftest.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    return run.stdout
+
+
 @pytest.fixture()
 def h_circuit_file(tmp_path):
     path = tmp_path / "h.json"
@@ -248,11 +261,31 @@ class TestConfigErrors:
         assert code == 2
         assert f"wire {wire}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    # 1e999 is a JSON number by its syntax, which float() reads as inf
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_device_parameter(self, value, capsys):
         code = cli.main(["epr-test", "--device", f"builtin:rotated?theta={value}"])
         assert code == 2
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_0", " 1", "1 ", "+.5", ".5", "1."])
+    def test_device_parameter_takes_a_json_number_only(self, value, capsys):
+        # float() reads each of these; theta=1_0 ran as theta = 10
+        code = cli.main(["epr-test", "--device", f"builtin:rotated?theta={value}"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "bad device parameter" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["builtin:rotated?theta=0.5", "builtin:rotated?theta=-0.3",
+         "builtin:depolarized?p=1e-3"],
+    )
+    def test_device_parameter_json_number_runs(self, spec, capsys):
+        assert cli.main(["epr-test", "--device", spec]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "spec", ["builtin:depolarized?P=0.3", "builtin:honest?theta=1"]
@@ -582,15 +615,41 @@ class TestReports:
     def test_import_leaves_numpy_random_unloaded(self):
         # NumPy loads numpy.random on first use; importing the CLI must not
         # use it, so start-up does not pay for the RNG modules
-        src = str(Path(qselftest.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         code = "import sys, qselftest.cli; print('numpy.random' in sys.modules)"
-        run = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, check=True, capture_output=True, text=True, timeout=120,
+        assert _fresh_interpreter(code) == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (None, set()),
+            (["gallery"], set()),
+            (["epr-test", "--device", "builtin:honest"], {"protocol", "stats"}),
+            (["circuit-test", "--device", "builtin:honest", "--circuit", "BELL"],
+             {"protocol", "stats"}),
+            (["extract", "--device", "builtin:honest"], {"extraction", "stats"}),
+            (["tomo", "--device", "builtin:honest"], {"extraction", "stats"}),
+        ],
+        ids=["import", "gallery", "epr-test", "circuit-test", "extract", "tomo"],
+    )
+    def test_each_command_loads_only_the_modules_it_runs(
+        self, argv, loaded, bell_circuit_file
+    ):
+        # importing the CLI compiles and runs none of protocol, stats and
+        # extraction; a command loads only those it runs
+        if argv is not None:
+            argv = [bell_circuit_file if a == "BELL" else a for a in argv]
+        code = (
+            "import contextlib, io, sys\n"
+            "from qselftest import cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
         )
-        assert run.stdout == "False\n"
+        modules = set(_fresh_interpreter(code).split())
+        lazy = {"protocol", "stats", "extraction"}
+        assert {m for m in lazy if f"qselftest.{m}" in modules} == loaded
 
     def test_sampled_outcomes_print_as_plain_floats(self, bell_circuit_file, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -603,3 +603,59 @@ class TestEvaluateSchedule:
         sch = pr.build_schedule(h_circuit(), "0", "1")
         with pytest.raises(DeviceValidationError, match="no gate"):
             pr.evaluate_schedule(crippled, sch)
+
+
+class TestCostCounts:
+    """The paper's cost claim, counted on the benchmark's rotation/CNOT
+    chains without evaluating a schedule: records and device runs grow
+    linearly in gates and qubits (runs up to a log factor), and the gate
+    applications of the prefix re-runs as t^2."""
+
+    EPS, GAMMA = 0.1, 0.05
+    # (n, t): records m, samples per record, gate applications, at y = x
+    TABLE = {
+        (2, 4): (468, 492, 2_016),
+        (2, 8): (864, 523, 7_200),
+        (2, 16): (1_656, 556, 27_072),
+        (2, 32): (3_240, 589, 104_832),
+        (2, 64): (6_408, 623, 412_416),
+        (8, 4): (684, 511, 2_016),
+    }
+
+    def _closed_forms(self, n, arities):
+        """m, samples per record and gate applications from the wire count
+        of each compensated step, in order."""
+        m = 36 * n + sum(36 * k + 9**k for k in arities)
+        samples = math.ceil(math.log(2 * m / self.GAMMA) / (2 * self.EPS**2))
+        applies = sum(
+            2 * j * 36 * k + (2 * j - 1) * 9**k for j, k in enumerate(arities, start=1)
+        )
+        return m, samples, applies
+
+    def _counts(self, sch):
+        """The same three counts read off the schedule: a record runs its
+        experiment's whole prep."""
+        m = sch.n_records
+        applies = sum(len(e.prep) * len(e.settings) for e in sch.experiments)
+        return m, stx.sample_size(sch.eps, sch.gamma, m), applies
+
+    def _chain(self, workloads, n, t):
+        return dv.load_circuit(workloads.chain_circuit(np.random.default_rng([n, t]), n, t))
+
+    @pytest.mark.parametrize("n, t", list(TABLE))
+    def test_counts_at_y_equal_x(self, workloads, n, t):
+        circ = self._chain(workloads, n, t)
+        x = circ.input
+        sch = pr.build_schedule(circ, x, x, eps=self.EPS, gamma=self.GAMMA)
+        arities = [len(s.wires) for s in sch.steps]
+        assert len(arities) == t
+        assert self._counts(sch) == self._closed_forms(n, arities) == self.TABLE[n, t]
+        assert sch.n_records == pr._min_records(circ)
+
+    def test_counts_with_compensating_nots(self, workloads):
+        circ = self._chain(workloads, 2, 4)
+        sch = pr.build_schedule(circ, "00", "11", eps=self.EPS, gamma=self.GAMMA)
+        arities = [len(s.wires) for s in sch.steps]
+        # the NOTs come first, one wire each
+        assert arities[:2] == [1, 1]
+        assert self._counts(sch) == self._closed_forms(2, arities) == (558, 501, 3_852)
