@@ -9,7 +9,8 @@ or configuration. With identical configuration, seed and BLAS thread
 count the JSON report is byte-identical between runs. One encoder, the
 standard library's, writes every report; a verdict's record lists are
 written from its columns and spliced into the report's text, not encoded
-as values.
+as values. A report is joined and written a bounded chunk of its parts at
+a time, never held whole.
 
 Importing this module loads only devices (with hilbert) and errors, which
 every command uses. Each runner imports the library modules it runs when it
@@ -158,24 +159,17 @@ def _print_table(
     hidden_failing: int = 0,
 ) -> None:
     """The rows, in columns as wide as they need, then the hidden rows the
-    caller only counted as one line: their count and how many of them fail."""
+    caller only counted as one line: their count and how many of them fail.
+    The table is printed with one print."""
     header = ("experiment", "setting", "ideal", "estimated", "deviation", "pass")
-    widths = [max([len(header[i])] + [len(r[i]) for r in rows]) for i in (0, 1)]
-    fmt = "{:<%d}  {:<%d}  {:>10}  {:>10}  {:>10}  {}" % tuple(widths)
-    print(fmt.format(*header))
-    for row in rows:
-        print(
-            fmt.format(
-                row[0],
-                row[1],
-                f"{row[2]:.6f}",
-                f"{row[3]:.6f}",
-                f"{row[4]:.6f}",
-                "ok" if row[5] else "FAIL",
-            )
-        )
+    w0, w1 = (max([len(header[i])] + [len(r[i]) for r in rows]) for i in (0, 1))
+    lines = ["%-*s  %-*s  %10s  %10s  %10s  %s" % (w0, header[0], w1, *header[1:])]
+    fmt = "%-*s  %-*s  %10.6f  %10.6f  %10.6f  %s"
+    for label, setting, ideal, est, dev, ok in rows:
+        lines.append(fmt % (w0, label, w1, setting, ideal, est, dev, "ok" if ok else "FAIL"))
     if hidden:
-        print(f"... {hidden} more rows ({hidden_failing} failing)")
+        lines.append(f"... {hidden} more rows ({hidden_failing} failing)")
+    print("\n".join(lines))
 
 
 def _setting_text(branches) -> str:
@@ -185,19 +179,20 @@ def _setting_text(branches) -> str:
 def _verdict_rows(verdict: pr.Verdict):
     """Table rows of the first _MAX_TABLE_ROWS records, then the count of
     the other records and of the failing ones among them. Only the shown
-    rows get their setting text, made once per distinct measured list."""
+    rows' experiments get setting texts, made once per experiment shape
+    (wires and settings)."""
     recs = verdict.records
     shown = min(len(recs), _MAX_TABLE_ROWS)
-    texts: dict[tuple, str] = {}
+    shapes: dict[tuple, list[str]] = {}
     heads = []
     for label, exp in zip(verdict.labels, recs.experiments):
         if len(heads) == shown:
             break
-        for branches in exp.branches[: shown - len(heads)]:
-            text = texts.get(branches)
-            if text is None:
-                text = texts[branches] = _setting_text(branches)
-            heads.append((label, text))
+        key = (exp.wires, exp.settings.tobytes())
+        texts = shapes.get(key)
+        if texts is None:
+            texts = shapes[key] = [_setting_text(b) for b in exp.branches]
+        heads += zip(repeat(label), texts[: shown - len(heads)])
     eps = verdict.eps
     rows = [
         (label, text, ideal, est, dev, dev <= eps)
@@ -325,20 +320,20 @@ def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
 
 def _verdict_result(verdict: pr.Verdict) -> dict:
     """verdict.to_json(), with a placeholder where its failing_records and
-    its records go: _report_text writes them from _record_parts."""
+    its records go: _report_parts puts them in from _record_parts."""
     result = verdict.summary_json()
     result["failing_records"] = result["records"] = _BLANK
     return result
 
 
-def _report_text(
+def _report_parts(
     cfg: RunConfig, result: dict, verdict: pr.Verdict | None = None
-) -> str:
-    """The JSON text of the report of a run with result. Given the verdict
-    that _verdict_result made result from, its record lists go in at the
-    last two placeholders: only command and config sort before result, and
-    in result no free string follows failing_records, so those two are the
-    lists' own whatever a config string holds."""
+) -> list[str]:
+    """The JSON text of the report of a run with result, as parts to join.
+    Given the verdict that _verdict_result made result from, its record
+    lists go in at the last two placeholders: only command and config sort
+    before result, and in result no free string follows failing_records, so
+    those two are the lists' own whatever a config string holds."""
     config = asdict(cfg)
     config.pop("out")  # where the report lands must not change its bytes
     report = {
@@ -349,20 +344,28 @@ def _report_text(
     }
     text = _dumps(report)
     if verdict is None:
-        return text
+        return [text]
     head, middle, tail = text.rsplit(_BLANK_TEXT, 2)
     failing, records = _record_parts(verdict)
-    # one join: adding the parts as strings would copy the text again
-    return "".join([head, *failing, middle, *records, tail])
+    return [head, *failing, middle, *records, tail]
+
+
+# parts joined per write: ~86 KB of the 10 MB report of an n=2, t=32 chain
+# in the median chunk (155 KB at most), so that no write holds the whole
+# report, whose records repeat their preps and grow as t**2. Larger chunks
+# cost peak RSS; much smaller ones cost a write call each.
+_WRITE_PARTS = 256
 
 
 def _emit(cfg: RunConfig, result: dict, verdict: pr.Verdict | None = None) -> None:
     if cfg.out is None:
         return
-    text = _report_text(cfg, result, verdict)
+    parts = _report_parts(cfg, result, verdict)
     with open(cfg.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")  # apart from text, which is not copied to append it
+        for i in range(0, len(parts), _WRITE_PARTS):
+            # a join of one part is that part, not a copy
+            fh.write("".join(parts[i : i + _WRITE_PARTS]))
+        fh.write("\n")
 
 
 def _seed(cfg: RunConfig) -> int:

@@ -162,6 +162,13 @@ MUTANTS = (
         "a value's text inside a report is indented one level too deep",
     ),
     Mutant(
+        "emit-drops-a-part",
+        "cli.py",
+        'fh.write("".join(parts[i : i + _WRITE_PARTS]))',
+        'fh.write("".join(parts[i : i + _WRITE_PARTS - 1]))',
+        "the report writer drops the last part of every chunk it writes",
+    ),
+    Mutant(
         "integer-accepts-bool",
         "devices.py",
         "if not isinstance(value, int) or isinstance(value, bool):",

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -726,6 +728,23 @@ class TestReports:
         assert report["config"]["force_y"] == "1"
 
 
+def _table_by_rows(rows, hidden, hidden_failing) -> str:
+    """The result table as it was printed, one row at a time and each float
+    formatted apart: the reference for the table printed in one write."""
+    header = ("experiment", "setting", "ideal", "estimated", "deviation", "pass")
+    widths = [max([len(header[i])] + [len(r[i]) for r in rows]) for i in (0, 1)]
+    fmt = "{:<%d}  {:<%d}  {:>10}  {:>10}  {:>10}  {}" % tuple(widths)
+    lines = [fmt.format(*header)]
+    for row in rows:
+        lines.append(fmt.format(
+            row[0], row[1], f"{row[2]:.6f}", f"{row[3]:.6f}", f"{row[4]:.6f}",
+            "ok" if row[5] else "FAIL",
+        ))
+    if hidden:
+        lines.append(f"... {hidden} more rows ({hidden_failing} failing)")
+    return "".join(line + "\n" for line in lines)
+
+
 class TestTable:
     def test_columns_fit_the_printed_rows(self, capsys):
         # rows the caller only counted are printed as their count; they do
@@ -737,6 +756,22 @@ class TestTable:
         assert lines[1] == "short       A0@0       0.500000    0.500000    0.000000  ok"
         assert lines[-1] == "... 3 more rows (1 failing)"
         assert len(lines) == cli._MAX_TABLE_ROWS + 2
+
+    @pytest.mark.parametrize("hidden", [0, 41])
+    def test_one_write_equals_the_row_by_row_text(self, hidden, capsys):
+        rows = [
+            ("conspiracy@0", "A0@0 B0@pi/8", -0.0, 5e-7, 0.9999995, True),
+            ("tomography@12", "A1@pi/4", 1.0, 0.9999995, 1.0, False),
+            ("c", "", 5e-7, -0.0, 0.0, True),
+        ]
+        cli._print_table(rows, hidden, 7 if hidden else 0)
+        assert capsys.readouterr().out == _table_by_rows(rows, hidden, 7)
+
+    def test_one_print_per_table(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "print", lambda *a, **k: calls.append(a), raising=False)
+        cli._print_table([("short", "A0@0", 0.5, 0.5, 0.0, True)] * 3, hidden=3, hidden_failing=1)
+        assert len(calls) == 1
 
     def test_hidden_rows_get_no_setting_text(self):
         # nine H steps: 36 + 9 * (36 + 9) = 441 records; rows are made only
@@ -903,27 +938,52 @@ _RUNS = [
 ]
 
 
+def _few_records():
+    rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    exp = pr.Experiment("tomography", 1, (0,), [("A", "g1")], rows)
+    records = pr.Records((exp,), np.full(4, 0.25), np.array([0.25, 0.5, 0.0, 0.25]))
+    return pr.Verdict(False, 0.25, 0.1, np.array([1, 2]), records, ("tomography@1",))
+
+
+def _chain(workloads):
+    # the benchmark's n=2, t=32 ladder rung: 3,330 records, ~10 MB of report
+    circ = dv.load_circuit(workloads.chain_circuit(np.random.default_rng(7), 2, 32))
+    return pr.circuit_test(dv.honest_device(circ), circ, circ.input)
+
+
 class TestRecordWriter:
     """The CLI writes a verdict's records from its columns and splices them
-    into the report text; that text must be the stdlib's text of the report
-    that to_json gives."""
+    into the report text; the bytes it writes must be the stdlib's text of
+    the report that to_json gives, and a newline."""
 
     @staticmethod
     def check(cfg, verdict):
-        got = cli._report_text(cfg, cli._verdict_result(verdict), verdict)
+        result = cli._verdict_result(verdict)
+        TestRecordWriter.check_written(cfg, result, verdict.to_json(), verdict)
+
+    @staticmethod
+    def check_written(cfg, result, want_result, verdict=None):
+        """The bytes _emit writes for a run with result are the stdlib's
+        text of the report with want_result, and a newline."""
+        # a directory of its own per call: hypothesis's @given refuses
+        # function-scoped fixtures such as tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "report.json")
+            cli._emit(replace(cfg, out=str(path)), result, verdict)
+            got = path.read_bytes()
         config = asdict(cfg)
         del config["out"]
-        want = oracle({
+        want = (oracle({
             "command": cfg.command,
             "version": __version__,
             "config": config,
-            "result": verdict.to_json(),
-        })
+            "result": want_result,
+        }) + "\n").encode()
         if got != want:
             # a short message: pytest's diff of two long reports takes
             # seconds, once per failing example that hypothesis shrinks
-            i = next(i for i, (a, b) in enumerate(zip(got + "\0", want)) if a != b)
-            pytest.fail(f"text differs at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+            i = next(i for i, (a, b) in enumerate(zip(got + b"\0", want)) if a != b)
+            pytest.fail(f"bytes differ at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(_RUNS).map(lambda run: run()) | _synthetic_verdicts())
@@ -953,3 +1013,47 @@ class TestRecordWriter:
             cfg = cli.RunConfig("circuit-test", device=device, circuit=circuit, x="0")
             assert cli._BLANK_TEXT in cli._dumps(asdict(cfg))
             self.check(cfg, run())
+
+    @pytest.mark.parametrize(
+        "run, chunks",
+        [
+            (lambda wl: _few_records(), 1),
+            (lambda wl: pr.epr_test(dv.honest_device()), 2),
+            (_chain, 118),
+        ],
+        ids=["one-chunk", "epr-test", "chain-n2-t32"],
+    )
+    def test_chunks_join_to_the_stdlib_text(self, run, chunks, workloads):
+        # _emit writes the report's parts in chunks of _WRITE_PARTS parts,
+        # then a newline
+        verdict = run(workloads)
+        cfg = cli.RunConfig("circuit-test")
+        parts = cli._report_parts(cfg, cli._verdict_result(verdict), verdict)
+        assert -(-len(parts) // cli._WRITE_PARTS) == chunks
+        self.check(cfg, verdict)
+
+    def test_extract_report_is_one_part(self):
+        from qselftest import extraction as ex
+
+        report = ex.certify_state_equivalence(dv.honest_device(), wires=(0,))
+        result = {"accepted": True, "report": report.to_json()}
+        cfg = cli.RunConfig("extract", device="builtin:honest")
+        assert len(cli._report_parts(cfg, result)) == 1
+        self.check_written(cfg, result, result)
+
+    def test_writing_a_report_never_holds_it_whole(self, workloads, tmp_path):
+        # the report of the t=32 chain grows as t**2; joined whole, and then
+        # encoded whole, writing it took twice its size
+        verdict = _chain(workloads)
+        out = tmp_path / "r.json"
+        cfg = cli.RunConfig("circuit-test", out=str(out))
+        result = cli._verdict_result(verdict)
+        tracemalloc.start()
+        try:
+            cli._emit(cfg, result, verdict)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 9_000_000
+        assert peak < size / 4
