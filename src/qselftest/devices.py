@@ -328,6 +328,13 @@ class IdealCircuit:
         labels = [g.label for g in self.gates]
         if len(set(labels)) != len(labels):
             raise CircuitValidationError(f"circuit: duplicate gate labels in {labels}")
+        # the honest gate table holds a compensating NOT under each of these
+        for w in range(n):
+            if _not_label(w) in labels:
+                raise CircuitValidationError(
+                    f"gate {_not_label(w)}: label is reserved for the compensating "
+                    f"NOT on wire {w}"
+                )
         for g in self.gates:
             if min(g.wires) < 0 or max(g.wires) >= n:
                 raise CircuitValidationError(
@@ -506,10 +513,15 @@ def _epr_wire(a_dim: int, b_dim: int, e_dim: int) -> np.ndarray:
     return v
 
 
+def _not_label(wire: int) -> str:
+    return f"not{wire}"
+
+
 def not_gate(wire: int) -> CircuitGate:
     """The NOT on one wire, labelled not{wire}: honest gate tables hold it
-    on both sides, and circuit_test prepends it where x and y differ."""
-    return CircuitGate(f"not{wire}", (wire,), _X)
+    on both sides, and circuit_test prepends it where x and y differ. A
+    circuit may not use that label for a gate of its own."""
+    return CircuitGate(_not_label(wire), (wire,), _X)
 
 
 def _honest_gates(g: CircuitGate) -> tuple[DeviceGate, DeviceGate]:

@@ -10,6 +10,7 @@ eps of its ideal value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -247,7 +248,7 @@ def epr_test(
         raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
     exp = Experiment("conspiracy", 0, (wire,), (), _conspiracy_settings(1))
     n = stx.sample_size(eps, gamma, len(exp.settings)) if mode == "sampled" else 0
-    probs = _experiment_probabilities(device, device.source, exp)
+    probs = _experiment_probabilities(device, device.source, exp)[0]
     ests = stx.estimates(probs.tolist(), n, seed) if n else probs
     pair = np.array([[0.5 * math.cos(a - b) ** 2 for b in TEST_ANGLES]
                      for a in TEST_ANGLES])
@@ -336,36 +337,53 @@ def build_schedule(
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _experiment_probabilities(
-    device: DeviceModel, state: PhysState, exp: Experiment
-) -> np.ndarray:
-    """The exact probability of each of exp's settings on its prepared state.
+@functools.lru_cache(maxsize=64)
+def _products(kind: str, wires: tuple[int, ...], settings: bytes, width: int) -> tuple:
+    """The products of branches that an experiment shape's settings are read
+    from, as (the settings' rows, the product's slots, the rows' indices
+    into the product's grid) each.
 
     The settings that measure the same columns are one product of branches
     over those columns, A_w before B_w and wire by wire, as a setting lists
     them: a conspiracy experiment's settings measure one wire each, a
     tomography experiment's every wire. A column's slot runs over the tested
-    angles up to the largest one it uses, and the product's grid is read
-    into record order.
+    angles up to the largest one it uses. Schedules repeat a few shapes, so
+    each is worked out once.
     """
-    s = exp.settings
-    width = s.shape[1]
-    if exp.kind == "conspiracy":
+    s = np.frombuffer(settings, dtype=np.int8).reshape(-1, width)
+    if kind == "conspiracy":
         groups = [(np.flatnonzero(s[:, c] >= 0), range(c, c + 2)) for c in range(0, width, 2)]
     else:
         groups = [(np.arange(len(s)), range(width))]
-    out = np.empty(len(s))
+    out = []
     for rows, cols in groups:
         if not rows.size:
             continue
         grid = s[rows][:, cols]
         dims = grid.max(axis=0) + 1
-        slots = [
-            ("AB"[c % 2], exp.wires[c // 2], TEST_ANGLES[:d])
+        slots = tuple(
+            ("AB"[c % 2], wires[c // 2], TEST_ANGLES[:d])
             for c, d in zip(cols, dims.tolist())
-        ]
-        probs = stx.probabilities(device, state, slots)
-        out[rows] = np.take(probs, np.ravel_multi_index(grid.T, dims))
+        )
+        index = np.ravel_multi_index(grid.T, dims)
+        rows.flags.writeable = index.flags.writeable = False
+        out.append((rows, slots, index))
+    return tuple(out)
+
+
+def _experiment_probabilities(
+    device: DeviceModel, states: PhysState | hb.StateBlock, exp: Experiment
+) -> np.ndarray:
+    """The exact probability of each of exp's settings on each of its
+    prepared states, one row per state; a state is the block of its one row.
+    Each of the shape's products is evaluated on every state at once, and
+    each state's grid of it is read into record order."""
+    s = exp.settings
+    m = len(states.rows) if isinstance(states, hb.StateBlock) else 1
+    out = np.empty((m, len(s)))
+    for rows, slots, index in _products(exp.kind, exp.wires, s.tobytes(), s.shape[1]):
+        probs = np.reshape(stx.probabilities(device, states, slots), (m, -1))
+        out[:, rows] = probs[:, index]
     return out
 
 
@@ -378,18 +396,50 @@ def _schedule_probabilities(
     it starts with (or the source), one gate at a time, and only the last
     two states are kept. A schedule's preps form one chain along its steps,
     each step's A gate then its B gate, so each gate of it is applied once.
+
+    Experiments of one shape (kind, wires, settings) differ only in their
+    prepared states. So each shape's states wait in a queue, and are
+    evaluated together as one block once the next state would take it past
+    _BLOCK_AMPS amplitudes; what is left is evaluated at the end. The kernel
+    gives each row the bits of its own state alone, so the values are those
+    of each experiment taken alone. A state above _REDUCED_AMPS amplitudes
+    is read from its reduced states, which a block does not speed up, so it
+    is evaluated at once, uncopied.
     """
     kept: list[tuple[tuple, PhysState]] = []
-    out = []
-    for exp in experiments:
+    out: list = [None] * len(experiments)
+    queues: dict[tuple, list[tuple[int, PhysState]]] = {}
+
+    def evaluate(queue: list[tuple[int, PhysState]]) -> None:
+        index, states = zip(*queue)
+        if len(states) == 1:
+            block = states[0]
+        else:
+            block = hb.StateBlock._wrap(states[0].layout, np.stack([st.vec for st in states]))
+        probs = _experiment_probabilities(device, block, experiments[index[0]])
+        for i, row in zip(index, probs):
+            out[i] = row
+
+    for i, exp in enumerate(experiments):
         prep, state = max(
             [((), device.source)] + [k for k in kept if exp.prep[: len(k[0])] == k[0]],
             key=lambda k: len(k[0]),
         )
-        for i in range(len(prep), len(exp.prep)):
-            state = hb.apply_operator(device.gate_operator(*exp.prep[i]), state)
-            kept = kept[-1:] + [(exp.prep[: i + 1], state)]
-        out.append(_experiment_probabilities(device, state, exp))
+        for g in range(len(prep), len(exp.prep)):
+            state = hb.apply_operator(device.gate_operator(*exp.prep[g]), state)
+            kept = kept[-1:] + [(exp.prep[: g + 1], state)]
+        total = state.layout.total
+        if total > stx._REDUCED_AMPS:
+            evaluate([(i, state)])
+            continue
+        queue = queues.setdefault((exp.kind, exp.wires, exp.settings.tobytes()), [])
+        queue.append((i, state))
+        if len(queue) == stx._BLOCK_AMPS // total:
+            evaluate(queue)
+            queue.clear()
+    for queue in queues.values():
+        if queue:
+            evaluate(queue)
     return np.concatenate(out)
 
 

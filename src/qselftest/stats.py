@@ -4,12 +4,15 @@ A statistic is the probability of a product of branch projectors, one per
 measured (side, wire), on a prepared state. A slot (side, wire, angles)
 names one measured side and wire and the angles it is read at; an angle of
 None applies no projector there. `probabilities` is the package's one path
-from a device to a branch probability. Up to _REDUCED_AMPS amplitudes it
-takes the squared norms of `branch_states`, which evaluates every product
-of a list of slots at once, one slot per kernel call over a whole block of
-parent states; above that it contracts the slots' reduced state. `prepare` and
-`collapse` apply gates and projectors one at a time. Sampling draws
-reproducible Monte-Carlo estimates, sized by a Hoeffding bound.
+from a device to a branch probability. It takes one state or a block of
+them, so that the protocol evaluates every prepared state of an experiment
+shape at once. Up to _REDUCED_AMPS amplitudes it takes the squared norms of
+the product tree `branch_states` builds, which evaluates every product of a
+list of slots at once, one slot per kernel call over a whole block of
+parent states; above that it contracts each state's reduced state for the
+slots. `prepare` and `collapse` apply gates and projectors one at a time.
+Sampling draws reproducible Monte-Carlo estimates, sized by a Hoeffding
+bound.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ Slot = tuple[str, int, Sequence["float | None"]]
 
 # amplitudes a block may hold after a kernel call: while a level's block of
 # children stays within it, all its parents are applied in one call; past
-# it, parents go one at a time, and above the last slot so do their children
+# it, parents go in chunks whose children fit, one at a time where a single
+# parent's do not, and then, above the last slot, so do their children
 _BLOCK_AMPS = 1 << 12
 
 # amplitudes above which probabilities contracts the slots' reduced state
@@ -59,7 +63,8 @@ def branch_states(
     Every row has the bits of its branch projectors applied to state alone,
     one at a time in slot order, and each projector is built once. One slot
     is applied to all the parents of a level in one kernel call while their
-    children fit in _BLOCK_AMPS amplitudes. Past that the slots are taken
+    children fit in _BLOCK_AMPS amplitudes, else to chunks of parents whose
+    children do. Where one parent's children do not fit, the slots are taken
     depth first, holding one state per slot and one parent's last children.
     """
     return _leaves(_levels(device, slots), hb.StateBlock._wrap(state.layout, state.vec[None]))
@@ -84,8 +89,9 @@ def _leaves(levels: Sequence[tuple], block: hb.StateBlock) -> Iterator[hb.StateB
     if m * len(level) * total <= _BLOCK_AMPS:
         yield from _leaves(rest, _children(level, block))
     elif m > 1:
-        for i in range(m):
-            yield from _leaves(levels, hb.StateBlock._wrap(block.layout, block.rows[i : i + 1]))
+        step = max(_BLOCK_AMPS // (len(level) * total), 1)
+        for i in range(0, m, step):
+            yield from _leaves(levels, hb.StateBlock._wrap(block.layout, block.rows[i : i + step]))
     elif rest:
         for op in level:
             yield from _leaves(rest, block if op is None else hb.apply_operator(op, block))
@@ -115,37 +121,43 @@ def _children(level: tuple, block: hb.StateBlock) -> hb.StateBlock:
 
 
 def probabilities(
-    device: DeviceModel, state: hb.PhysState, slots: Sequence[Slot]
+    device: DeviceModel, states: hb.PhysState | hb.StateBlock, slots: Sequence[Slot]
 ) -> list[float]:
-    """The probability of each product of the slots' branches on state, in
-    product order: the first slot varies slowest.
+    """The probability of each product of the slots' branches on each state,
+    parent-major, each state's in product order: the first slot varies
+    slowest. A state is the block of its one row, as in hb.apply_operator.
 
     Up to _REDUCED_AMPS amplitudes each is the squared norm of its row of
     branch_states, hb.norm(row) ** 2 bit for bit: the same strided dot
     products, taken for a whole block in one batched matmul, then squared
-    in Python. Every pinned sampled and certify report holds those bits,
-    and on states that small the product tree is as fast.
+    in Python. The kernel gives each row the bits of its operators applied
+    to its own state alone, so a block's values are those of its states
+    taken one at a time. Every pinned sampled and certify report holds those
+    bits, and on states that small the product tree is as fast.
 
     Above it, where building every branch state costs more than reading
-    them from a reduced state, the slots' subsystems are traced out once,
-    when they are distinct and their reduced state rho has no more entries
-    than the state. Each value is then tr((Q_1 x ... x Q_k) rho) with
-    Q = P^dagger P for each slot's operator P (the identity for None), which
-    equals ||(P_1 x ... x P_k) psi||^2 for any operators on distinct
-    subsystems, to rounding. Rounding can take an impossible outcome just
-    below 0, so each value is clipped at 0.0.
+    them from a reduced state, the slots' subsystems of each state are
+    traced out once, when they are distinct and their reduced state rho has
+    no more entries than the state. Each value is then
+    tr((Q_1 x ... x Q_k) rho) with Q = P^dagger P for each slot's operator P
+    (the identity for None), which equals ||(P_1 x ... x P_k) psi||^2 for
+    any operators on distinct subsystems, to rounding. Rounding can take an
+    impossible outcome just below 0, so each value is clipped at 0.0.
     """
     levels = _levels(device, slots)
-    total = state.layout.total
-    if total > _REDUCED_AMPS:
-        targets = [device.layout.side_index(side, wire) for side, wire, _ in slots]
-        dims = [state.layout.dims[t] for t in targets]
-        if len(set(targets)) == len(targets) and math.prod(dims) ** 2 <= total:
-            return _reduced_probabilities(levels, dims, hb.partial_trace(state, targets))
+    if isinstance(states, hb.PhysState):
+        states = hb.StateBlock._wrap(states.layout, states.vec[None])
+    layout = states.layout
     out: list[float] = []
-    block = hb.StateBlock._wrap(state.layout, state.vec[None])
+    if layout.total > _REDUCED_AMPS:
+        targets = [device.layout.side_index(side, wire) for side, wire, _ in slots]
+        dims = [layout.dims[t] for t in targets]
+        if len(set(targets)) == len(targets) and math.prod(dims) ** 2 <= layout.total:
+            for state in states.states():
+                out += _reduced_probabilities(levels, dims, hb.partial_trace(state, targets))
+            return out
     # map lets go of each block before the next one is built
-    for norms in map(_squared_norms, _leaves(levels, block)):
+    for norms in map(_squared_norms, _leaves(levels, states)):
         out += norms
     return out
 

@@ -112,6 +112,21 @@ MUTANTS = (
         "the n=6 and depolarized n=3 ladder pins no longer hold",
     ),
     Mutant(
+        "chunk-drops-a-parent",
+        "stats.py",
+        "block.rows[i : i + step]",
+        "block.rows[i : i + step - 1]",
+        "a level split into chunks of parents loses the last parent of each chunk",
+    ),
+    Mutant(
+        "shape-key-ignores-wires",
+        "protocol.py",
+        "queues.setdefault((exp.kind, exp.wires, exp.settings.tobytes()), [])",
+        "queues.setdefault((exp.kind, exp.settings.tobytes()), [])",
+        "experiments on other wires share a block, and all are read on the wires "
+        "of the first",
+    ),
+    Mutant(
         "no-clip",
         "stats.py",
         "return np.where(values <= 0.0, 0.0, values).tolist()",

@@ -239,6 +239,34 @@ class TestConfigErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("device", ["builtin:honest", "builtin:rotated?theta=0.3"])
+    @pytest.mark.parametrize("label, wires", [("not0", [1]), ("not1", [1]), ("not1", [0])])
+    def test_compensating_not_label_refused(self, device, label, wires, tmp_path, capsys):
+        # the honest gate table holds the NOT on wire w under not<w>: a
+        # circuit gate of that name ran as that NOT, and X on wire 1 labelled
+        # not0 accepted with y = 11 and tv = 1
+        circuit = {"n": 2, "input": "00",
+                   "gates": [{"label": label, "wires": wires, "builtin": "X"}]}
+        path = write_json(tmp_path, "c.json", circuit)
+        argv = ["circuit-test", "--device", device, "--circuit", path, "--x", "00"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: gate {label}: label is reserved for the compensating NOT " \
+            f"on wire {label[-1]}\n"
+
+    @pytest.mark.parametrize("label", ["not2", "not00", "Not0", "not"])
+    def test_other_not_labels_run(self, label, tmp_path, capsys):
+        # only not<w> for a wire w of the circuit names a compensating NOT
+        circuit = {"n": 2, "input": "00",
+                   "gates": [{"label": label, "wires": [1], "builtin": "X"}]}
+        path = write_json(tmp_path, "c.json", circuit)
+        argv = ["circuit-test", "--device", "builtin:honest", "--circuit", path, "--x", "00"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "tv=0.000000  outcomes={'01': 1.0}" in out
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["epr-test"])  # --device missing

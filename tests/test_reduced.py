@@ -83,14 +83,21 @@ def random_state(layout, seed):
 @pytest.fixture()
 def spied(monkeypatch):
     """Every stats.probabilities call of the package, as (total, slots, got,
-    tree) with the tree's values beside the package's."""
+    tree) with the tree's values beside the package's; a call on a block of
+    states is one entry per state, its slice of the block's values beside
+    that state's own tree."""
     calls = []
     real = stats.probabilities
 
-    def spy(device, state, slots):
-        got = real(device, state, slots)
-        want = tree_probabilities(device, state, slots)
-        calls.append((state.layout.total, [tuple(s[:2]) for s in slots], got, want))
+    def spy(device, states, slots):
+        got = real(device, states, slots)
+        rows = states.states() if isinstance(states, hb.StateBlock) else (states,)
+        size = math.prod(len(angles) for _, _, angles in slots)
+        assert len(got) == size * len(rows)
+        for i, state in enumerate(rows):
+            want = tree_probabilities(device, state, slots)
+            part = got[i * size : (i + 1) * size]
+            calls.append((state.layout.total, [tuple(s[:2]) for s in slots], part, want))
         return got
 
     monkeypatch.setattr(stats, "probabilities", spy)

@@ -281,30 +281,31 @@ def count_applies(monkeypatch, device, schedule):
 
 
 # H circuit, y = x = "0": steps (g1,), 4-amplitude states, so every level of
-# every product goes to the kernel as one block. Per evaluation,
-# conspiracy@0 is the product (A0 x B0) over the six tested angles: the six
-# (A a) of the source as one block call (6 operators, 1 parent), then the
-# six (B b) of those six as one (6, 6); conspiracy@1 extends the prep chain
-# by (A g1) and (B g1), 2 single applies, then (6, 1) and (6, 6) again;
-# tomography@1 reads the kept (A g1) state, no apply, and is the product
-# over the three base angles: (3, 1) then (3, 3). That is 2 singles and 6
-# block calls (building the reference applies nothing). The op-list walker
-# took 17 singles and 15 stacks; one operator at a time, shared prefixes
-# once, 98; one record at a time, 165.
-ONE_WALK = (2, [(3, 1), (3, 3), (6, 1), (6, 1), (6, 6), (6, 6)])
+# every product goes to the kernel as one block. Per evaluation, the prep
+# chain extends the source by (A g1) and (B g1), 2 single applies.
+# conspiracy@0 and conspiracy@1 share a shape, the product (A0 x B0) over
+# the six tested angles, so their two prepared states are one block: the
+# six (A a) of both as one block call (6 operators, 2 parents), then the six
+# (B b) of those twelve as one (6, 12); tomography@1 reads the kept (A g1)
+# state and is the product over the three base angles: (3, 1) then (3, 3).
+# That is 2 singles and 4 block calls (building the reference applies
+# nothing). One experiment at a time took 2 singles and 6 block calls; the
+# op-list walker, 17 singles and 15 stacks; one operator at a time, shared
+# prefixes once, 98; one record at a time, 165.
+ONE_WALK = (2, [(3, 1), (3, 3), (6, 2), (6, 12)])
 TWO_WALKS = (2 * 2, sorted(ONE_WALK[1] * 2))
 
 
 def test_walk_applies_each_shared_prefix_once(monkeypatch):
     # the device is the shared honest device itself, so its probabilities
-    # are the ideals and the reference is not evaluated: 2 + 6 applies
+    # are the ideals and the reference is not evaluated: 2 + 4 applies
     circ = CIRCUITS["h"]
     schedule = pr.build_schedule(circ, "0", "0")
     assert count_applies(monkeypatch, dv.honest_device(circ), schedule) == ONE_WALK
 
 
 def test_device_and_reference_walked_when_they_differ(monkeypatch):
-    # device and reference: 2 * (2 + 6) applies
+    # device and reference: 2 * (2 + 4) applies
     circ = CIRCUITS["h"]
     schedule = pr.build_schedule(circ, "0", "0")
     device = dv.rotated_device(circ, theta=0.4)
