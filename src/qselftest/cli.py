@@ -180,7 +180,7 @@ def _verdict_rows(verdict: pr.Verdict):
     """Table rows of the first _MAX_TABLE_ROWS records, then the count of
     the other records and of the failing ones among them. Only the shown
     rows' experiments get setting texts, made once per experiment shape
-    (wires and settings)."""
+    (kind and wires)."""
     recs = verdict.records
     shown = min(len(recs), _MAX_TABLE_ROWS)
     shapes: dict[tuple, list[str]] = {}
@@ -188,7 +188,7 @@ def _verdict_rows(verdict: pr.Verdict):
     for label, exp in zip(verdict.labels, recs.experiments):
         if len(heads) == shown:
             break
-        key = (exp.wires, exp.settings.tobytes())
+        key = (exp.kind, exp.wires)
         texts = shapes.get(key)
         if texts is None:
             texts = shapes[key] = [_setting_text(b) for b in exp.branches]
@@ -232,7 +232,7 @@ def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
     Both lists sit at one depth: report, result, then the list. Per record
     the text is a fixed head, then the deviation, est_p and ideal_p, each
     between fixed key texts, then the measured list, which is built once per
-    setting of each experiment shape (wires and settings), and the rest of
+    setting of each experiment shape (kind and wires), and the rest of
     the record from the prep on, built once per experiment. Records holds
     only finite values (checked), so float.__repr__ is their JSON text,
     taken once per distinct value: records share most of theirs.
@@ -278,7 +278,7 @@ def _record_parts(verdict: pr.Verdict) -> tuple[list[str], list[str]]:
     measured: list[str] = []
     rest: list[str] = []
     for exp in recs.experiments:
-        key = (exp.wires, exp.settings.tobytes())
+        key = (exp.kind, exp.wires)
         texts = shapes.get(key)
         if texts is None:
             texts = shapes[key] = [measured_text(b) for b in exp.branches]

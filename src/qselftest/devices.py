@@ -785,6 +785,10 @@ def _entries(data: dict, key: str, fields: str, error: type[Exception]) -> list[
     return entries
 
 
+# the params each source kind of a device file takes, every one of them required
+_SOURCE_PARAMS = {"epr": (), "depolarized": ("p",), "matrix": ("per_wire",)}
+
+
 def load_device(path_or_data) -> DeviceModel:
     """Build a DeviceModel from a JSON file path or an already-parsed dict."""
     err = DeviceValidationError
@@ -803,6 +807,18 @@ def load_device(path_or_data) -> DeviceModel:
     src = _expect(data.get("source", {"kind": "epr"}), dict, "source", err)
     kind = src.get("kind", "epr")
     params = _expect(src.get("params", {}), dict, "source: params", err)
+    if not isinstance(kind, str) or kind not in _SOURCE_PARAMS:
+        raise DeviceValidationError(f"source: unknown kind {kind!r:.60}")
+    takes = _SOURCE_PARAMS[kind]
+    for key in params:
+        if key not in takes:
+            raise DeviceValidationError(
+                f"source: kind {kind!r} takes {' and '.join(takes) or 'no params'}, "
+                f"not {key!r:.60}"
+            )
+    for key in takes:
+        if key not in params:
+            raise DeviceValidationError(f"source: kind {kind!r} requires params.{key}")
     if kind == "epr":
         per_wire = [
             _epr_wire(layout.a_dims[i], layout.b_dims[i], layout.e_dims[i])
@@ -813,10 +829,10 @@ def load_device(path_or_data) -> DeviceModel:
         if layout.a_dims != (2,) * n or layout.b_dims != (2,) * n:
             raise DeviceValidationError("source: depolarized needs 2x2 wires")
         layout = RegisterLayout(n, layout.a_dims, layout.b_dims, (4,) * n)
-        wire = _depolarized_wire(_number(params.get("p", 0.0), "source: p", err))
+        wire = _depolarized_wire(_number(params["p"], "source: p", err))
         source = _assemble_source(layout, [wire.copy() for _ in range(n)])
-    elif kind == "matrix":
-        vecs = _expect(params.get("per_wire"), list, "source: params.per_wire", err)
+    else:
+        vecs = _expect(params["per_wire"], list, "source: params.per_wire", err)
         if len(vecs) != n:
             raise DeviceValidationError(
                 "source: kind 'matrix' needs params.per_wire with one vector per wire"
@@ -825,8 +841,6 @@ def load_device(path_or_data) -> DeviceModel:
             _vector_from_json(v, f"source wire {i}") for i, v in enumerate(vecs)
         ]
         source = _assemble_source(layout, per_wire)
-    else:
-        raise DeviceValidationError(f"source: unknown kind {kind!r:.60}")
 
     gates = {}
     for g in _entries(data, "gates", "side label wires matrix", err):
@@ -834,6 +848,8 @@ def load_device(path_or_data) -> DeviceModel:
         label = _expect(g["label"], str, "gate: label", err)
         what = f"gate ({side}, {label})"
         wires = _integers(g["wires"], f"{what}: wires", err)
+        if (side, label) in gates:
+            raise DeviceValidationError(f"{what}: listed twice")
         gates[(side, label)] = DeviceGate(side, wires, _matrix_from_json(g["matrix"], what))
 
     frames: dict[tuple[str, int], dict[float, np.ndarray]] = {}
@@ -849,8 +865,11 @@ def load_device(path_or_data) -> DeviceModel:
                 f"frame ({side}, {wire}): angle key {key!r:.20} must be one of "
                 f"{sorted(ANGLE_KEYS)} (complements are derived)"
             )
-        m = _matrix_from_json(f["matrix"], f"frame ({side}, {wire}, {key})")
-        frames.setdefault((side, wire), {})[ANGLE_KEYS[key]] = m
+        what = f"frame ({side}, {wire}, {key})"
+        angles = frames.setdefault((side, wire), {})
+        if ANGLE_KEYS[key] in angles:
+            raise DeviceValidationError(f"{what}: listed twice")
+        angles[ANGLE_KEYS[key]] = _matrix_from_json(f["matrix"], what)
     frame_objs = {}
     for side in ("A", "B"):
         for w in range(n):

@@ -48,52 +48,32 @@ __all__ = [
 class Experiment:
     """One scheduled experiment: a prep prefix shared by a block of settings.
 
-    settings has one row per setting and two columns per wire, A_w then B_w
-    in the order of wires. An entry is the index in TEST_ANGLES of the angle
-    that side measures the wire at, or -1 where the setting leaves the wire
-    alone. A conspiracy setting measures one wire on both sides, a tomography
-    setting every wire on both sides. A column's position fixes its side and
-    the wires are distinct, so no side measures a wire twice.
+    Its kind and its number of wires fix its settings (see `_settings`).
+    The wires are distinct, so no side measures a wire twice.
     """
 
     kind: str  # "conspiracy" or "tomography"
     j: int  # 0 = initial source test, else 1-based step index
     wires: tuple[int, ...]
     prep: tuple[tuple[str, str], ...]
-    settings: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("conspiracy", "tomography"):
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
         wires = tuple(int(w) for w in self.wires)
+        if not wires:
+            raise ValidationError("an experiment needs one or more wires")
         if len(set(wires)) != len(wires):
             raise ValidationError(f"experiment wires {wires} repeat a wire")
-        s = np.asarray(self.settings)
-        width = 2 * len(wires)
-        if s.ndim != 2 or s.shape[1] != width or not s.size or s.dtype.kind not in "iu":
-            raise ValidationError(
-                f"settings must be one or more integer rows of {width} angle indices"
-            )
-        if not (s.min() >= -1 and s.max() < len(TEST_ANGLES)):
-            raise ValidationError("a setting's angle index is not in the tested set")
-        measured = s >= 0
-        per_row = 2 if self.kind == "conspiracy" else s.shape[1]
-        if not (
-            (measured[:, ::2] == measured[:, 1::2]).all()
-            and (measured.sum(axis=1) == per_row).all()
-        ):
-            raise ValidationError(
-                f"a {self.kind} setting must measure "
-                + ("one wire" if self.kind == "conspiracy" else "every wire")
-                + " on both sides"
-            )
-        s = s.astype(np.int8)
-        s.flags.writeable = False
         object.__setattr__(self, "wires", wires)
         object.__setattr__(
             self, "prep", tuple((str(side), str(label)) for side, label in self.prep)
         )
-        object.__setattr__(self, "settings", s)
+
+    @property
+    def settings(self) -> np.ndarray:
+        """One row per setting, as `_settings` gives them: shared and read-only."""
+        return _settings(self.kind, len(self.wires))
 
     @property
     def branches(self) -> list[tuple[tuple[str, int, float], ...]]:
@@ -246,7 +226,7 @@ def epr_test(
     """All 36 joint angle settings on one wire against (1/2)cos^2(a-b)."""
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"mode must be exact or sampled, got {mode!r}")
-    exp = Experiment("conspiracy", 0, (wire,), (), _conspiracy_settings(1))
+    exp = Experiment("conspiracy", 0, (wire,), ())
     n = stx.sample_size(eps, gamma, len(exp.settings)) if mode == "sampled" else 0
     probs = _experiment_probabilities(device, device.source, exp)[0]
     ests = stx.estimates(probs.tolist(), n, seed) if n else probs
@@ -266,32 +246,42 @@ def _compensation_steps(
     return nots + circuit.gates
 
 
-def _conspiracy_settings(k: int) -> np.ndarray:
-    """Every (A_w, B_w) pair of tested angles, A-major, wire by wire."""
-    m = len(TEST_ANGLES)
-    pairs = np.stack(np.divmod(np.arange(m * m), m), axis=1)
-    out = np.full((k * m * m, 2 * k), -1, dtype=np.int8)
-    for w in range(k):
-        out[w * m * m:(w + 1) * m * m, 2 * w:2 * w + 2] = pairs
+@functools.lru_cache(maxsize=None)
+def _settings(kind: str, k: int) -> np.ndarray:
+    """Every setting of a kind of experiment on k wires, built once and
+    read-only: one row per setting and two columns per wire, A_w then B_w
+    in the order of the wires. An entry is the index in TEST_ANGLES of the
+    angle that side measures the wire at, or -1 where the setting leaves the
+    wire alone.
+
+    A conspiracy setting measures one wire on both sides: every (A_w, B_w)
+    pair of tested angles, A-major, wire by wire. A tomography setting
+    measures every wire on both sides at base angles: every product over the
+    A sides, then for each, over the B sides; the last wire's angle varies
+    fastest.
+    """
+    if kind == "conspiracy":
+        m = len(TEST_ANGLES)
+        pairs = np.stack(np.divmod(np.arange(m * m), m), axis=1)
+        out = np.full((k * m * m, 2 * k), -1, dtype=np.int8)
+        for w in range(k):
+            out[w * m * m:(w + 1) * m * m, 2 * w:2 * w + 2] = pairs
+    else:
+        m = len(BASE_ANGLES)
+        digits = np.unravel_index(np.arange(m ** (2 * k)), (m,) * (2 * k))
+        columns = [digits[c] for w in range(k) for c in (w, k + w)]
+        out = np.stack(columns, axis=1).astype(np.int8)
+    out.flags.writeable = False
     return out
-
-
-def _tomography_settings(k: int) -> np.ndarray:
-    """Every product of base angles over the A sides, then for each, over
-    the B sides; the last wire's angle varies fastest."""
-    m = len(BASE_ANGLES)
-    digits = np.unravel_index(np.arange(m ** (2 * k)), (m,) * (2 * k))
-    columns = [digits[c] for w in range(k) for c in (w, k + w)]
-    return np.stack(columns, axis=1).astype(np.int8)
 
 
 def _min_records(circuit: IdealCircuit) -> int:
     """Records in circuit's smallest schedule, the one for y = x: no
     compensating NOT, so the source test and two experiments per gate."""
-    pairs = len(TEST_ANGLES) ** 2  # conspiracy settings per wire
-    return pairs * circuit.n + sum(
-        pairs * len(g.wires) + len(BASE_ANGLES) ** (2 * len(g.wires))
+    return len(_settings("conspiracy", circuit.n)) + sum(
+        len(_settings(kind, len(g.wires)))
         for g in circuit.gates
+        for kind in ("conspiracy", "tomography")
     )
 
 
@@ -316,59 +306,27 @@ def build_schedule(
     if set(x) - {"0", "1"} or set(y) - {"0", "1"}:
         raise ValidationError("x and y must be bit strings")
     steps = _compensation_steps(circuit, x, y)
-    experiments = [
-        Experiment("conspiracy", 0, tuple(range(n)), (), _conspiracy_settings(n))
-    ]
-    # a step's settings depend only on its arity
-    tables = {
-        k: (_conspiracy_settings(k), _tomography_settings(k))
-        for k in {len(step.wires) for step in steps}
-    }
+    experiments = [Experiment("conspiracy", 0, tuple(range(n)), ())]
     prep: tuple[tuple[str, str], ...] = ()
     for j, step in enumerate(steps, start=1):
-        conspiracy, tomography = tables[len(step.wires)]
         tomo_prep = prep + (("A", step.label),)
         prep = tomo_prep + (("B", step.label),)
-        experiments.append(Experiment("conspiracy", j, step.wires, prep, conspiracy))
-        experiments.append(Experiment("tomography", j, step.wires, tomo_prep, tomography))
+        experiments.append(Experiment("conspiracy", j, step.wires, prep))
+        experiments.append(Experiment("tomography", j, step.wires, tomo_prep))
     return ExperimentSchedule(circuit, x, y, steps, tuple(experiments), eps, gamma)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@functools.lru_cache(maxsize=64)
-def _products(kind: str, wires: tuple[int, ...], settings: bytes, width: int) -> tuple:
-    """The products of branches that an experiment shape's settings are read
-    from, as (the settings' rows, the product's slots, the rows' indices
-    into the product's grid) each.
-
-    The settings that measure the same columns are one product of branches
-    over those columns, A_w before B_w and wire by wire, as a setting lists
-    them: a conspiracy experiment's settings measure one wire each, a
-    tomography experiment's every wire. A column's slot runs over the tested
-    angles up to the largest one it uses. Schedules repeat a few shapes, so
-    each is worked out once.
-    """
-    s = np.frombuffer(settings, dtype=np.int8).reshape(-1, width)
-    if kind == "conspiracy":
-        groups = [(np.flatnonzero(s[:, c] >= 0), range(c, c + 2)) for c in range(0, width, 2)]
-    else:
-        groups = [(np.arange(len(s)), range(width))]
-    out = []
-    for rows, cols in groups:
-        if not rows.size:
-            continue
-        grid = s[rows][:, cols]
-        dims = grid.max(axis=0) + 1
-        slots = tuple(
-            ("AB"[c % 2], wires[c // 2], TEST_ANGLES[:d])
-            for c, d in zip(cols, dims.tolist())
-        )
-        index = np.ravel_multi_index(grid.T, dims)
-        rows.flags.writeable = index.flags.writeable = False
-        out.append((rows, slots, index))
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _tomography_order(k: int) -> np.ndarray:
+    """Each tomography setting on k wires as an index into the product of
+    base angles over (A_w1, B_w1, A_w2, ...), the order its slots take."""
+    m = len(BASE_ANGLES)
+    index = np.ravel_multi_index(_settings("tomography", k).T, (m,) * (2 * k))
+    index.flags.writeable = False
+    return index
 
 
 def _experiment_probabilities(
@@ -376,15 +334,21 @@ def _experiment_probabilities(
 ) -> np.ndarray:
     """The exact probability of each of exp's settings on each of its
     prepared states, one row per state; a state is the block of its one row.
-    Each of the shape's products is evaluated on every state at once, and
-    each state's grid of it is read into record order."""
-    s = exp.settings
+
+    A conspiracy experiment's settings are, wire by wire, the product of
+    tested angles over (A_w, B_w), already in record order. A tomography
+    experiment's are one product of base angles over (A_w1, B_w1, A_w2, ...),
+    read into record order by `_tomography_order`. Each product is evaluated
+    on every state at once."""
     m = len(states.rows) if isinstance(states, hb.StateBlock) else 1
-    out = np.empty((m, len(s)))
-    for rows, slots, index in _products(exp.kind, exp.wires, s.tobytes(), s.shape[1]):
+    if exp.kind == "tomography":
+        slots = tuple((side, w, BASE_ANGLES) for w in exp.wires for side in "AB")
         probs = np.reshape(stx.probabilities(device, states, slots), (m, -1))
-        out[:, rows] = probs[:, index]
-    return out
+        return probs[:, _tomography_order(len(exp.wires))]
+    pairs = [(("A", w, TEST_ANGLES), ("B", w, TEST_ANGLES)) for w in exp.wires]
+    return np.hstack(
+        [np.reshape(stx.probabilities(device, states, slots), (m, -1)) for slots in pairs]
+    )
 
 
 def _schedule_probabilities(
@@ -397,7 +361,7 @@ def _schedule_probabilities(
     two states are kept. A schedule's preps form one chain along its steps,
     each step's A gate then its B gate, so each gate of it is applied once.
 
-    Experiments of one shape (kind, wires, settings) differ only in their
+    Experiments of one shape (kind and wires) differ only in their
     prepared states. So each shape's states wait in a queue, and are
     evaluated together as one block once the next state would take it past
     _BLOCK_AMPS amplitudes; what is left is evaluated at the end. The kernel
@@ -432,7 +396,7 @@ def _schedule_probabilities(
         if total > stx._REDUCED_AMPS:
             evaluate([(i, state)])
             continue
-        queue = queues.setdefault((exp.kind, exp.wires, exp.settings.tobytes()), [])
+        queue = queues.setdefault((exp.kind, exp.wires), [])
         queue.append((i, state))
         if len(queue) == stx._BLOCK_AMPS // total:
             evaluate(queue)

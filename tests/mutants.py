@@ -58,26 +58,22 @@ MUTANTS = (
     Mutant(
         "no-last-tomography",
         "protocol.py",
-        "        experiments.append("
-        'Experiment("tomography", j, step.wires, tomo_prep, tomography))',
+        '        experiments.append(Experiment("tomography", j, step.wires, tomo_prep))',
         "        if j < len(steps):\n"
-        '            experiments.append(Experiment("tomography", j, step.wires, tomo_prep, '
-        "tomography))",
+        '            experiments.append(Experiment("tomography", j, step.wires, tomo_prep))',
         "the last step's gate is never tomographed, so a wrong last gate passes",
     ),
     Mutant(
         "conspiracy-without-b-gate",
         "protocol.py",
-        'experiments.append(Experiment("conspiracy", j, step.wires, prep, conspiracy))',
-        'experiments.append(Experiment("conspiracy", j, step.wires, tomo_prep, conspiracy))',
+        'experiments.append(Experiment("conspiracy", j, step.wires, prep))',
+        'experiments.append(Experiment("conspiracy", j, step.wires, tomo_prep))',
         "a step's conspiracy test runs before its B gate, so it checks no pairing",
     ),
     Mutant(
         "no-initial-conspiracy",
         "protocol.py",
-        "    experiments = [\n"
-        '        Experiment("conspiracy", 0, tuple(range(n)), (), _conspiracy_settings(n))\n'
-        "    ]",
+        '    experiments = [Experiment("conspiracy", 0, tuple(range(n)), ())]',
         "    experiments = []",
         "the source is never tested, so an unpaired source passes",
     ),
@@ -121,10 +117,19 @@ MUTANTS = (
     Mutant(
         "shape-key-ignores-wires",
         "protocol.py",
-        "queues.setdefault((exp.kind, exp.wires, exp.settings.tobytes()), [])",
-        "queues.setdefault((exp.kind, exp.settings.tobytes()), [])",
+        "queues.setdefault((exp.kind, exp.wires), [])",
+        "queues.setdefault((exp.kind, len(exp.wires)), [])",
         "experiments on other wires share a block, and all are read on the wires "
         "of the first",
+    ),
+    Mutant(
+        "tomography-unordered",
+        "protocol.py",
+        "return probs[:, _tomography_order(len(exp.wires))]",
+        "return probs[:, np.sort(_tomography_order(len(exp.wires)))]",
+        "a tomography product on two or more wires is read in slot order (A_w1, "
+        "B_w1, A_w2, ...), not record order, so its records get other settings' "
+        "values",
     ),
     Mutant(
         "no-clip",

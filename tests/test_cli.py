@@ -75,6 +75,8 @@ def write_json(tmp_path, name, data):
 
 ONE_WIRE = {"n_wires": 1, "a_dims": [2], "b_dims": [2]}
 EYE2 = dv.matrix_to_json(np.eye(2))
+# the pair (|00> + |11>)/sqrt(2) of one 2x2 wire, as [re, im] amplitudes
+_EPR_VECTOR = [[0.5 ** 0.5, 0], [0, 0], [0, 0], [0.5 ** 0.5, 0]]
 
 
 def a_frames(pi4):
@@ -446,12 +448,24 @@ class TestConfigErrors:
             {"layout": ONE_WIRE, "source": {"kind": "depolarized", "params": {"p": 2**1100}}},
             {"layout": ONE_WIRE, "gates": [
                 {"side": "C", "label": "g1", "wires": [0], "matrix": EYE2}]},
+            # each below ran before, as if the bad entry were not there
+            {"layout": ONE_WIRE, "source": {"kind": "depolarized", "params": {"P": 0.5}}},
+            {"layout": ONE_WIRE, "source": {"kind": "depolarized"}},
+            {"layout": ONE_WIRE, "source": {"kind": "epr", "params": {"p": 0.5}}},
+            {"layout": ONE_WIRE, "source": {"kind": "matrix", "params": {
+                "per_wire": [_EPR_VECTOR], "p": 0.5}}},
+            {"layout": ONE_WIRE, "gates": [
+                {"side": "A", "label": "g1", "wires": [0], "matrix": EYE2}] * 2},
+            {"layout": ONE_WIRE, "frames": a_frames(hb.projector_angle(math.pi / 4).matrix)
+             + a_frames(hb.projector_angle(math.pi / 4).matrix)[:1]},
         ],
         ids=["source-not-object", "params-list", "gates-not-list", "frames-not-list",
              "per-wire-not-list", "e-dims-not-numeric", "c-dim-not-numeric",
              "p-not-numeric", "frame-angle-list", "frame-side-unknown",
              "gate-label-list", "n-wires-infinite", "p-overflows-float",
-             "gate-side-unknown"],
+             "gate-side-unknown", "depolarized-unknown-param", "depolarized-without-p",
+             "epr-with-params", "matrix-unknown-param", "gate-listed-twice",
+             "frame-listed-twice"],
     )
     def test_malformed_device_shape_exits_two(self, device, tmp_path, capsys):
         path = write_json(tmp_path, "bad.json", device)
@@ -506,6 +520,34 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and "must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "device, message",
+        [
+            ({"source": {"kind": "depolarized", "params": {"P": 0.5}}},
+             "source: kind 'depolarized' takes p, not 'P'"),
+            ({"source": {"kind": "depolarized"}}, "source: kind 'depolarized' requires params.p"),
+            ({"source": {"kind": "epr", "params": {"p": 0.5}}},
+             "source: kind 'epr' takes no params, not 'p'"),
+            ({"source": {"kind": "matrix", "params": {"per_wire": [_EPR_VECTOR], "p": 0.5}}},
+             "source: kind 'matrix' takes per_wire, not 'p'"),
+            ({"source": {"kind": "matrix"}}, "source: kind 'matrix' requires params.per_wire"),
+            ({"gates": [{"side": "B", "label": "g1", "wires": [0], "matrix": EYE2}] * 2},
+             "gate (B, g1): listed twice"),
+            ({"frames": [{"side": "B", "wire": 0, "angle": "pi/8", "matrix": dv.matrix_to_json(
+                hb.projector_angle(math.pi / 8).matrix)}] * 2},
+             "frame (B, 0, pi/8): listed twice"),
+        ],
+        ids=["depolarized-P", "depolarized-no-p", "epr-p", "matrix-p", "matrix-no-per-wire",
+             "gate-twice", "frame-twice"],
+    )
+    def test_refused_entry_is_named(self, device, message, tmp_path, capsys):
+        # a source takes the params its kind names, as a builtin: URI does,
+        # and a gate or frame is listed once, as a circuit's gate label is;
+        # the one stderr line names the key or entry at fault
+        path = write_json(tmp_path, "bad.json", {"layout": ONE_WIRE, **device})
+        assert cli.main(["epr-test", "--device", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", [True, "0.1"], ids=repr)
     def test_p_takes_a_json_number_only(self, value, tmp_path, capsys):
@@ -888,24 +930,23 @@ def _label(rng):
     return "".join(_AWKWARD[i] for i in rng.integers(len(_AWKWARD), size=rng.integers(1, 4)))
 
 
+# every shape the program builds on up to three wires, (kind, arity), and
+# the chance to draw each: inverse to its number of settings (36 to 729),
+# so that each shape gives about as many records as any other
+_SHAPES = [(kind, k) for kind in ("conspiracy", "tomography") for k in (1, 2, 3)]
+_SHAPE_P = np.array(
+    [1 / len(pr.Experiment(kind, 0, tuple(range(k)), ()).settings) for kind, k in _SHAPES]
+)
+_SHAPE_P /= _SHAPE_P.sum()
+
+
 def _experiment(rng):
-    """An experiment on 1-3 of three wires with 1-3 settings and a prep of
-    0-3 steps with awkward labels."""
-    k = int(rng.integers(1, 4))
+    """An experiment of a drawn shape on that many of three wires, in any
+    order, with a prep of 0-3 steps with awkward labels."""
+    kind, k = _SHAPES[rng.choice(len(_SHAPES), p=_SHAPE_P)]
     wires = tuple(rng.permutation(3)[:k].tolist())
-    kind = ("conspiracy", "tomography")[rng.integers(2)]
-    m = len(dv.TEST_ANGLES)
-    rows = []
-    for _ in range(rng.integers(1, 4)):
-        if kind == "tomography":
-            rows.append(rng.integers(m, size=2 * k).tolist())
-        else:
-            row = [-1] * (2 * k)
-            w = rng.integers(k)
-            row[2 * w : 2 * w + 2] = rng.integers(m, size=2).tolist()
-            rows.append(row)
     prep = [("AB"[rng.integers(2)], _label(rng)) for _ in range(rng.integers(4))]
-    return pr.Experiment(kind, int(rng.integers(6)), wires, prep, np.array(rows))
+    return pr.Experiment(kind, int(rng.integers(6)), wires, prep)
 
 
 @st.composite
@@ -967,9 +1008,9 @@ _RUNS = [
 
 
 def _few_records():
-    rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    exp = pr.Experiment("tomography", 1, (0,), [("A", "g1")], rows)
-    records = pr.Records((exp,), np.full(4, 0.25), np.array([0.25, 0.5, 0.0, 0.25]))
+    exp = pr.Experiment("tomography", 1, (0,), [("A", "g1")])  # nine settings
+    est = np.array([0.25, 0.5, 0.0] + [0.25] * 6)
+    records = pr.Records((exp,), np.full(9, 0.25), est)
     return pr.Verdict(False, 0.25, 0.1, np.array([1, 2]), records, ("tomography@1",))
 
 
@@ -1021,10 +1062,11 @@ class TestRecordWriter:
     def test_both_zeros_keep_their_texts(self):
         # -0.0 == 0.0, so a text shared by equal values would write one as
         # the other; Records admits values down to -1e-12, both zeros too
-        rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        exp = pr.Experiment("tomography", 1, (0,), [("A", "g1")], rows)
+        exp = pr.Experiment("tomography", 1, (0,), [("A", "g1")])  # nine settings
         records = pr.Records(
-            (exp,), np.array([0.0, -0.0, -0.0, 0.5]), np.array([-0.0, 0.0, 0.0, 0.5])
+            (exp,),
+            np.array([0.0, -0.0, -0.0] + [0.5] * 6),
+            np.array([-0.0, 0.0, 0.0] + [0.5] * 6),
         )
         v = pr.Verdict(True, 0.0, 0.1, np.array([], dtype=np.int64), records, ("tomography@1",))
         text = oracle(v.to_json())

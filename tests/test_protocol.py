@@ -167,12 +167,38 @@ class TestBuildSchedule:
         assert max(len(exp.prep) for exp in sch.experiments) == 6
 
     def test_setting_normalizes_other_preps(self):
-        exp = pr.Experiment(
-            "conspiracy", 1, (0,), [["A", "g1"], ("B", "g1")], np.array([[0, 0]])
-        )
+        exp = pr.Experiment("conspiracy", 1, (0,), [["A", "g1"], ("B", "g1")])
         assert exp.prep == (("A", "g1"), ("B", "g1"))
         assert all(type(e) is tuple for e in exp.prep)
-        assert exp.branches == [(("A", 0, 0.0), ("B", 0, 0.0))]
+        assert exp.branches[0] == (("A", 0, 0.0), ("B", 0, 0.0))
+
+    def test_settings_tables_are_built_once_and_frozen(self):
+        # a step's settings depend only on its kind and arity: every
+        # schedule shares one read-only table per (kind, arity)
+        circ = fig1_circuit()
+        tables = {}
+        for y in ("00", "11"):
+            for exp in pr.build_schedule(circ, "00", y).experiments:
+                table = tables.setdefault((exp.kind, len(exp.wires)), exp.settings)
+                assert exp.settings is table
+        assert sorted(tables) == [
+            ("conspiracy", 1), ("conspiracy", 2), ("tomography", 1), ("tomography", 2)
+        ]
+        for table in tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+        assert [len(tables[k]) for k in sorted(tables)] == [36, 72, 9, 81]
+
+    @pytest.mark.parametrize("name", ["h", "bell", "fig1", "toffoli"])
+    def test_min_records_is_the_y_equals_x_schedule(self, name):
+        circ = {
+            "h": h_circuit, "bell": bell_circuit, "fig1": fig1_circuit,
+            "toffoli": toffoli_circuit,
+        }[name]()
+        x = circ.input
+        assert pr._min_records(circ) == pr.build_schedule(circ, x, x).n_records
+        other = "".join("1" if b == "0" else "0" for b in x)
+        assert pr._min_records(circ) < pr.build_schedule(circ, x, other).n_records
 
 
 def toffoli_circuit():

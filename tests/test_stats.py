@@ -66,22 +66,19 @@ def branch_probabilities(dev, ops, k):
     return probs
 
 
-def conspiracy(wires, rows, prep=()):
-    return pr.Experiment("conspiracy", 1, wires, prep, np.array(rows))
-
-
 class TestSetting:
-    """An experiment's settings are angle indices, checked once when the
-    experiment is built; its branches name them as (side, wire, angle). A
-    branch angle names a frame projector modulo pi."""
+    """An experiment's settings are angle indices, fixed by its kind and
+    wires; its branches name them as (side, wire, angle). A branch angle
+    names a frame projector modulo pi."""
 
     def test_angle_canonicalized(self):
         dev = dv.rotated_device(theta=0.3)
         got = stats.collapse(dev, dev.source, epr_ops(9 * math.pi / 8, 0.0))
         want = stats.collapse(dev, dev.source, epr_ops(math.pi / 8, 0.0))
         assert np.array_equal(got.vec, want.vec)
-        exp = conspiracy((0,), [[1, 4]])
-        assert exp.branches == [(("A", 0, dv.TEST_ANGLES[1]), ("B", 0, dv.TEST_ANGLES[4]))]
+        # setting 10 of a one-wire conspiracy is tested angles 1 and 4
+        exp = pr.Experiment("conspiracy", 1, (0,), ())
+        assert exp.branches[10] == (("A", 0, dv.TEST_ANGLES[1]), ("B", 0, dv.TEST_ANGLES[4]))
 
     @pytest.mark.parametrize("a", [-1e-17, math.pi - 1e-15, math.pi, -math.pi])
     def test_angle_wraps_around_pi(self, a):
@@ -91,11 +88,6 @@ class TestSetting:
         assert np.array_equal(got.vec, want.vec)
 
     def test_invalid_angle_rejected(self):
-        for bad in ([[6, 0]], [[0, -2]]):
-            with pytest.raises(ValidationError, match="tested set"):
-                conspiracy((0,), bad)
-        with pytest.raises(ValidationError, match="integer"):
-            conspiracy((0,), [[0.0, 1.0]])
         dev = dv.honest_device()
         with pytest.raises(DeviceValidationError, match="tested set"):
             exact_prob(dev, epr_ops(0.3, 0.0))
@@ -104,37 +96,27 @@ class TestSetting:
         # one column per side and wire: a wire listed once is measured at
         # most once per side
         with pytest.raises(ValidationError, match="repeat"):
-            conspiracy((0, 0), [[0, 0, -1, -1]])
+            pr.Experiment("conspiracy", 1, (0, 0), ())
         with pytest.raises(ValidationError, match="repeat"):
-            pr.Experiment("tomography", 1, (1, 1), (), np.zeros((1, 4), dtype=int))
+            pr.Experiment("tomography", 1, (1, 1), ())
 
     def test_bad_side_and_flip_rejected(self):
-        # a column's position is its side, so no side can be named wrong;
-        # a wire measured on one side only, a conspiracy setting on two
-        # wires, a tomography setting that skips a wire, or a table of the
-        # wrong width is refused. No flip exists: every branch is the one
-        # its angle names, and the report writes flip 0
-        bad = [
-            ("conspiracy", (0,), [[0, -1]]),
-            ("conspiracy", (0, 1), [[0, 0, 1, 1]]),
-            ("tomography", (0, 1), [[0, 0, -1, -1]]),
-            ("conspiracy", (0,), [[0, 0, 0]]),
-            ("conspiracy", (0,), [0, 0]),
-            ("conspiracy", (0,), np.zeros((0, 2), dtype=int)),
-            ("conspiracy", (), np.zeros((1, 0), dtype=int)),
-        ]
-        for kind, wires, rows in bad:
-            with pytest.raises(ValidationError, match="setting"):
-                pr.Experiment(kind, 1, wires, (), np.array(rows))
+        # an experiment's kind and wires fix its settings, so no setting
+        # names a side, an angle or a flip of its own; an unknown kind or no
+        # wires is refused. No flip exists: every branch is the one its
+        # angle names, and the report writes flip 0
+        for kind in ("conspiracy", "tomography"):
+            with pytest.raises(ValidationError, match="one or more wires"):
+                pr.Experiment(kind, 1, (), ())
         with pytest.raises(ValidationError, match="kind"):
-            pr.Experiment("flipped", 1, (0,), (), np.zeros((1, 2), dtype=int))
+            pr.Experiment("flipped", 1, (0,), ())
         v = pr.epr_test(dv.honest_device())
         flips = {m["flip"] for r in v.to_json()["records"] for m in r["setting"]["measured"]}
         assert flips == {0}
 
     def test_with_flips(self):
         # the complement of tested angle i is tested angle i + 3
-        ops = with_flips(conspiracy((0,), [[0, 1]]).branches[0], (1, 0))
+        ops = with_flips(pr.Experiment("conspiracy", 1, (0,), ()).branches[1], (1, 0))
         assert dv.angle_index(ops[0][2]) == 3
         assert ops[1] == ("B", 0, math.pi / 8)
 
@@ -443,24 +425,27 @@ class TestDiagnostics:
 
 class TestRecordsAndReport:
     def test_record_bounds(self):
-        exp = conspiracy((0,), [[0, 0], [0, 1]])
-        r = pr.Records((exp,), [0.5, 1 + 1e-12], [0.45, 1.0], n_samples=200)
-        assert len(r) == 2
-        assert r.deviation.tolist() == [abs(0.45 - 0.5), abs(1.0 - (1 + 1e-12))]
-        assert r.experiment.tolist() == [0, 0]
+        # a one-wire tomography experiment has nine settings; the first
+        # seven records are 0.5 on both sides
+        exp = pr.Experiment("tomography", 1, (0,), ())
+        pad = [0.5] * 7
+        r = pr.Records((exp,), pad + [0.5, 1 + 1e-12], pad + [0.45, 1.0], n_samples=200)
+        assert len(r) == 9
+        assert r.deviation.tolist() == [0.0] * 7 + [abs(0.45 - 0.5), abs(1.0 - (1 + 1e-12))]
+        assert r.experiment.tolist() == [0] * 9
         for ideal, est, name in (
             ([1.2, 0.5], [0.5, 0.5], "ideal_p=1.2"),
             ([0.5, 0.5], [0.5, -1e-11], "est_p=-1e-11"),
             ([0.5, 0.5], [0.5, math.nan], "est_p=nan"),
         ):
             with pytest.raises(ValidationError, match=f"{name} outside"):
-                pr.Records((exp,), ideal, est)
+                pr.Records((exp,), pad + ideal, pad + est)
         with pytest.raises(ValidationError, match="one value per setting"):
-            pr.Records((exp,), [0.5], [0.5])
+            pr.Records((exp,), [0.5] * 8, [0.5] * 8)
 
     def test_verdict_flag_must_match_deviations(self):
-        exp = conspiracy((0,), [[0, 0], [0, 1]])
-        recs = pr.Records((exp,), [0.5, 0.5], [0.5, 0.45])
+        exp = pr.Experiment("tomography", 1, (0,), ())
+        recs = pr.Records((exp,), [0.5] * 9, [0.5, 0.45] + [0.5] * 7)
         for accepted, eps in ((True, 0.01), (False, 0.1)):
             with pytest.raises(ValidationError, match="inconsistent"):
                 pr.Verdict(accepted, 0.05, eps, np.array([1]), recs, ("x",))
