@@ -497,14 +497,6 @@ def _qubit_frame(side: str, wire: int) -> MeasurementFrame:
     )
 
 
-def _qubit_frames(layout: RegisterLayout) -> dict[tuple[str, int], MeasurementFrame]:
-    return {
-        (side, w): _qubit_frame(side, w)
-        for side in ("A", "B")
-        for w in range(layout.n_wires)
-    }
-
-
 def _epr_wire(a_dim: int, b_dim: int, e_dim: int) -> np.ndarray:
     if a_dim != 2 or b_dim != 2:
         raise DeviceValidationError("epr source needs 2x2 wires")
@@ -552,27 +544,23 @@ def _circuit_gates(
     return table
 
 
-def _honest_parts(
-    circuit: IdealCircuit | None, n: int | None
-) -> tuple[RegisterLayout, dict, dict]:
-    """The layout, gate table and frames of honest_device(circuit, n=n),
-    without building or checking its source."""
-    if circuit is not None:
-        n = circuit.n
-    elif n is None:
-        n = 1
+def _honest_parts(circuit: IdealCircuit | None) -> tuple[RegisterLayout, dict, dict]:
+    """The layout, gate table and frames of honest_device(circuit), one wire
+    without a circuit, without building or checking its source."""
+    n = 1 if circuit is None else circuit.n
     layout = RegisterLayout(n, (2,) * n, (2,) * n)
-    return layout, _circuit_gates(circuit, n), _qubit_frames(layout)
+    frames = {(side, w): _qubit_frame(side, w) for side in ("A", "B") for w in range(n)}
+    return layout, _circuit_gates(circuit, n), frames
 
 
 @functools.lru_cache(maxsize=1)
-def honest_device(circuit: IdealCircuit | None = None, n: int | None = None) -> DeviceModel:
+def honest_device(circuit: IdealCircuit | None = None) -> DeviceModel:
     """Ideal implementation: fresh EPR pairs, the circuit's own gates, ideal frames.
 
     Read-only, so shared: a call with the same circuit object as the last
     call returns the same device, which is how evaluate_schedule knows it.
     """
-    layout, gates, frames = _honest_parts(circuit, n)
+    layout, gates, frames = _honest_parts(circuit)
     source = _assemble_source(
         layout, [_epr_wire(2, 2, 1) for _ in range(layout.n_wires)]
     )
@@ -622,14 +610,13 @@ def rotated_device(
     v_a: Sequence[np.ndarray] | None = None,
     v_b: Sequence[np.ndarray] | None = None,
     theta: float | None = None,
-    n: int | None = None,
 ) -> DeviceModel:
     """Honest device conjugated wire-wise by local unitaries (default: rotation(theta)).
 
     Every statistic matches the honest device exactly; only the frame of
     reference differs.
     """
-    layout, honest_gates, honest_frames = _honest_parts(circuit, n)
+    layout, honest_gates, honest_frames = _honest_parts(circuit)
     nw = layout.n_wires
     if theta is None and v_a is None:
         theta = 0.0
@@ -687,19 +674,18 @@ def _depolarized_wire(p: float) -> np.ndarray:
     return wire
 
 
-def noisy_source_device(
-    circuit: IdealCircuit | None = None, p: float = 0.0, n: int | None = None
-) -> DeviceModel:
-    """Honest gates and frames over a purified depolarized pair source.
-
-    Each wire shares (1-p)|pair><pair| + p Id/4, purified against a 4-level
-    environment stored in the device's environment register.
-    """
-    honest_layout, gates, frames = _honest_parts(circuit, n)
-    nw = honest_layout.n_wires
-    layout = RegisterLayout(nw, (2,) * nw, (2,) * nw, (4,) * nw)
+def _depolarized(n: int, p: float) -> tuple[RegisterLayout, PhysState]:
+    """The layout and source of n qubit wires that each share (1-p)|pair><pair|
+    + p Id/4, purified against a 4-level environment on that wire."""
+    layout = RegisterLayout(n, (2,) * n, (2,) * n, (4,) * n)
     wire = _depolarized_wire(p)
-    source = _assemble_source(layout, [wire.copy() for _ in range(nw)])
+    return layout, _assemble_source(layout, [wire.copy() for _ in range(n)])
+
+
+def noisy_source_device(circuit: IdealCircuit | None = None, p: float = 0.0) -> DeviceModel:
+    """Honest gates and frames over a purified depolarized pair source."""
+    honest_layout, gates, frames = _honest_parts(circuit)
+    layout, source = _depolarized(honest_layout.n_wires, p)
     return DeviceModel(layout, source, gates, frames)
 
 
@@ -776,13 +762,18 @@ def _number(value, what: str, error: type[Exception]) -> float:
     raise error(f"{what}: must be a number, got {value!r:.60}")
 
 
-def _entries(data: dict, key: str, fields: str, error: type[Exception]) -> list[dict]:
-    """data[key] as a list of objects that each carry the space-separated fields."""
-    entries = _expect(data.get(key, []), list, key, error)
-    for e in entries:
-        if not isinstance(e, dict) or not set(fields.split()) <= e.keys():
-            raise error(f"{key}: each entry must be an object with {fields}")
-    return entries
+def _fields(value, what: str, error: type[Exception], needs=(), takes=()) -> dict:
+    """value if it is a JSON object that holds every key of needs and no key
+    outside needs and takes, else error naming the key at fault."""
+    obj = _expect(value, dict, what, error)
+    for key in obj:
+        if key not in needs and key not in takes:
+            known = ", ".join((*needs, *takes)) or "no parameters"
+            raise error(f"{what} takes {known}, not {key!r:.60}")
+    for key in needs:
+        if key not in obj:
+            raise error(f"{what} requires {key!r}")
+    return obj
 
 
 # the params each source kind of a device file takes, every one of them required
@@ -792,11 +783,16 @@ _SOURCE_PARAMS = {"epr": (), "depolarized": ("p",), "matrix": ("per_wire",)}
 def load_device(path_or_data) -> DeviceModel:
     """Build a DeviceModel from a JSON file path or an already-parsed dict."""
     err = DeviceValidationError
-    data = _expect(_read_json(path_or_data, err), dict, "device", err)
-    lay_d = _expect(data.get("layout"), dict, "layout", err)
-    n = _integer(lay_d.get("n_wires"), "layout: n_wires", err)
-    a_dims = _integers(lay_d.get("a_dims"), "layout: a_dims", err)
-    b_dims = _integers(lay_d.get("b_dims"), "layout: b_dims", err)
+    data = _read_json(path_or_data, err)
+    data = _fields(data, "device", err, ("layout",), ("source", "gates", "frames"))
+    lay_d = _fields(
+        data["layout"], "layout", err, ("n_wires", "a_dims", "b_dims"), ("e_dims", "c_dim")
+    )
+    n = _integer(lay_d["n_wires"], "layout: n_wires", err)
+    a_dims = _integers(lay_d["a_dims"], "layout: a_dims", err)
+    b_dims = _integers(lay_d["b_dims"], "layout: b_dims", err)
+    if "e_dims" in lay_d and "c_dim" in lay_d:
+        raise DeviceValidationError("layout takes e_dims or c_dim, not both")
     if "e_dims" in lay_d:
         e_dims = _integers(lay_d["e_dims"], "layout: e_dims", err)
     else:
@@ -804,21 +800,12 @@ def load_device(path_or_data) -> DeviceModel:
         e_dims = (c,) + (1,) * (len(a_dims) - 1)  # environment attached to wire 0
     layout = RegisterLayout(n, a_dims, b_dims, e_dims)
 
-    src = _expect(data.get("source", {"kind": "epr"}), dict, "source", err)
+    src = _fields(data.get("source", {}), "source", err, takes=("kind", "params"))
     kind = src.get("kind", "epr")
     params = _expect(src.get("params", {}), dict, "source: params", err)
     if not isinstance(kind, str) or kind not in _SOURCE_PARAMS:
         raise DeviceValidationError(f"source: unknown kind {kind!r:.60}")
-    takes = _SOURCE_PARAMS[kind]
-    for key in params:
-        if key not in takes:
-            raise DeviceValidationError(
-                f"source: kind {kind!r} takes {' and '.join(takes) or 'no params'}, "
-                f"not {key!r:.60}"
-            )
-    for key in takes:
-        if key not in params:
-            raise DeviceValidationError(f"source: kind {kind!r} requires params.{key}")
+    params = _fields(params, f"source: kind {kind!r}", err, _SOURCE_PARAMS[kind])
     if kind == "epr":
         per_wire = [
             _epr_wire(layout.a_dims[i], layout.b_dims[i], layout.e_dims[i])
@@ -828,9 +815,13 @@ def load_device(path_or_data) -> DeviceModel:
     elif kind == "depolarized":
         if layout.a_dims != (2,) * n or layout.b_dims != (2,) * n:
             raise DeviceValidationError("source: depolarized needs 2x2 wires")
-        layout = RegisterLayout(n, layout.a_dims, layout.b_dims, (4,) * n)
-        wire = _depolarized_wire(_number(params["p"], "source: p", err))
-        source = _assemble_source(layout, [wire.copy() for _ in range(n)])
+        if "e_dims" in lay_d or lay_d.get("c_dim", 1) != 1:
+            key = "e_dims" if "e_dims" in lay_d else "c_dim"
+            raise DeviceValidationError(
+                f"layout: {key} does not fit source kind 'depolarized', whose "
+                "environment is 4 levels on each wire"
+            )
+        layout, source = _depolarized(n, _number(params["p"], "source: p", err))
     else:
         vecs = _expect(params["per_wire"], list, "source: params.per_wire", err)
         if len(vecs) != n:
@@ -843,7 +834,8 @@ def load_device(path_or_data) -> DeviceModel:
         source = _assemble_source(layout, per_wire)
 
     gates = {}
-    for g in _entries(data, "gates", "side label wires matrix", err):
+    for i, g in enumerate(_expect(data.get("gates", []), list, "gates", err)):
+        g = _fields(g, f"gate {i + 1}", err, ("side", "label", "wires", "matrix"))
         side = _expect(g["side"], str, "gate: side", err)
         label = _expect(g["label"], str, "gate: label", err)
         what = f"gate ({side}, {label})"
@@ -853,7 +845,8 @@ def load_device(path_or_data) -> DeviceModel:
         gates[(side, label)] = DeviceGate(side, wires, _matrix_from_json(g["matrix"], what))
 
     frames: dict[tuple[str, int], dict[float, np.ndarray]] = {}
-    for f in _entries(data, "frames", "side wire angle matrix", err):
+    for i, f in enumerate(_expect(data.get("frames", []), list, "frames", err)):
+        f = _fields(f, f"frame {i + 1}", err, ("side", "wire", "angle", "matrix"))
         side, key = f["side"], f["angle"]
         wire = _integer(f["wire"], "frame: wire", err)
         if side not in ("A", "B") or not 0 <= wire < n:
@@ -887,14 +880,16 @@ def load_device(path_or_data) -> DeviceModel:
 def load_circuit(path_or_data) -> IdealCircuit:
     """Build an IdealCircuit from a JSON file path or an already-parsed dict."""
     err = CircuitValidationError
-    data = _expect(_read_json(path_or_data, err), dict, "circuit", err)
-    n = _wire_count(_integer(data.get("n"), "circuit: n", err))
+    data = _fields(_read_json(path_or_data, err), "circuit", err, ("n",), ("input", "gates"))
+    n = _wire_count(_integer(data["n"], "circuit: n", err))
     x = data.get("input", "0" * n)
     gates = []
     for i, g in enumerate(_expect(data.get("gates", []), list, "circuit: gates", err)):
-        g = _expect(g, dict, f"gate {i + 1}", err)
+        g = _fields(g, f"gate {i + 1}", err, ("wires",), ("label", "builtin", "matrix"))
         label = _expect(g.get("label", f"g{i + 1}"), str, f"gate {i + 1}: label", err)
-        wires = _integers(g.get("wires"), f"gate {label}: wires", err)
+        wires = _integers(g["wires"], f"gate {label}: wires", err)
+        if "builtin" in g and "matrix" in g:
+            raise CircuitValidationError(f"gate {label}: takes builtin or matrix, not both")
         if "builtin" in g:
             m = builtin_gate(_expect(g["builtin"], str, f"gate {label}: builtin", err))
         elif "matrix" in g:
@@ -912,20 +907,19 @@ def load_circuit(path_or_data) -> IdealCircuit:
     return IdealCircuit(n, tuple(gates), x)
 
 
-_GALLERY = (
-    ("builtin:honest", "ideal implementation of the given circuit"),
-    ("builtin:vandam", "hidden-qubit cheat passing the legacy Hadamard check"),
-    ("builtin:rotated?theta=T", "honest conjugated wire-wise by rotation(T)"),
-    ("builtin:depolarized?p=P", "honest gates over a depolarized pair source"),
-)
-
-
-# the query parameters each builtin takes, every one of them required
-_BUILTIN_PARAMS = {
-    "honest": (),
-    "vandam": (),
-    "rotated": ("theta",),
-    "depolarized": ("p",),
+# every builtin device, in gallery order: its query parameters (every one of
+# them required), its gallery line, and its builder from (circuit, **params)
+_BUILTINS = {
+    "honest": ((), ("builtin:honest", "ideal implementation of the given circuit"),
+               honest_device),
+    "vandam": ((), ("builtin:vandam", "hidden-qubit cheat passing the legacy Hadamard check"),
+               lambda circuit: van_dam_device()),
+    "rotated": (("theta",),
+                ("builtin:rotated?theta=T", "honest conjugated wire-wise by rotation(T)"),
+                rotated_device),
+    "depolarized": (("p",),
+                    ("builtin:depolarized?p=P", "honest gates over a depolarized pair source"),
+                    noisy_source_device),
 }
 
 # the one syntax a builtin's parameter value takes: a JSON number, as in files
@@ -933,47 +927,34 @@ _JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 def builtin_gallery() -> tuple[tuple[str, str], ...]:
-    return _GALLERY
+    return tuple(line for _, line, _ in _BUILTINS.values())
 
 
 def resolve_device(spec: str, circuit: IdealCircuit | None = None) -> DeviceModel:
     """Device from a builtin URI (builtin:name?k=v) or a JSON file path."""
     if not spec.startswith("builtin:"):
         return load_device(spec)
-    rest = spec[len("builtin:"):]
-    name, _, query = rest.partition("?")
-    if name not in _BUILTIN_PARAMS:
+    name, _, query = spec[len("builtin:"):].partition("?")
+    if name not in _BUILTINS:
         raise ConfigError(f"unknown builtin device {name!r} (see the gallery)")
+    needs, _, build = _BUILTINS[name]
+    items = {}
+    for item in query.split("&") if query else ():
+        k = item.partition("=")[0]
+        if k in items:
+            raise ConfigError(f"device parameter {k!r} repeats in {spec!r}")
+        items[k] = item
     params = {}
-    if query:
-        for item in query.split("&"):
-            k, _, v = item.partition("=")
-            if k not in _BUILTIN_PARAMS[name]:
-                takes = " or ".join(_BUILTIN_PARAMS[name]) or "no parameters"
-                raise ConfigError(
-                    f"builtin:{name} takes {takes}, not {k!r} (in {spec!r})"
-                )
-            if k in params:
-                raise ConfigError(f"device parameter {k!r} repeats in {spec!r}")
-            try:
-                params[k] = float(v)
-            except ValueError:
-                raise ConfigError(f"bad device parameter {item!r} in {spec!r}") from None
-            if not math.isfinite(params[k]):
-                raise ConfigError(f"device parameter {item!r} in {spec!r} is not finite")
-            # float() also reads digit underscores, blanks, a leading + and a
-            # bare point, none of which a JSON number has
-            if not _JSON_NUMBER.fullmatch(v):
-                raise ConfigError(f"bad device parameter {item!r} in {spec!r}")
-    for k in _BUILTIN_PARAMS[name]:
-        if k not in params:
-            raise ConfigError(
-                f"builtin:{name} requires {k!r}, as in builtin:{name}?{k}=... (in {spec!r})"
-            )
-    if name == "honest":
-        return honest_device(circuit)
-    if name == "vandam":
-        return van_dam_device()
-    if name == "rotated":
-        return rotated_device(circuit, theta=params["theta"])
-    return noisy_source_device(circuit, p=params["p"])
+    for k, item in _fields(items, f"builtin:{name}", ConfigError, needs).items():
+        v = item.partition("=")[2]
+        try:
+            params[k] = float(v)
+        except ValueError:
+            raise ConfigError(f"bad device parameter {item!r} in {spec!r}") from None
+        if not math.isfinite(params[k]):
+            raise ConfigError(f"device parameter {item!r} in {spec!r} is not finite")
+        # float() also reads digit underscores, blanks, a leading + and a
+        # bare point, none of which a JSON number has
+        if not _JSON_NUMBER.fullmatch(v):
+            raise ConfigError(f"bad device parameter {item!r} in {spec!r}")
+    return build(circuit, **params)

@@ -44,6 +44,17 @@ __all__ = [
 ]
 
 
+def _is_prep(prep) -> bool:
+    """Whether prep is a tuple of (side, label) tuples of str, the form an
+    Experiment keeps as it is: a schedule's preps are, and are not copied."""
+    if type(prep) is not tuple:
+        return False
+    for e in prep:
+        if type(e) is not tuple or len(e) != 2 or type(e[0]) is not str or type(e[1]) is not str:
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class Experiment:
     """One scheduled experiment: a prep prefix shared by a block of settings.
@@ -66,9 +77,9 @@ class Experiment:
         if len(set(wires)) != len(wires):
             raise ValidationError(f"experiment wires {wires} repeat a wire")
         object.__setattr__(self, "wires", wires)
-        object.__setattr__(
-            self, "prep", tuple((str(side), str(label)) for side, label in self.prep)
-        )
+        if not _is_prep(self.prep):
+            prep = tuple((str(side), str(label)) for side, label in self.prep)
+            object.__setattr__(self, "prep", prep)
 
     @property
     def settings(self) -> np.ndarray:

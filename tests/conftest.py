@@ -1,4 +1,4 @@
-"""Fixtures shared by the tests that check benchmark pool commands."""
+"""Fixtures and helpers shared by several test modules."""
 
 import importlib
 import json
@@ -7,8 +7,15 @@ from pathlib import Path
 import pytest
 
 from qselftest import cli
+from qselftest import devices as dv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def gate_free(n):
+    """The circuit of n wires with no gates and input all zeros. A device
+    built for it holds only the compensating NOT of each wire."""
+    return dv.IdealCircuit(n, (), "0" * n)
 
 
 @pytest.fixture()

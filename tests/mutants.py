@@ -203,6 +203,14 @@ MUTANTS = (
         "every command compiles and runs extraction before it starts",
     ),
     Mutant(
+        "reader-takes-any-key",
+        "devices.py",
+        "        if key not in needs and key not in takes:",
+        "        if False:",
+        "a device or circuit file's misspelt or extra key is ignored, so the file "
+        "runs as if the entry were not there (frames misspelt as frame run ideal frames)",
+    ),
+    Mutant(
         "uri-float-syntax",
         "devices.py",
         "if not _JSON_NUMBER.fullmatch(v):",

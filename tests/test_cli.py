@@ -87,6 +87,10 @@ def a_frames(pi4):
             for k, m in mats.items()]
 
 
+# the ideal projector at pi/4
+PI4 = hb.projector_angle(math.pi / 4).matrix
+
+
 def with_nan(m, entry=(1, 1)):
     m = np.array(m, dtype=complex)
     m[entry] = math.nan
@@ -526,27 +530,79 @@ class TestConfigErrors:
         [
             ({"source": {"kind": "depolarized", "params": {"P": 0.5}}},
              "source: kind 'depolarized' takes p, not 'P'"),
-            ({"source": {"kind": "depolarized"}}, "source: kind 'depolarized' requires params.p"),
+            ({"source": {"kind": "depolarized"}}, "source: kind 'depolarized' requires 'p'"),
             ({"source": {"kind": "epr", "params": {"p": 0.5}}},
-             "source: kind 'epr' takes no params, not 'p'"),
+             "source: kind 'epr' takes no parameters, not 'p'"),
             ({"source": {"kind": "matrix", "params": {"per_wire": [_EPR_VECTOR], "p": 0.5}}},
              "source: kind 'matrix' takes per_wire, not 'p'"),
-            ({"source": {"kind": "matrix"}}, "source: kind 'matrix' requires params.per_wire"),
+            ({"source": {"kind": "matrix"}}, "source: kind 'matrix' requires 'per_wire'"),
             ({"gates": [{"side": "B", "label": "g1", "wires": [0], "matrix": EYE2}] * 2},
              "gate (B, g1): listed twice"),
             ({"frames": [{"side": "B", "wire": 0, "angle": "pi/8", "matrix": dv.matrix_to_json(
                 hb.projector_angle(math.pi / 8).matrix)}] * 2},
              "frame (B, 0, pi/8): listed twice"),
+            ({"frame": a_frames(hb.projector_angle(0.0).matrix)},
+             "device takes layout, source, gates, frames, not 'frame'"),
+            ({"gate": [{"side": "A", "label": "g1", "wires": [0], "matrix": EYE2}]},
+             "device takes layout, source, gates, frames, not 'gate'"),
+            ({"layout": {**ONE_WIRE, "c_dims": 4}},
+             "layout takes n_wires, a_dims, b_dims, e_dims, c_dim, not 'c_dims'"),
+            ({"source": {"kind": "epr", "p": 0.5}}, "source takes kind, params, not 'p'"),
+            ({"gates": [{"side": "A", "label": "g1", "wires": [0], "matrix": EYE2, "power": 2}]},
+             "gate 1 takes side, label, wires, matrix, not 'power'"),
+            ({"frames": a_frames(PI4)[:2] + [{**a_frames(PI4)[2], "wires": [0]}]},
+             "frame 3 takes side, wire, angle, matrix, not 'wires'"),
+            ({"layout": {**ONE_WIRE, "e_dims": [1], "c_dim": 2}},
+             "layout takes e_dims or c_dim, not both"),
+            ({"layout": {**ONE_WIRE, "e_dims": [2]},
+              "source": {"kind": "depolarized", "params": {"p": 0.0}}},
+             "layout: e_dims does not fit source kind 'depolarized', whose environment is "
+             "4 levels on each wire"),
+            ({"layout": {**ONE_WIRE, "c_dim": 2},
+              "source": {"kind": "depolarized", "params": {"p": 0.0}}},
+             "layout: c_dim does not fit source kind 'depolarized', whose environment is "
+             "4 levels on each wire"),
         ],
         ids=["depolarized-P", "depolarized-no-p", "epr-p", "matrix-p", "matrix-no-per-wire",
-             "gate-twice", "frame-twice"],
+             "gate-twice", "frame-twice", "frames-misspelt", "gates-misspelt",
+             "layout-extra-key", "source-extra-key", "gate-extra-key", "frame-extra-key",
+             "e-dims-and-c-dim", "depolarized-with-e-dims", "depolarized-with-c-dim"],
     )
     def test_refused_entry_is_named(self, device, message, tmp_path, capsys):
         # a source takes the params its kind names, as a builtin: URI does,
-        # and a gate or frame is listed once, as a circuit's gate label is;
-        # the one stderr line names the key or entry at fault
+        # a gate or frame is listed once, as a circuit's gate label is, and
+        # every object takes only its own keys; the one stderr line names
+        # the key or entry at fault. From frames-misspelt on, each of these
+        # ran and accepted: the misspelt or extra key was ignored (a
+        # cheating pi/4 frame under "frame" ran the ideal one), c_dim was
+        # dropped for e_dims, or the depolarized source put its own
+        # environment in place of the layout's
         path = write_json(tmp_path, "bad.json", {"layout": ONE_WIRE, **device})
         assert cli.main(["epr-test", "--device", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "circuit, message",
+        [
+            ({"n": 1, "gate": [{"label": "g1", "wires": [0], "builtin": "X"}]},
+             "circuit takes n, input, gates, not 'gate'"),
+            ({"n": 1, "inputs": "1", "gates": []}, "circuit takes n, input, gates, not 'inputs'"),
+            ({"n": 1, "gates": [{"label": "g1", "wires": [0], "builtin": "H", "power": 2}]},
+             "gate 1 takes wires, label, builtin, matrix, not 'power'"),
+            ({"n": 1, "gates": [
+                {"label": "g1", "wires": [0], "builtin": "H", "matrix": [[0, 1], [1, 0]]}]},
+             "gate g1: takes builtin or matrix, not both"),
+        ],
+        ids=["gates-misspelt", "input-misspelt", "gate-extra-key", "builtin-and-matrix"],
+    )
+    def test_circuit_file_that_ran_another_circuit_is_refused(
+        self, circuit, message, tmp_path, capsys
+    ):
+        # each of these ran and accepted another circuit than the file says:
+        # the empty circuit, input 0, or the builtin in place of the matrix
+        path = write_json(tmp_path, "c.json", circuit)
+        argv = ["circuit-test", "--device", "builtin:honest", "--circuit", path]
+        assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", [True, "0.1"], ids=repr)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import gate_free
 from qselftest import cli
 from qselftest import devices as dv
 from qselftest import hilbert as hb
@@ -233,7 +234,7 @@ class TestCircuit:
 
 class TestHonestDevice:
     def test_source_is_fresh_pairs(self):
-        dev = dv.honest_device(n=2)
+        dev = dv.honest_device(gate_free(2))
         want = bell_vec(2)  # [A1 A2 B1 B2], trailing unit environments
         assert np.allclose(dev.source.vec, want, atol=1e-15)
 
@@ -268,7 +269,7 @@ class TestHonestDevice:
         assert np.linalg.norm(st.vec - dev.source.vec) < 1e-12
 
     def test_not_gates_present_both_sides(self):
-        dev = dv.honest_device(n=3)
+        dev = dv.honest_device(gate_free(3))
         for w in range(3):
             for side in ("A", "B"):
                 assert (side, f"not{w}") in dev.gates
@@ -282,7 +283,7 @@ class TestSharedParts:
     def test_ideal_frames_and_nots_are_shared(self):
         one = dv.honest_device(single_h_circuit())
         two = dv.honest_device(dv.load_circuit(WL.FIXED_CIRCUITS["fig1.json"]))
-        noisy = dv.noisy_source_device(n=2, p=0.1)
+        noisy = dv.noisy_source_device(gate_free(2), p=0.1)
         for side in ("A", "B"):
             assert one.frames[(side, 0)] is two.frames[(side, 0)]
             assert one.gates[(side, "not0")] is two.gates[(side, "not0")]
@@ -292,7 +293,7 @@ class TestSharedParts:
         assert loaded.frames[("A", 0)] is one.frames[("A", 0)]
 
     def test_shared_matrices_are_read_only(self):
-        dev = dv.honest_device(n=2)
+        dev = dv.honest_device(gate_free(2))
         frame = dev.frames[("A", 1)]
         with pytest.raises(ValueError, match="read-only"):
             frame.base[0.0][0, 0] = 0.0
@@ -300,8 +301,10 @@ class TestSharedParts:
             frame.base[0.0] = np.eye(2)
         with pytest.raises(ValueError, match="read-only"):
             dev.gates[("B", "not1")].matrix[0, 0] = 1.0
-        assert np.array_equal(dv.honest_device(n=2).frames[("A", 1)].base[0.0],
-                              hb.projector_angle(0.0).matrix)
+        assert np.array_equal(
+            dv.honest_device(gate_free(2)).frames[("A", 1)].base[0.0],
+            hb.projector_angle(0.0).matrix,
+        )
 
 
 class TestValidation:
@@ -326,7 +329,7 @@ class TestValidation:
         v = np.zeros(16, dtype=np.complex128)
         v[0], v[15] = math.sqrt(1 - second**2), second
         source = hb.PhysState(lay.full, v)
-        frames = dv.honest_device(n=2).frames
+        frames = dv.honest_device(gate_free(2)).frames
         if second > dv.SEPARABILITY_TOL:
             with pytest.raises(DeviceValidationError, match="wire 0 cut has Schmidt rank 2"):
                 dv.DeviceModel(lay, source, {}, frames)

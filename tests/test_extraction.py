@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gate_free
 from qselftest import devices as dv
 from qselftest import extraction as ex
 from qselftest import hilbert as hb
@@ -165,7 +166,7 @@ def near_idempotent_device(seed):
     """The honest 2-wire device with every base projector moved by about
     1e-11: idempotent only to that, inside the frame tolerance, so each swap
     is an isometry on the |0> logical input only to that."""
-    dev = dv.honest_device(n=2)
+    dev = dv.honest_device(gate_free(2))
     rng = np.random.default_rng(seed)
     frames = {}
     for key, f in dev.frames.items():
@@ -193,7 +194,7 @@ class TestComplementResiduals:
     @pytest.mark.parametrize(
         "make, wires, isometry",
         [
-            (lambda: dv.honest_device(n=2), (0, 1), True),
+            (lambda: dv.honest_device(gate_free(2)), (0, 1), True),
             (lambda: dv.rotated_device(theta=0.5), (0,), True),
             (lambda: dv.noisy_source_device(p=0.05), (0,), True),
             (lambda: dv.van_dam_device(), (0,), True),

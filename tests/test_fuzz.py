@@ -1,8 +1,9 @@
 """Mutation fuzzing of device and circuit files against the exit-code contract.
 
-Valid device and circuit JSON is mutated (a node replaced by arbitrary JSON,
-or removed) and run through `cli.main`. The run must exit 2 exactly when a
-QSelfTestError was raised, and no other exception may escape.
+Valid device and circuit JSON is mutated (a node replaced by arbitrary JSON
+or removed, or a key added to or renamed in an object) and run through
+`cli.main`. The run must exit 2 exactly when a QSelfTestError was raised,
+and no other exception may escape.
 """
 
 import contextlib
@@ -72,6 +73,14 @@ JSON = st.recursive(
 )
 
 
+# every key a device or circuit file takes, and some near misses
+KEYS = st.sampled_from([
+    "layout", "source", "gates", "frames", "gate", "frame", "n_wires", "a_dims", "b_dims",
+    "e_dims", "c_dim", "c_dims", "kind", "params", "p", "P", "per_wire", "side", "label",
+    "wires", "wire", "angle", "matrix", "n", "input", "inputs", "builtin", "theta",
+])
+
+
 def _paths(node, path=()):
     """Every position in a parsed JSON document, the root first."""
     yield path
@@ -83,17 +92,32 @@ def _paths(node, path=()):
             yield from _paths(v, path + (i,))
 
 
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def mutated(draw, docs):
     doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
     for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(list(_paths(doc))))
+        paths = list(_paths(doc))
+        objects = [path for path in paths if isinstance(_node(doc, path), dict)]
+        if objects and draw(st.integers(0, 2)) == 0:
+            # a key added to an object, or one of its keys renamed
+            obj = _node(doc, draw(st.sampled_from(objects)))
+            key = draw(KEYS)
+            if obj and draw(st.booleans()):
+                obj[key] = obj.pop(draw(st.sampled_from(sorted(obj))))
+            else:
+                obj[key] = draw(JSON)
+            continue
+        path = draw(st.sampled_from(paths))
         if not path:
             doc = draw(JSON)
             continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _node(doc, path[:-1])
         if draw(st.booleans()):
             parent[path[-1]] = draw(JSON)
         else:

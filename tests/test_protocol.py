@@ -172,6 +172,15 @@ class TestBuildSchedule:
         assert all(type(e) is tuple for e in exp.prep)
         assert exp.branches[0] == (("A", 0, 0.0), ("B", 0, 0.0))
 
+    def test_prep_of_str_pairs_is_kept_and_any_other_is_normalized(self):
+        # a schedule's preps are tuples of str pairs: kept as the same object
+        prep = (("A", "g1"), ("B", "g1"))
+        assert pr.Experiment("conspiracy", 1, (0,), prep).prep is prep
+        for other in ([("A", "g1"), ("B", "g1")], (["A", "g1"], ("B", "g1")), iter(prep)):
+            exp = pr.Experiment("conspiracy", 1, (0,), other)
+            assert exp.prep == prep and exp.prep is not other
+            assert type(exp.prep) is tuple and all(type(e) is tuple for e in exp.prep)
+
     def test_settings_tables_are_built_once_and_frozen(self):
         # a step's settings depend only on its kind and arity: every
         # schedule shares one read-only table per (kind, arity)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gate_free
 from qselftest import cli
 from qselftest import devices as dv
 from qselftest import hilbert as hb
@@ -197,7 +198,7 @@ def hidden_device(e_dims, seed):
     # (A_0 B_0 E_0 A_1 ...) -> the layout's (A_0 A_1 ... B_0 ... E_0 ...)
     perm = [3 * w + k for k in range(3) for w in range(n)]
     source = hb.permute_subsystems(hb.tensor(*wires), perm)
-    device = dv.DeviceModel(layout, source, {}, dv.honest_device(n=n).frames)
+    device = dv.DeviceModel(layout, source, {}, dv.honest_device(gate_free(n)).frames)
     rng = np.random.default_rng(seed)
     return with_frames(device, lambda side, wire, m: random_projector(rng, 2))
 
@@ -220,7 +221,7 @@ def test_hidden_dims_and_none_angles_match_the_tree(device, slots):
     if device == "hidden":
         dev = hidden_device((3, 1, 4, 2), seed=11)
     else:
-        dev = dv.noisy_source_device(n=4, p=0.05)
+        dev = dv.noisy_source_device(gate_free(4), p=0.05)
     state = dev.source
     assert state.layout.total > stats._REDUCED_AMPS
     got = stats.probabilities(dev, state, SLOTS[slots])
@@ -251,7 +252,7 @@ def test_reduced_state_larger_than_the_state_keeps_the_tree():
 
 BOUNDARY_DEVICES = {
     "honest-4": (256, lambda: dv.honest_device(chain_circuit(4))),
-    "depolarized-2": (256, lambda: dv.noisy_source_device(n=2, p=0.05)),
+    "depolarized-2": (256, lambda: dv.noisy_source_device(gate_free(2), p=0.05)),
     "hidden-512": (512, lambda: hidden_device((1, 1, 1, 2), seed=7)),
     "honest-5": (1024, lambda: dv.honest_device(CHAINS[5])),
 }

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gate_free
 from qselftest import devices as dv
 from qselftest import hilbert as hb
 from qselftest import protocol as pr
@@ -193,8 +194,8 @@ def random_states(layout, m, seed):
 
 # (device, parents): first-level children of 6 * 64 and 6 * 256 amplitudes
 # fit 10 and 2 parents per kernel call, and neither count divides the parents
-RAGGED = {"honest-3": (lambda: dv.honest_device(n=3), 23),
-          "depolarized-2": (lambda: dv.noisy_source_device(n=2, p=0.05), 5)}
+RAGGED = {"honest-3": (lambda: dv.honest_device(gate_free(3)), 23),
+          "depolarized-2": (lambda: dv.noisy_source_device(gate_free(2), p=0.05), 5)}
 
 
 @pytest.mark.parametrize("name", list(RAGGED))
@@ -234,8 +235,9 @@ def test_leaves_split_parents_into_chunks_whose_children_fit(name, monkeypatch):
 
 @pytest.mark.parametrize(
     "build_device",
-    [lambda: dv.honest_device(n=3), lambda: dv.noisy_source_device(n=2, p=0.05),
-     lambda: dv.noisy_source_device(n=3, p=0.05)],
+    [lambda: dv.honest_device(gate_free(3)),
+     lambda: dv.noisy_source_device(gate_free(2), p=0.05),
+     lambda: dv.noisy_source_device(gate_free(3), p=0.05)],
     ids=["honest-3", "depolarized-2", "depolarized-3"],
 )
 def test_block_probabilities_are_each_states_in_turn(build_device):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import gate_free
 from qselftest import cli
 from qselftest import devices as dv
 from qselftest import extraction as ex
@@ -433,7 +434,7 @@ def hidden_device(e_dims):
     and the ideal frames."""
     n = len(e_dims)
     layout = dv.RegisterLayout(n, (2,) * n, (2,) * n, e_dims)
-    frames = dv.honest_device(n=n).frames
+    frames = dv.honest_device(gate_free(n)).frames
     return dv.DeviceModel(layout, hb.basis_state(layout.full, 0), {}, frames)
 
 
@@ -442,10 +443,10 @@ def hidden_device(e_dims):
 # largest go depth first; hidden-3 (768) and depolarized-3 (4,096) read
 # their probabilities from reduced states
 PROPERTY_DEVICES = {
-    "honest-1": lambda: dv.honest_device(n=1),
-    "rotated-2": lambda: dv.rotated_device(n=2, theta=0.4),
-    "depolarized-2": lambda: dv.noisy_source_device(n=2, p=0.05),
-    "depolarized-3": lambda: dv.noisy_source_device(n=3, p=0.05),
+    "honest-1": lambda: dv.honest_device(gate_free(1)),
+    "rotated-2": lambda: dv.rotated_device(gate_free(2), theta=0.4),
+    "depolarized-2": lambda: dv.noisy_source_device(gate_free(2), p=0.05),
+    "depolarized-3": lambda: dv.noisy_source_device(gate_free(3), p=0.05),
     "vandam": dv.van_dam_device,
     "hidden-3": lambda: hidden_device((3, 1, 4)),
 }
@@ -521,7 +522,7 @@ WALK_PEAKS = {"tomography-2": 9, "conspiracy": 13, "span": 18, "readout": 7}
 
 @pytest.mark.parametrize("product", list(WALK_PEAKS))
 def test_large_state_holds_no_more_states_than_the_walker(product):
-    device = dv.noisy_source_device(n=4, p=0.05)
+    device = dv.noisy_source_device(gate_free(4), p=0.05)
     state_bytes = device.source.vec.nbytes
     assert device.source.vec.size == 2**16
     base = dv.BASE_ANGLES
