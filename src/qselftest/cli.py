@@ -64,8 +64,6 @@ class RunConfig:
             raise ConfigError(f"--eps must lie in (0, 1), got {self.eps}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"--gamma must lie in (0, 1), got {self.gamma}")
-        if self.mode not in ("exact", "sampled"):
-            raise ConfigError(f"--mode must be exact or sampled, got {self.mode!r}")
         if self.mode == "sampled" and self.seed is None:
             raise ConfigError("--seed is required when --mode sampled")
         if self.seed is not None and not 0 <= self.seed < 2**64:

@@ -719,13 +719,24 @@ def _vector_from_json(entries, what: str) -> np.ndarray:
     return np.ascontiguousarray(arr).view(np.complex128)[:, 0]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; ValueError on a repeated key, which
+    json would read as its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def _read_json(path_or_data, error: type[Exception]):
     """Parsed contents of a JSON file, or path_or_data itself if already parsed."""
     if not isinstance(path_or_data, (str, bytes)):
         return path_or_data
     try:
         with open(path_or_data) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also covers bytes that are not text
         raise error(f"{path_or_data}: not valid JSON ({exc})") from None
 

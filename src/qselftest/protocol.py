@@ -44,23 +44,15 @@ __all__ = [
 ]
 
 
-def _is_prep(prep) -> bool:
-    """Whether prep is a tuple of (side, label) tuples of str, the form an
-    Experiment keeps as it is: a schedule's preps are, and are not copied."""
-    if type(prep) is not tuple:
-        return False
-    for e in prep:
-        if type(e) is not tuple or len(e) != 2 or type(e[0]) is not str or type(e[1]) is not str:
-            return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class Experiment:
     """One scheduled experiment: a prep prefix shared by a block of settings.
 
     Its kind and its number of wires fix its settings (see `_settings`).
-    The wires are distinct, so no side measures a wire twice.
+    The wires are distinct, so no side measures a wire twice. The prep is
+    kept as a tuple of its entries as given: a tuple prep is the very same
+    object, so a schedule's preps, which share their prefixes, are not
+    copied.
     """
 
     kind: str  # "conspiracy" or "tomography"
@@ -77,9 +69,7 @@ class Experiment:
         if len(set(wires)) != len(wires):
             raise ValidationError(f"experiment wires {wires} repeat a wire")
         object.__setattr__(self, "wires", wires)
-        if not _is_prep(self.prep):
-            prep = tuple((str(side), str(label)) for side, label in self.prep)
-            object.__setattr__(self, "prep", prep)
+        object.__setattr__(self, "prep", tuple(self.prep))
 
     @property
     def settings(self) -> np.ndarray:
@@ -150,28 +140,34 @@ class Records:
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
-    """Outcome of a test run; accepted iff no record deviates beyond eps.
+    """Outcome of a test run: its records, judged against eps.
 
-    failing holds the indices of the records that deviate beyond eps, in
-    order. labels name each experiment for display (e.g. "conspiracy@2");
-    they are not part of the report.
+    Everything else is derived from the records' deviations: failing holds
+    the indices of the records that deviate beyond eps, in order; accepted
+    is whether there are none; max_deviation is the largest deviation, 0.0
+    with no records. labels name each experiment for display (e.g.
+    "conspiracy@2"); they are not part of the report.
     """
 
-    accepted: bool
-    max_deviation: float
-    eps: float
-    failing: np.ndarray
     records: Records
+    eps: float
     labels: tuple[str, ...]
     computation_outcome_histogram: Mapping[str, float] | None = None
     tv_distance: float | None = None
     y: str | None = None
 
-    def __post_init__(self):
-        if self.accepted != bool((self.records.deviation <= self.eps).all()):
-            raise ValidationError(
-                "verdict inconsistent: accepted flag disagrees with deviations"
-            )
+    @property
+    def failing(self) -> np.ndarray:
+        return np.flatnonzero(self.records.deviation > self.eps)
+
+    @property
+    def accepted(self) -> bool:
+        return not self.failing.size
+
+    @property
+    def max_deviation(self) -> float:
+        dev = self.records.deviation
+        return float(dev.max()) if dev.size else 0.0
 
     def to_json(self) -> dict:
         """The report's result as plain JSON values: summary_json, then one
@@ -216,13 +212,6 @@ class Verdict:
         return out
 
 
-def _make_verdict(records: Records, eps: float, labels: tuple[str, ...]) -> Verdict:
-    dev = records.deviation
-    failing = np.flatnonzero(dev > eps)
-    maxdev = float(dev.max()) if dev.size else 0.0
-    return Verdict(not failing.size, maxdev, eps, failing, records, labels)
-
-
 # ---------------------------------------------------------------------------
 # Pair test
 
@@ -244,7 +233,7 @@ def epr_test(
     pair = np.array([[0.5 * math.cos(a - b) ** 2 for b in TEST_ANGLES]
                      for a in TEST_ANGLES])
     ideal = pair[exp.settings[:, 0], exp.settings[:, 1]]
-    return _make_verdict(Records((exp,), ideal, ests, n), eps, ("epr",))
+    return Verdict(Records((exp,), ideal, ests, n), eps, ("epr",))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +362,13 @@ def _schedule_probabilities(
     each step's A gate then its B gate, so each gate of it is applied once.
 
     Experiments of one shape (kind and wires) differ only in their
-    prepared states. So each shape's states wait in a queue, and are
-    evaluated together as one block once the next state would take it past
-    _BLOCK_AMPS amplitudes; what is left is evaluated at the end. The kernel
-    gives each row the bits of its own state alone, so the values are those
-    of each experiment taken alone. A state above _REDUCED_AMPS amplitudes
-    is read from its reduced states, which a block does not speed up, so it
-    is evaluated at once, uncopied.
+    prepared states. So each shape's states wait in a queue for the whole
+    walk, and each queue is evaluated once at the end, as one block;
+    `stats.probabilities` splits it into chunks its kernel calls hold. The
+    kernel gives each row the bits of its own state alone, so the values are
+    those of each experiment taken alone. A state above _REDUCED_AMPS
+    amplitudes is read from its reduced states, which a block does not
+    speed up, so it is evaluated at once, uncopied.
     """
     kept: list[tuple[tuple, PhysState]] = []
     out: list = [None] * len(experiments)
@@ -403,18 +392,12 @@ def _schedule_probabilities(
         for g in range(len(prep), len(exp.prep)):
             state = hb.apply_operator(device.gate_operator(*exp.prep[g]), state)
             kept = kept[-1:] + [(exp.prep[: g + 1], state)]
-        total = state.layout.total
-        if total > stx._REDUCED_AMPS:
+        if state.layout.total > stx._REDUCED_AMPS:
             evaluate([(i, state)])
-            continue
-        queue = queues.setdefault((exp.kind, exp.wires), [])
-        queue.append((i, state))
-        if len(queue) == stx._BLOCK_AMPS // total:
-            evaluate(queue)
-            queue.clear()
+        else:
+            queues.setdefault((exp.kind, exp.wires), []).append((i, state))
     for queue in queues.values():
-        if queue:
-            evaluate(queue)
+        evaluate(queue)
     return np.concatenate(out)
 
 
@@ -452,7 +435,7 @@ def evaluate_schedule(
     ests = stx.estimates(probs.tolist(), n_samples, seed) if n_samples else probs
     records = Records(schedule.experiments, ideals, ests, n_samples)
     labels = tuple(f"{exp.kind}@{exp.j}" for exp in schedule.experiments)
-    return _make_verdict(records, schedule.eps, labels)
+    return Verdict(records, schedule.eps, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ MUTANTS = (
     Mutant(
         "2eps",
         "protocol.py",
-        "failing = np.flatnonzero(dev > eps)",
-        "failing = np.flatnonzero(dev > 2 * eps)",
+        "return np.flatnonzero(self.records.deviation > self.eps)",
+        "return np.flatnonzero(self.records.deviation > 2 * self.eps)",
         "a verdict that fails only records beyond twice the threshold accepts "
         "devices up to 2 eps away",
     ),
@@ -106,6 +106,15 @@ MUTANTS = (
         "_REDUCED_AMPS = 1 << 12\n",
         "states of 257 to 4,096 amplitudes go back to the product tree, whose bits "
         "the n=6 and depolarized n=3 ladder pins no longer hold",
+    ),
+    Mutant(
+        "plan-forward-for-inverse",
+        "hilbert.py",
+        "inv[axis + 2] = pos + 2",
+        "inv[pos + 2] = axis + 2",
+        "the kernel puts each result back with the permutation that took the "
+        "targets to the front, not its inverse, which scrambles the subsystems "
+        "whenever that permutation is not its own inverse",
     ),
     Mutant(
         "chunk-drops-a-parent",

@@ -1,9 +1,10 @@
 """Mutation fuzzing of device and circuit files against the exit-code contract.
 
 Valid device and circuit JSON is mutated (a node replaced by arbitrary JSON
-or removed, or a key added to or renamed in an object) and run through
-`cli.main`. The run must exit 2 exactly when a QSelfTestError was raised,
-and no other exception may escape.
+or removed, a key added to or renamed in an object, or, in the file's text,
+a key of an object repeated) and run through `cli.main`. The run must exit
+2 exactly when a QSelfTestError was raised, and no other exception may
+escape.
 """
 
 import contextlib
@@ -98,8 +99,26 @@ def _node(doc, path):
     return doc
 
 
+# a string that no drawn document holds: where the object whose key
+# repeats goes in the document's text
+_REPEATED = "\0repeated\0"
+
+
+def _with_repeated_key(doc, path, key, value) -> str:
+    """doc's text with key repeated in the object at path, the second time
+    with value: a text that no parsed document can give."""
+    obj = _node(doc, path)
+    pairs = [*obj.items(), (key, value)]
+    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    if not path:
+        return text
+    _node(doc, path[:-1])[path[-1]] = _REPEATED
+    return json.dumps(doc).replace(json.dumps(_REPEATED), text)
+
+
 @st.composite
 def mutated(draw, docs):
+    """A mutated document's text."""
     doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
@@ -122,11 +141,19 @@ def mutated(draw, docs):
             parent[path[-1]] = draw(JSON)
         else:
             del parent[path[-1]]
-    return doc
+    objects = [path for path in _paths(doc) if isinstance(_node(doc, path), dict)]
+    objects = [path for path in objects if _node(doc, path)]
+    if objects and draw(st.integers(0, 3)) == 0:
+        # one key of an object repeated, with its own value or another
+        path = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(_node(doc, path))))
+        value = draw(st.just(_node(doc, path)[key]) | JSON)
+        return _with_repeated_key(doc, path, key, value)
+    return json.dumps(doc)
 
 
-def run_contract(argv, name, doc):
-    """cli.main on argv with doc written to name; checks the exit-code contract."""
+def run_contract(argv, name, text):
+    """cli.main on argv with text written to name; checks the exit-code contract."""
     raised = []
     runner = cli._RUNNERS[argv[0]]
 
@@ -140,7 +167,7 @@ def run_contract(argv, name, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         argv = [path if a == name else a for a in argv]
         cli._RUNNERS[argv[0]] = spy
         try:
@@ -159,16 +186,16 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 @FUZZ
-@given(doc=mutated(DEVICES))
-def test_mutated_device_file(doc):
-    run_contract(["epr-test", "--device", "dev.json"], "dev.json", doc)
+@given(text=mutated(DEVICES))
+def test_mutated_device_file(text):
+    run_contract(["epr-test", "--device", "dev.json"], "dev.json", text)
 
 
 @FUZZ
-@given(doc=mutated((CIRCUIT,)))
-def test_mutated_circuit_file(doc):
+@given(text=mutated((CIRCUIT,)))
+def test_mutated_circuit_file(text):
     run_contract(
         ["circuit-test", "--device", "builtin:honest", "--circuit", "c.json", "--x", "00"],
         "c.json",
-        doc,
+        text,
     )

@@ -167,19 +167,22 @@ class TestBuildSchedule:
         assert max(len(exp.prep) for exp in sch.experiments) == 6
 
     def test_setting_normalizes_other_preps(self):
-        exp = pr.Experiment("conspiracy", 1, (0,), [["A", "g1"], ("B", "g1")])
-        assert exp.prep == (("A", "g1"), ("B", "g1"))
-        assert all(type(e) is tuple for e in exp.prep)
+        # a list prep becomes a tuple; its entries are kept as given
+        first, second = ["A", "g1"], ("B", "g1")
+        exp = pr.Experiment("conspiracy", 1, (0,), [first, second])
+        assert type(exp.prep) is tuple and len(exp.prep) == 2
+        assert exp.prep[0] is first and exp.prep[1] is second
         assert exp.branches[0] == (("A", 0, 0.0), ("B", 0, 0.0))
 
     def test_prep_of_str_pairs_is_kept_and_any_other_is_normalized(self):
-        # a schedule's preps are tuples of str pairs: kept as the same object
-        prep = (("A", "g1"), ("B", "g1"))
+        # a tuple prep, as every schedule's is, is kept as the same object;
+        # a list or an iterator becomes a tuple of the same entries
+        prep = (("A", "g1"), ["B", "g1"])
         assert pr.Experiment("conspiracy", 1, (0,), prep).prep is prep
-        for other in ([("A", "g1"), ("B", "g1")], (["A", "g1"], ("B", "g1")), iter(prep)):
+        for other in (list(prep), iter(prep)):
             exp = pr.Experiment("conspiracy", 1, (0,), other)
-            assert exp.prep == prep and exp.prep is not other
-            assert type(exp.prep) is tuple and all(type(e) is tuple for e in exp.prep)
+            assert type(exp.prep) is tuple and exp.prep is not other
+            assert len(exp.prep) == 2 and all(e is f for e, f in zip(exp.prep, prep))
 
     def test_settings_tables_are_built_once_and_frozen(self):
         # a step's settings depend only on its kind and arity: every

@@ -120,9 +120,9 @@ def hidden_json_device(circ, e_dims, tmp_path, seed=29):
 
 CHAINS = {"n2-t32": chain(2, 32, 1), "n2-t64": chain(2, 64, 2), "n5-t8": chain(5, 8, 3)}
 
-# (circuit, device): 16- to 256-amplitude states, batched by shape; the
-# hidden device's 96 amplitudes fill a block only up to 42 states (4,032
-# amplitudes); the n=5 chain's 1,024 are read from reduced states, one
+# (circuit, device): 16- to 256-amplitude states, one block per shape,
+# which stats splits into chunks (on the t=64 chain, up to 20 states of
+# 256 amplitudes); the n=5 chain's 1,024 are read from reduced states, one
 # state at a time
 CASES = {
     "n2-t32-honest": ("n2-t32", "honest"),
@@ -157,33 +157,31 @@ def test_schedule_equals_one_experiment_at_a_time(case, tmp_path, monkeypatch):
     n = circ.n
     # one compensating NOT joins the steps
     schedule = pr.build_schedule(circ, "0" * n, "1" + "0" * (n - 1))
-    blocks = []
-    real = stats.probabilities
+    calls = []
+    real = pr._experiment_probabilities
 
-    def spy(dev, states, slots):
-        blocks.append((isinstance(states, hb.StateBlock), len(getattr(states, "rows", [0]))))
-        return real(dev, states, slots)
+    def spy(dev, states, exp):
+        calls.append(((exp.kind, exp.wires), getattr(states, "rows", None)))
+        return real(dev, states, exp)
 
-    monkeypatch.setattr(stats, "probabilities", spy)
+    monkeypatch.setattr(pr, "_experiment_probabilities", spy)
     got = pr._schedule_probabilities(device, schedule.experiments)
     monkeypatch.undo()
     want = per_experiment(device, schedule.experiments)
     assert got.shape == want.shape == (schedule.n_records,)
     assert got.tolist() == want.tolist()
 
-    # every block holds one state or at most _BLOCK_AMPS amplitudes, and a
-    # state above _REDUCED_AMPS comes alone, as the state itself
-    total = device.layout.full.total
-    for is_block, m in blocks:
-        assert m * total <= stats._BLOCK_AMPS or m == 1
-        assert not (is_block and m == 1)
-    if total > stats._REDUCED_AMPS:
-        assert not any(is_block for is_block, _ in blocks)
+    # states of up to _REDUCED_AMPS amplitudes: each shape's in one call, a
+    # block where the shape has more than one; a larger state alone, as the
+    # state itself
+    shapes = [(exp.kind, exp.wires) for exp in schedule.experiments]
+    if device.layout.full.total <= stats._REDUCED_AMPS:
+        assert sorted(shape for shape, _ in calls) == sorted(set(shapes))
+        for shape, rows in calls:
+            assert (1 if rows is None else len(rows)) == shapes.count(shape)
     else:
-        assert max(m for _, m in blocks) > 1
-    if case == "n2-t64-depolarized":
-        # 256 amplitudes: a shape's queue is evaluated whenever it holds 16
-        assert (True, 16) in blocks
+        assert [shape for shape, _ in calls] == shapes
+        assert all(rows is None for _, rows in calls)
 
 
 def random_states(layout, m, seed):

@@ -443,11 +443,29 @@ class TestRecordsAndReport:
         with pytest.raises(ValidationError, match="one value per setting"):
             pr.Records((exp,), [0.5] * 8, [0.5] * 8)
 
-    def test_verdict_flag_must_match_deviations(self):
+    def test_verdict_derives_its_outcome_from_the_deviations(self):
         exp = pr.Experiment("tomography", 1, (0,), ())
-        recs = pr.Records((exp,), [0.5] * 9, [0.5, 0.45] + [0.5] * 7)
-        for accepted, eps in ((True, 0.01), (False, 0.1)):
-            with pytest.raises(ValidationError, match="inconsistent"):
-                pr.Verdict(accepted, 0.05, eps, np.array([1]), recs, ("x",))
-        v = pr.Verdict(False, 0.05, 0.01, np.array([1]), recs, ("x",))
-        assert v.to_json()["failing_records"] == [v.to_json()["records"][1]]
+        recs = pr.Records((exp,), [0.5] * 9, [0.5, 0.45, 0.75] + [0.5] * 6)
+        dev = recs.deviation
+        assert dev[0] == 0.0 < dev[1] < 0.1 < dev[2] == 0.25 == dev.max()
+        # eps below, at and above each deviation: a record fails only beyond eps
+        for eps in (0.0, 0.01, dev[1], 0.1, 0.25, 0.3):
+            v = pr.Verdict(recs, eps, ("x",))
+            assert v.failing.tolist() == np.flatnonzero(dev > eps).tolist()
+            assert v.accepted is (not v.failing.size)
+            assert v.max_deviation == 0.25
+            summary = v.summary_json()
+            assert summary["accepted"] is v.accepted
+            assert summary["max_deviation"] == 0.25
+        assert pr.Verdict(recs, dev[1], ("x",)).failing.tolist() == [2]
+        assert pr.Verdict(recs, 0.25, ("x",)).accepted
+        v = pr.Verdict(recs, 0.01, ("x",))
+        assert v.failing.tolist() == [1, 2]
+        records = v.to_json()["records"]
+        assert v.to_json()["failing_records"] == [records[1], records[2]]
+
+    def test_verdict_without_records_accepts(self):
+        v = pr.Verdict(pr.Records((), [], []), 0.1, ())
+        assert v.failing.tolist() == [] and v.accepted is True
+        assert v.max_deviation == 0.0 and type(v.max_deviation) is float
+        assert v.to_json()["failing_records"] == v.to_json()["records"] == []
